@@ -15,7 +15,7 @@ from sgcap.attention import (
     multi_head_attention,
     scaled_dot_attention,
 )
-from sgcap.autodiff import add, constant, matmul, sigmoid, tile_rows
+from sgcap.autodiff import add, constant, linear, sigmoid
 from sgcap.encoder import RefinePathParams, refine
 
 rng = np.random.default_rng(1)
@@ -41,12 +41,7 @@ gated = aoa_block(aoa, q, v_hat)
 print("\ngated attention output:", np.round(gated.data[0], 3))
 
 # the gate itself is a sigmoid of a linear map of query and context
-gate = sigmoid(
-    add(
-        add(matmul(q, aoa.w_q_gate), matmul(v_hat, aoa.w_v_gate)),
-        tile_rows(aoa.b_gate, 2),
-    )
-)
+gate = sigmoid(add(linear(q, aoa.w_q_gate, aoa.b_gate), linear(v_hat, aoa.w_v_gate)))
 print("gate values (all in (0, 1)):", np.round(gate.data[0], 3))
 
 # --- one refinement pass, as the encoder applies it to each path ---

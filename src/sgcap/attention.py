@@ -6,7 +6,8 @@ returns their elementwise product. Multi-head attention projects queries,
 keys and values once, splits the projections into contiguous column
 blocks (one per head), runs scaled dot-product attention per head with
 the per-head width, and concatenates the heads. There is no output
-projection.
+projection. A memory attended by many queries (the decoder's steps) can
+have its keys and values projected once, by ``project_memory``.
 
 Masked keys receive an additive -1e9 on their logits; after the softmax
 max-subtraction the exponential underflows to exactly 0.0 in float64, so
@@ -26,14 +27,13 @@ from .autodiff import (
     add,
     concat,
     constant,
+    linear,
     matmul,
     mul,
     scale,
     sigmoid,
     slice_cols,
     softmax,
-    tile_rows,
-    transpose,
 )
 from .nn import init_weight
 
@@ -70,7 +70,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask=None) -> Tens
     if v.data.shape[0] != n_k:
         raise DimensionError(f"value rows {v.data.shape[0]} != key rows {n_k}")
     mask = _check_mask(key_mask, n_k)
-    logits = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(d))
+    logits = scale(linear(q, k), 1.0 / np.sqrt(d))
     if mask is not None:
         bias = np.where(mask, 0.0, MASK_LOGIT)
         logits = add(logits, constant(np.tile(bias, (q.data.shape[0], 1))))
@@ -102,6 +102,10 @@ class MultiHeadParams:
     def d_model(self) -> int:
         return self.w_q.shape[0]
 
+    def project_memory(self, memory: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of a memory that many queries attend to."""
+        return linear(memory, self.w_k), linear(memory, self.w_v)
+
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.w_q", self.w_q
         yield f"{prefix}.w_k", self.w_k
@@ -109,9 +113,13 @@ class MultiHeadParams:
 
 
 def multi_head_attention(
-    params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None
+    params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None, projected=False
 ) -> Tensor:
-    """Project, split into contiguous per-head column blocks, attend, concat."""
+    """Project, split into contiguous per-head column blocks, attend, concat.
+
+    With ``projected``, keys and values arrive already projected (by
+    ``MultiHeadParams.project_memory``); only the query is projected here.
+    """
     d = params.d_model
     h = params.heads
     if d % h != 0:
@@ -119,9 +127,11 @@ def multi_head_attention(
     for name, t in (("query", q_in), ("key", k_in), ("value", v_in)):
         if t.data.ndim != 2 or t.data.shape[1] != d:
             raise DimensionError(f"{name} must be (n, {d}), got {tuple(t.data.shape)}")
-    q = matmul(q_in, transpose(params.w_q))
-    k = matmul(k_in, transpose(params.w_k))
-    v = matmul(v_in, transpose(params.w_v))
+    q = linear(q_in, params.w_q)
+    if projected:
+        k, v = k_in, v_in
+    else:
+        k, v = linear(k_in, params.w_k), linear(v_in, params.w_v)
     dh = d // h
     heads = []
     for i in range(h):
@@ -181,15 +191,6 @@ def aoa_block(params: AoAParams, q: Tensor, v_hat: Tensor) -> Tensor:
         raise DimensionError(
             f"attended input {tuple(v_hat.data.shape)} must match query {tuple(q.data.shape)}"
         )
-    n = q.data.shape[0]
-    info = add(
-        add(matmul(q, transpose(params.w_q_info)), matmul(v_hat, transpose(params.w_v_info))),
-        tile_rows(params.b_info, n),
-    )
-    gate = sigmoid(
-        add(
-            add(matmul(q, transpose(params.w_q_gate)), matmul(v_hat, transpose(params.w_v_gate))),
-            tile_rows(params.b_gate, n),
-        )
-    )
+    info = add(linear(q, params.w_q_info, params.b_info), linear(v_hat, params.w_v_info))
+    gate = sigmoid(add(linear(q, params.w_q_gate, params.b_gate), linear(v_hat, params.w_v_gate)))
     return mul(gate, info)

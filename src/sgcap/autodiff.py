@@ -20,8 +20,9 @@ Design rules, enforced here rather than assumed:
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "DimensionError",
     "Tensor",
     "Tape",
+    "no_grad",
     "set_debug_finite",
     "constant",
     "parameter",
@@ -37,6 +39,7 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "linear",
     "transpose",
     "reshape",
     "concat",
@@ -76,6 +79,19 @@ def set_debug_finite(enabled: bool) -> None:
 
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record nothing inside, even under a tape: for decodes no loss needs.
+
+    A tape entered inside the block records again until it exits.
+    """
+    _TAPE_STACK.append(None)  # _active_tape() then finds no tape
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
 
 
 class Tensor:
@@ -262,6 +278,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul inner mismatch: {tuple(a.data.shape)} @ {tuple(b.data.shape)}")
     ad, bd = a.data, b.data
     return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x W^T, plus b on every row: (n, k) and (m, k) -> (n, m).
+
+    W is read through a transposed view, so no weight is copied.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise DimensionError(f"linear mismatch: {tuple(xd.shape)} @ {tuple(wd.shape)}^T")
+    y = xd @ wd.T
+    if b is None:
+        return _emit(y, (x, w), lambda g: (g @ wd, g.T @ xd))
+    if b.data.shape != (wd.shape[0],):
+        raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
+    y += b.data
+    return _emit(y, (x, w, b), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ from .autodiff import Tensor
 from .decoder import DecoderParams
 from .encoder import EncoderParams
 from .features import WORD_VECTOR_DIM
+from .nn import ParamArrays
 
 __all__ = ["CaptionerConfig", "CaptionerParams"]
 
@@ -40,7 +41,7 @@ class CaptionerConfig:
 
 
 @dataclass
-class CaptionerParams:
+class CaptionerParams(ParamArrays):
     config: CaptionerConfig
     encoder: EncoderParams
     decoder: DecoderParams
@@ -58,20 +59,3 @@ class CaptionerParams:
     def named_params(self) -> Iterator[tuple[str, Tensor]]:
         yield from self.encoder.named_params("encoder")
         yield from self.decoder.named_params("decoder")
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        """Name -> owned copy of the current values, in manifest order."""
-        return {name: t.data.copy() for name, t in self.named_params()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place from a name -> array map."""
-        mine = dict(self.named_params())
-        missing = set(mine) - set(arrays)
-        extra = set(arrays) - set(mine)
-        if missing or extra:
-            raise ValueError(f"parameter manifest mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, t in mine.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {t.data.shape}")
-            t.data[...] = arr

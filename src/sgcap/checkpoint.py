@@ -15,7 +15,7 @@ import numpy as np
 
 from .captioner import CaptionerConfig, CaptionerParams
 from .features import FileFormatError, Vocabulary
-from .ioutil import atomic_write_bytes, atomic_write_text  # noqa: F401 (re-export)
+from .ioutil import atomic_write_bytes
 from .vse import VseConfig, VseParams
 
 MAGIC = b"SGCK"

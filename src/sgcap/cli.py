@@ -141,25 +141,16 @@ def load_run_config(args) -> RunConfig:
     return RunConfig(values, source)
 
 
+def _config(cls, cfg: RunConfig, prefix: str, **given):
+    """``cls`` with every field not ``given`` read from config key ``<prefix>.<field>``."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+    return cls(**given, **{name: cfg.get(f"{prefix}.{name}") for name in names})
+
+
 def train_config_from(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
-        phase1=Phase1Config(
-            max_epochs=cfg.get("phase1.max_epochs"),
-            patience=cfg.get("phase1.patience"),
-            lr0=cfg.get("phase1.lr0"),
-            decay_every=cfg.get("phase1.decay_every"),
-            decay_factor=cfg.get("phase1.decay_factor"),
-            batch=cfg.get("phase1.batch"),
-            stop_loss=cfg.get("phase1.stop_loss"),
-        ),
-        phase2=Phase2Config(
-            epochs=cfg.get("phase2.epochs"),
-            patience=cfg.get("phase2.patience"),
-            lr=cfg.get("phase2.lr"),
-            batch=cfg.get("phase2.batch"),
-            alpha=cfg.get("phase2.alpha"),
-            max_steps=cfg.get("phase2.max_steps"),
-        ),
+        phase1=_config(Phase1Config, cfg, "phase1"),
+        phase2=_config(Phase2Config, cfg, "phase2"),
         seed=cfg.get("seed"),
         clip_norm=cfg.get("clip_norm"),
     )
@@ -237,14 +228,7 @@ def cmd_train_vse(args) -> int:
         for caption in rec.captions:
             pairs.append((spatial, [vocab.token_to_id(w) for w in tokenize(caption)]))
     seed = cfg.get("seed")
-    config = VseConfig(
-        vocab_size=len(vocab),
-        spatial_dim=pairs[0][0].shape[1],
-        embed_dim=cfg.get("vse.embed_dim"),
-        hidden_dim=cfg.get("vse.hidden_dim"),
-        space_dim=cfg.get("vse.space_dim"),
-        margin=cfg.get("vse.margin"),
-    )
+    config = _config(VseConfig, cfg, "vse", vocab_size=len(vocab), spatial_dim=pairs[0][0].shape[1])
     params, losses = train_vse(
         pairs, config, np.random.default_rng(seed),
         epochs=cfg.get("vse.epochs"), lr=cfg.get("vse.lr"),
@@ -275,14 +259,9 @@ def cmd_train_xe(args) -> int:
     val_items = [(bundle_of(r), _refs(r)) for r in val_recs]
     idf = compute_idf([_refs(r) for r in train_recs])
     seed = cfg.get("seed")
-    model_config = CaptionerConfig(
-        vocab_size=len(vocab),
-        d_model=cfg.get("model.d_model"),
-        embed_dim=cfg.get("model.embed_dim"),
-        heads=cfg.get("model.heads"),
-        spatial_dim=train_pairs[0][0].spatial.shape[1],
-        max_len=cfg.get("model.max_len"),
-        triplet_mode=cfg.get("model.triplet_mode"),
+    model_config = _config(
+        CaptionerConfig, cfg, "model",
+        vocab_size=len(vocab), spatial_dim=train_pairs[0][0].spatial.shape[1],
     )
     params = CaptionerParams.init(model_config, np.random.default_rng(seed))
     result = train_xe(

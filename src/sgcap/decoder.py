@@ -7,7 +7,9 @@ concatenates the previous token's embedding with that visual vector. The
 new hidden state queries each refined feature path through multi-head
 attention, each attended result is gated against the hidden state, and
 the two gated vectors concatenate into the step's context vector, which
-a bias-free linear layer maps to vocabulary logits.
+a bias-free linear layer maps to vocabulary logits. The keys and values
+of both paths are projected once per caption, in ``init_state``, and
+carried in the decoder state.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -114,6 +116,8 @@ class DecoderState:
     lstm: LstmState
     c_prev: Tensor  # previous context vector, (2 * d_model,)
     t: int
+    kv_spatial: tuple[Tensor, Tensor]  # projected keys and values of refined_spatial
+    kv_rel: Optional[tuple[Tensor, Tensor]]  # of refined_rel; None without relationships
 
 
 @dataclass
@@ -127,10 +131,16 @@ class StepScore:
 
 
 def init_state(params: DecoderParams, enc: EncoderOutput) -> DecoderState:
-    """h0 and m0 are tanh images of the summary; context starts at zero."""
+    """h0 and m0 are tanh images of the summary; context starts at zero.
+
+    Each path's keys and values are projected here, once per caption.
+    """
     h0 = tanh(params.init_h.apply_vec(enc.a_bar))
     m0 = tanh(params.init_m.apply_vec(enc.a_bar))
-    return DecoderState(LstmState(h0, m0), constant(np.zeros(2 * params.d_model)), 0)
+    kv_spatial = params.spatial_att.project_memory(enc.refined_spatial)
+    kv_rel = params.rel_att.project_memory(enc.refined_rel) if enc.rel_mask.any() else None
+    c0 = constant(np.zeros(2 * params.d_model))
+    return DecoderState(LstmState(h0, m0), c0, 0, kv_spatial, kv_rel)
 
 
 def _pick(vec: Tensor, index: int) -> Tensor:
@@ -154,13 +164,11 @@ def decode_step(
     lstm_state = lstm_step(params.lstm, state.lstm, x)
     q = reshape(lstm_state.h, (1, d))
 
-    v_spatial = multi_head_attention(
-        params.spatial_att, q, enc.refined_spatial, enc.refined_spatial
-    )
+    v_spatial = multi_head_attention(params.spatial_att, q, *state.kv_spatial, projected=True)
     o_spatial = aoa_block(params.spatial_aoa, q, v_spatial)
-    if enc.rel_mask.any():
+    if state.kv_rel is not None:
         v_rel = multi_head_attention(
-            params.rel_att, q, enc.refined_rel, enc.refined_rel, key_mask=enc.rel_mask
+            params.rel_att, q, *state.kv_rel, key_mask=enc.rel_mask, projected=True
         )
     else:
         v_rel = constant(np.zeros((1, d)))
@@ -169,7 +177,7 @@ def decode_step(
     c_t = reshape(concat([o_spatial, o_rel], axis=1), (2 * d,))
     logits = params.out_proj.apply_vec(c_t)
     probs = softmax(logits, axis=-1)
-    return logits, probs, DecoderState(lstm_state, c_t, state.t + 1)
+    return logits, probs, DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
 
 
 def _validate_sequence(tokens, vocab_size: int) -> list[int]:

@@ -99,9 +99,7 @@ def _lcs_length(a: Tokens, b: Tokens) -> int:
 
 
 def rouge_l(candidate: Tokens, references: Sequence[Tokens], beta: float = 1.2) -> float:
-    """Longest-common-subsequence F-measure, maximized over references."""
-    if not candidate:
-        raise ValueError("rouge_l needs a non-empty candidate")
+    """Longest-common-subsequence F-measure, maximized over references; 0 if empty."""
     if not references:
         raise ValueError("rouge_l needs at least one reference")
     best = 0.0

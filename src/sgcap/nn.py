@@ -18,19 +18,18 @@ from .autodiff import (
     add,
     concat,
     gather_rows,
-    matmul,
+    linear,
     mul,
     parameter,
     reshape,
     sigmoid,
     tanh,
-    tile_rows,
-    transpose,
 )
 
 __all__ = [
     "xavier_limit",
     "init_weight",
+    "ParamArrays",
     "LinearLayer",
     "EmbeddingTable",
     "LstmParams",
@@ -47,6 +46,27 @@ def init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
     """(fan_out, fan_in) weight drawn uniform in +-xavier_limit."""
     s = xavier_limit(fan_in, fan_out)
     return parameter(rng.uniform(-s, s, size=(fan_out, fan_in)))
+
+
+class ParamArrays:
+    """Named-array snapshots of a model; subclasses define ``named_params()``."""
+
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """Name -> owned copy of the current values, in manifest order."""
+        return {name: t.data.copy() for name, t in self.named_params()}
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Overwrite parameter values in place from a name -> array map."""
+        mine = dict(self.named_params())
+        missing = set(mine) - set(arrays)
+        extra = set(arrays) - set(mine)
+        if missing or extra:
+            raise ValueError(f"parameter manifest mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        for name, t in mine.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != t.data.shape:
+                raise ValueError(f"{name}: shape {arr.shape} != expected {t.data.shape}")
+            t.data[...] = arr
 
 
 @dataclass
@@ -74,20 +94,12 @@ class LinearLayer:
         """Project a single vector (d_in,) -> (d_out,)."""
         if x.data.shape != (self.d_in,):
             raise DimensionError(f"linear expects shape ({self.d_in},), got {tuple(x.data.shape)}")
-        col = reshape(x, (self.d_in, 1))
-        y = reshape(matmul(self.weight, col), (self.d_out,))
-        if self.bias is not None:
-            y = add(y, self.bias)
-        return y
+        row = reshape(x, (1, self.d_in))
+        return reshape(linear(row, self.weight, self.bias), (self.d_out,))
 
     def apply_rows(self, x: Tensor) -> Tensor:
         """Project every row of (n, d_in) -> (n, d_out)."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.d_in:
-            raise DimensionError(f"linear expects (n, {self.d_in}), got {tuple(x.data.shape)}")
-        y = matmul(x, transpose(self.weight))
-        if self.bias is not None:
-            y = add(y, tile_rows(self.bias, x.data.shape[0]))
-        return y
+        return linear(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.weight", self.weight
@@ -181,10 +193,10 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     if x.data.shape != (params.d_in,):
         raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
     xh = concat([x, state.h], axis=0)
+    row = reshape(xh, (1, xh.data.shape[0]))
 
     def gate(w, b, act):
-        col = reshape(xh, (xh.data.shape[0], 1))
-        return act(add(reshape(matmul(w, col), (params.d_hidden,)), b))
+        return act(reshape(linear(row, w, b), (params.d_hidden,)))
 
     i = gate(params.w_i, params.b_i, sigmoid)
     f = gate(params.w_f, params.b_f, sigmoid)

@@ -14,6 +14,7 @@ parameters, and stop early after ``patience`` epochs without improvement.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, scale
+from .autodiff import Tape, Tensor, add, no_grad, scale
 from .captioner import CaptionerParams
 from .decoder import generate_greedy, sample_sequence, teacher_forced_logprobs
 from .encoder import EncoderOutput, encode
@@ -204,7 +205,8 @@ def scst_rollout(
     """
     enc = encode(params.encoder, bundle)
     sampled, total_lp, steps = sample_sequence(params.decoder, enc, rng)
-    greedy = generate_greedy(params.decoder, enc)
+    with no_grad():
+        greedy = generate_greedy(params.decoder, enc)
     r_s = reward_fn(sampled, bundle, refs)
     r_b = reward_fn(greedy, bundle, refs)
     advantage = r_s - r_b
@@ -228,7 +230,9 @@ def scst_step(
 ) -> tuple[float, float]:
     """One self-critical policy-gradient step over a batch of images.
 
-    The batch loss is the mean of the per-image rollout losses. Returns
+    The batch loss is the mean of the per-image rollout losses. A rollout
+    with zero advantage has an exactly zero gradient, so it is left out of
+    the loss, and a batch of only such rollouts makes no update. Returns
     the mean advantage and the mean sampled reward.
     """
     if not batch:
@@ -240,16 +244,16 @@ def scst_step(
         rollouts = [
             scst_rollout(params, bundle, refs, reward_fn, rng) for bundle, refs in batch
         ]
-        loss = rollouts[0].loss
-        for extra in rollouts[1:]:
-            loss = add(loss, extra.loss)
-        loss = scale(loss, 1.0 / len(batch))
-    value = loss.item()
-    if not math.isfinite(value):
-        raise FloatingPointError(f"self-critical loss is not finite: {value!r}")
-    tape.backward(loss)
-    _clip_gradients(leaves, clip_norm)
-    _sgd_step(leaves, lr)
+        live = [r.loss for r in rollouts if r.advantage != 0.0]
+        if live:
+            loss = scale(functools.reduce(add, live), 1.0 / len(batch))
+    if live:
+        value = loss.item()
+        if not math.isfinite(value):
+            raise FloatingPointError(f"self-critical loss is not finite: {value!r}")
+        tape.backward(loss)
+        _clip_gradients(leaves, clip_norm)
+        _sgd_step(leaves, lr)
     mean_advantage = float(np.mean([r.advantage for r in rollouts]))
     mean_sampled = float(np.mean([r.sampled_reward for r in rollouts]))
     return mean_advantage, mean_sampled
@@ -265,10 +269,11 @@ def validation_cider(
     if not items:
         raise ValueError("validation needs at least one item")
     total = 0.0
-    for bundle, refs in items:
-        enc = encode(params.encoder, bundle)
-        words = vocab.decode_tokens(generate_greedy(params.decoder, enc)).split()
-        total += cider(words, refs, idf)
+    with no_grad():
+        for bundle, refs in items:
+            enc = encode(params.encoder, bundle)
+            words = vocab.decode_tokens(generate_greedy(params.decoder, enc)).split()
+            total += cider(words, refs, idf)
     return total / len(items)
 
 
@@ -323,10 +328,7 @@ def train_xe(
                 for k in batch:
                     bundle, tokens = train_pairs[k]
                     parts.append(xe_loss(params, encode(params.encoder, bundle), tokens))
-                loss = parts[0]
-                for extra in parts[1:]:
-                    loss = add(loss, extra)
-                loss = scale(loss, 1.0 / len(batch))
+                loss = scale(functools.reduce(add, parts), 1.0 / len(batch))
             value = loss.item()
             if not math.isfinite(value):
                 params.load_arrays(best_arrays)

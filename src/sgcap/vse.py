@@ -23,7 +23,7 @@ from .autodiff import (
     add,
     concat,
     constant,
-    matmul,
+    linear,
     mean_rows,
     mul,
     relu,
@@ -34,7 +34,7 @@ from .autodiff import (
     tile_rows,
     transpose,
 )
-from .nn import EmbeddingTable, LinearLayer, LstmParams, lstm_step
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, lstm_step
 
 __all__ = [
     "VseConfig",
@@ -74,7 +74,7 @@ class VseConfig:
 
 
 @dataclass
-class VseParams:
+class VseParams(ParamArrays):
     config: VseConfig
     image_proj: LinearLayer
     embedding: EmbeddingTable
@@ -96,23 +96,6 @@ class VseParams:
         yield from self.embedding.named_params("embedding")
         yield from self.lstm.named_params("lstm")
         yield from self.caption_proj.named_params("caption_proj")
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_params()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        mine = dict(self.named_params())
-        missing = set(mine) - set(arrays)
-        extra = set(arrays) - set(mine)
-        if missing or extra:
-            raise ValueError(
-                f"parameter manifest mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for name, t in mine.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {t.data.shape}")
-            t.data[...] = arr
 
 
 @dataclass
@@ -156,7 +139,7 @@ def hinge_loss(pairs: Sequence[EmbeddingPair], margin: float = DEFAULT_MARGIN) -
     d = pairs[0].i_e.data.shape[0]
     images = concat([reshape(p.i_e, (1, d)) for p in pairs], axis=0)
     captions = concat([reshape(p.w_e, (1, d)) for p in pairs], axis=0)
-    sim = matmul(images, transpose(captions))
+    sim = linear(images, captions)
     eye = constant(np.eye(b))
     diag = row_sums(mul(sim, eye))
     by_row = transpose(tile_rows(diag, b))   # [i, j] = d[i]

@@ -114,6 +114,22 @@ def brute_decode_step(params, enc_spatial, enc_rel, rel_mask, a_bar, h, m, c_pre
     return logits, z / z.sum(), h, m, c_t
 
 
+def brute_teacher_forced_logits(params, bundle, tokens):
+    """Logits of every forced step; keys and values are re-projected at each step."""
+    es, er, a_bar = brute_encode(params.encoder, bundle)
+    dec = params.decoder
+    h = np.tanh(dec.init_h.weight.data @ a_bar + dec.init_h.bias.data)
+    m = np.tanh(dec.init_m.weight.data @ a_bar + dec.init_m.bias.data)
+    c_prev = np.zeros(2 * h.shape[0])
+    out = []
+    for token in tokens[:-1]:
+        logits, _, h, m, c_prev = brute_decode_step(
+            dec, es, er, bundle.rel_mask, a_bar, h, m, c_prev, token
+        )
+        out.append(logits)
+    return out
+
+
 def bleu_hand(candidates, references_per_cand, n_max=4):
     """Corpus BLEU with clipped modified precision and closest-length BP."""
     import collections

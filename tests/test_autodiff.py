@@ -16,10 +16,12 @@ from sgcap.autodiff import (
     gather_rows,
     grad_check,
     layer_norm,
+    linear,
     log,
     matmul,
     mean_rows,
     mul,
+    no_grad,
     parameter,
     relu,
     reshape,
@@ -370,3 +372,64 @@ class TestSubSliceConcat:
     def test_gather_out_of_range(self):
         with pytest.raises(IndexError):
             gather_rows(constant(np.ones((3, 2))), [3])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_grad_check(self, seed, with_bias):
+        rng = np.random.default_rng(seed)
+        x = parameter(rng.normal(size=(3, 4)))
+        w = parameter(rng.normal(size=(5, 4)))
+        b = parameter(rng.normal(size=5)) if with_bias else None
+        readout = constant(rng.normal(size=(3, 5)))
+        leaves = [x, w] + ([b] if with_bias else [])
+        assert grad_check(lambda *_: sum_all(mul(linear(x, w, b), readout)), leaves) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_matmul_transpose_tile(self, n):
+        rng = np.random.default_rng(n)
+        x = constant(rng.normal(size=(n, 6)))
+        w = constant(rng.normal(size=(3, 6)))
+        b = constant(rng.normal(size=3))
+        want = add(matmul(x, transpose(w)), tile_rows(b, n)).data
+        np.testing.assert_allclose(linear(x, w, b).data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(linear(x, w).data, matmul(x, transpose(w)).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((2, 4), (3, 5), None),      # inner widths differ
+        ((4,), (3, 4), None),        # vector input
+        ((2, 4), (3, 4), (4,)),      # bias sized like the input
+        ((2, 4), (3, 4), (1, 3)),    # bias not a vector
+    ])
+    def test_shape_mismatch_raises(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else constant(np.ones(b_shape))
+        with pytest.raises(DimensionError):
+            linear(constant(np.ones(x_shape)), constant(np.ones(w_shape)), b)
+
+
+class TestNoGrad:
+    def test_records_nothing_inside_a_tape(self):
+        x = parameter([1.0, 2.0])
+        with Tape() as tape:
+            with no_grad():
+                y = mul(x, x)
+        assert len(tape) == 0
+        assert not y.requires_grad
+
+    def test_tape_inside_records_again(self):
+        x = parameter([1.0, 2.0])
+        with no_grad():
+            with Tape() as tape:
+                loss = sum_all(mul(x, x))
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+    def test_restores_recording_after_an_exception(self):
+        x = parameter([1.0, 2.0])
+        with Tape() as tape:
+            with pytest.raises(DimensionError):
+                with no_grad():
+                    add(x, constant([1.0]))
+            sum_all(x)
+        assert len(tape) == 1

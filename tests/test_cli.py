@@ -282,6 +282,19 @@ class TestEvaluate:
         assert report["rougeL"] == 1.0
         assert json.loads(report_path.read_text()) == report
 
+    def test_empty_candidate_scores(self, world, tmp_path, capsys):
+        ds = load_dataset(world["dataset"])
+        records = ds.split("test")
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text("".join(
+            json.dumps({"id": r.image_id, "caption": "" if i == 0 else r.captions[0]}) + "\n"
+            for i, r in enumerate(records)
+        ))
+        rc, report = run(capsys, "evaluate", "--candidates", caps,
+                         "--dataset", world["dataset"], "--split", "test")
+        assert rc == 0
+        assert report["rougeL"] == (len(records) - 1) / len(records)
+
     def test_missing_image_fails(self, world, tmp_path, capsys):
         caps = tmp_path / "caps.jsonl"
         caps.write_text(json.dumps({"id": "nope", "caption": "a cat"}) + "\n")

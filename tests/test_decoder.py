@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_decode_step, brute_encode
+from oracles import brute_decode_step, brute_encode, brute_teacher_forced_logits
 from sgcap.autodiff import Tape, constant, grad_check, mul, scale, sum_all
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import (
@@ -180,6 +180,27 @@ class TestGreedy:
         params.decoder.out_proj.weight.data[EOS] = 100.0 * c_t / (c_t @ c_t)
         tokens = generate_greedy(params.decoder, enc)
         assert tokens == [EOS]
+
+
+class TestProjectedMemory:
+    @pytest.mark.parametrize("n_rel", [0, 3])
+    def test_cached_keys_values_match_per_step_oracle_at_toy_scale(self, n_rel):
+        _, params, bundle = tiny_setup(
+            seed=n_rel, vocab_size=30, d_model=32, heads=2, spatial_dim=64, n_rel=n_rel
+        )
+        tokens = [BOS] + list(np.random.default_rng(5).integers(4, 30, size=8)) + [EOS]
+        enc = encode(params.encoder, bundle)
+        _, steps = teacher_forced_logprobs(params.decoder, enc, tokens)
+        want = brute_teacher_forced_logits(params, bundle, tokens)
+        assert len(steps) == len(want) == 9
+        for step, logits in zip(steps, want):
+            np.testing.assert_allclose(step.logits.data, logits, rtol=0, atol=1e-12)
+
+    def test_no_relationship_keys_without_relationships(self):
+        _, params, bundle = tiny_setup(n_rel=0)
+        state = init_state(params.decoder, encode(params.encoder, bundle))
+        assert state.kv_rel is None
+        assert state.kv_spatial[0].shape == (4, params.config.d_model)
 
 
 class TestSampling:

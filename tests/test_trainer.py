@@ -1,5 +1,6 @@
 """Trainer: losses, reward blending, policy-gradient identity, loops."""
 
+import functools
 import json
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_decode_step, brute_encode
-from sgcap.autodiff import Tape
+from sgcap import trainer
+from sgcap.autodiff import Tape, add, scale
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import decode_step, generate_greedy, init_state
 from sgcap.encoder import encode
@@ -262,7 +264,41 @@ class TestScstRollout:
         assert a.advantage == b.advantage
 
 
+def full_loss_scst_step(params, batch, reward_fn, lr, rng, clip_norm=5.0):
+    """scst_step with every rollout in the loss, zero advantages included."""
+    leaves = [t for _, t in params.named_params()]
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        rollouts = [scst_rollout(params, b, r, reward_fn, rng) for b, r in batch]
+        loss = scale(functools.reduce(add, [r.loss for r in rollouts]), 1.0 / len(batch))
+    tape.backward(loss)
+    trainer._clip_gradients(leaves, clip_norm)
+    trainer._sgd_step(leaves, lr)
+    return [r.advantage for r in rollouts]
+
+
 class TestScstStep:
+    @pytest.mark.parametrize("seed, reward_fn", [
+        (12, token_sum_reward),      # advantages 0, +, 0, +
+        (19, token_sum_reward),      # advantages +, +, 0, 0
+        (0, lambda t, b, r: 0.25),   # every advantage 0
+    ])
+    def test_skipping_zero_advantages_matches_full_loss(self, seed, reward_fn):
+        vocab, params, bundles, refs, idf, vse, _, items = tiny_world()
+        batch = items * 2
+        start = params.param_arrays()
+        advantages = full_loss_scst_step(params, batch, reward_fn, 0.1, np.random.default_rng(seed))
+        assert 0.0 in advantages
+        want = params.param_arrays()
+        params.load_arrays(start)
+        scst_step(params, batch, reward_fn, lr=0.1, rng=np.random.default_rng(seed))
+        for name, arr in params.param_arrays().items():
+            assert np.array_equal(arr, want[name]), name
+        if not any(advantages):
+            for name, arr in want.items():
+                assert np.array_equal(arr, start[name]), name
+
     def test_constant_reward_leaves_params_untouched(self):
         vocab, params, bundles, refs, idf, vse, _, items = tiny_world()
         before = params.param_arrays()
@@ -303,6 +339,23 @@ class TestScstStep:
             d = arr - before[name]
             sq += float((d * d).sum())
         assert math.sqrt(sq) <= 0.01 + 1e-9
+
+
+def test_greedy_decodes_add_no_tape_records(monkeypatch):
+    vocab, params, bundles, refs, idf, vse, _, items = tiny_world()
+    added = []
+
+    def counting_greedy(*args, **kwargs):
+        before = len(tape)
+        out = generate_greedy(*args, **kwargs)
+        added.append(len(tape) - before)
+        return out
+
+    monkeypatch.setattr(trainer, "generate_greedy", counting_greedy)
+    with Tape() as tape:
+        scst_rollout(params, bundles[0], refs[0], token_sum_reward, np.random.default_rng(0))
+        validation_cider(params, items, vocab, idf)
+    assert added == [0, 0, 0]
 
 
 class TestValidationCider:
