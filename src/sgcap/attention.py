@@ -3,11 +3,12 @@
 The gated refinement block (attention on attention) combines a query and
 an attended vector into an information vector and a sigmoid gate, and
 returns their elementwise product. Multi-head attention projects queries,
-keys and values once, splits the projections into contiguous column
-blocks (one per head), runs scaled dot-product attention per head with
-the per-head width, and concatenates the heads. There is no output
-projection. A memory attended by many queries (the decoder's steps) can
-have its keys and values projected once, by ``project_memory``.
+keys and values once, then runs scaled dot-product attention per
+contiguous column block (one per head, with the per-head width), each
+head writing its own column block of the output. There is no output
+projection. Both blocks are single fused tape ops (``autodiff.attention``
+and ``autodiff.aoa``). A memory attended by many queries (the decoder's
+steps) can have its keys and values projected once, by ``project_memory``.
 
 Masked keys receive an additive -1e9 on their logits; after the softmax
 max-subtraction the exponential underflows to exactly 0.0 in float64, so
@@ -17,24 +18,11 @@ a masked row cannot influence the output bit-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
-from .autodiff import (
-    DimensionError,
-    Tensor,
-    add,
-    concat,
-    constant,
-    linear,
-    matmul,
-    mul,
-    scale,
-    sigmoid,
-    slice_cols,
-    softmax,
-)
+from .autodiff import MASK_LOGIT, DimensionError, Tensor, aoa, attention, linear, parameter
 from .nn import init_weight
 
 __all__ = [
@@ -46,36 +34,10 @@ __all__ = [
     "aoa_block",
 ]
 
-MASK_LOGIT = -1e9
-
-
-def _check_mask(key_mask, n_keys: int) -> Optional[np.ndarray]:
-    if key_mask is None:
-        return None
-    mask = np.asarray(key_mask, dtype=bool).reshape(-1)
-    if mask.shape != (n_keys,):
-        raise DimensionError(f"key mask length {mask.shape[0]} != number of keys {n_keys}")
-    if not mask.any():
-        raise ValueError("attention with every key masked")
-    return mask
-
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask=None) -> Tensor:
     """softmax(q k^T / sqrt(d)) v, softmax taken row-wise over keys."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimensionError("scaled_dot_attention expects matrices")
-    n_k, d = k.data.shape
-    if q.data.shape[1] != d:
-        raise DimensionError(f"query width {q.data.shape[1]} != key width {d}")
-    if v.data.shape[0] != n_k:
-        raise DimensionError(f"value rows {v.data.shape[0]} != key rows {n_k}")
-    mask = _check_mask(key_mask, n_k)
-    logits = scale(linear(q, k), 1.0 / np.sqrt(d))
-    if mask is not None:
-        bias = np.where(mask, 0.0, MASK_LOGIT)
-        logits = add(logits, constant(np.tile(bias, (q.data.shape[0], 1))))
-    weights = softmax(logits, axis=-1)
-    return matmul(weights, v)
+    return attention(q, k, v, 1, key_mask)
 
 
 @dataclass
@@ -115,15 +77,12 @@ class MultiHeadParams:
 def multi_head_attention(
     params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None, projected=False
 ) -> Tensor:
-    """Project, split into contiguous per-head column blocks, attend, concat.
+    """Project, then attend per contiguous head column block (one tape op).
 
     With ``projected``, keys and values arrive already projected (by
     ``MultiHeadParams.project_memory``); only the query is projected here.
     """
     d = params.d_model
-    h = params.heads
-    if d % h != 0:
-        raise DimensionError(f"heads {h} must divide width {d}")
     for name, t in (("query", q_in), ("key", k_in), ("value", v_in)):
         if t.data.ndim != 2 or t.data.shape[1] != d:
             raise DimensionError(f"{name} must be (n, {d}), got {tuple(t.data.shape)}")
@@ -132,16 +91,7 @@ def multi_head_attention(
         k, v = k_in, v_in
     else:
         k, v = linear(k_in, params.w_k), linear(v_in, params.w_v)
-    dh = d // h
-    heads = []
-    for i in range(h):
-        lo, hi = i * dh, (i + 1) * dh
-        heads.append(
-            scaled_dot_attention(
-                slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi), key_mask
-            )
-        )
-    return heads[0] if h == 1 else concat(heads, axis=1)
+    return attention(q, k, v, params.heads, key_mask)
 
 
 @dataclass
@@ -157,8 +107,6 @@ class AoAParams:
 
     @classmethod
     def init(cls, rng: np.random.Generator, d_model: int):
-        from .autodiff import parameter
-
         return cls(
             init_weight(rng, d_model, d_model),
             init_weight(rng, d_model, d_model),
@@ -184,13 +132,5 @@ def aoa_block(params: AoAParams, q: Tensor, v_hat: Tensor) -> Tensor:
     gate = sigmoid(q W_qg^T + v_hat W_vg^T + b_g)
     out  = gate * info        (elementwise, row by row)
     """
-    d = params.d_model
-    if q.data.ndim != 2 or q.data.shape[1] != d:
-        raise DimensionError(f"query must be (n, {d}), got {tuple(q.data.shape)}")
-    if v_hat.data.shape != q.data.shape:
-        raise DimensionError(
-            f"attended input {tuple(v_hat.data.shape)} must match query {tuple(q.data.shape)}"
-        )
-    info = add(linear(q, params.w_q_info, params.b_info), linear(v_hat, params.w_v_info))
-    gate = sigmoid(add(linear(q, params.w_q_gate, params.b_gate), linear(v_hat, params.w_v_gate)))
-    return mul(gate, info)
+    p = params
+    return aoa(q, v_hat, p.w_q_info, p.w_v_info, p.b_info, p.w_q_gate, p.w_v_gate, p.b_gate)

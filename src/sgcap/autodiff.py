@@ -55,6 +55,12 @@ __all__ = [
     "log",
     "softmax",
     "layer_norm",
+    "MASK_LOGIT",
+    "attention",
+    "aoa",
+    "lstm_gates",
+    "lstm_memory",
+    "lstm_hidden",
     "grad_check",
 ]
 
@@ -398,13 +404,18 @@ def sum_all(a: Tensor) -> Tensor:
     return _emit(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, float(g)),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so that exp never overflows."""
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -434,15 +445,17 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else x.ndim + axis
     if x.ndim == 0 or not (0 <= ax < x.ndim):
         raise DimensionError(f"softmax axis {axis} invalid for shape {tuple(x.shape)}")
-    shifted = x - x.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
+    y = _softmax(x, ax)
+    return _emit(y, (a,), lambda g: (_softmax_grad(y, g, ax),))
 
-    def backward_fn(g):
-        inner = (g * y).sum(axis=ax, keepdims=True)
-        return (y * (g - inner),)
 
-    return _emit(y, (a,), backward_fn)
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -481,6 +494,154 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _emit(y, (x, gain, bias), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused blocks: one op each, a block's worth of numpy work per record
+
+MASK_LOGIT = -1e9  # exp of a masked logit underflows to exactly 0.0 after max-subtraction
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
+    """Scaled dot-product attention of every head, side by side.
+
+    Head i reads column block i of q, k and v and writes
+    softmax(q_i k_i^T / sqrt(d / heads)) v_i, softmax over keys, into
+    column block i of the output. Keys whose ``mask`` entry is False get
+    MASK_LOGIT on their logits, so their weight is exactly 0.0.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
+        raise DimensionError("attention expects matrices")
+    (n_k, d), dv = kd.shape, vd.shape[1]
+    if qd.shape[1] != d or vd.shape[0] != n_k:
+        raise DimensionError(f"attention mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    if heads < 1 or d % heads or dv % heads:
+        raise DimensionError(f"heads {heads} must divide widths {d} and {dv}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        if mask.shape != (n_k,):
+            raise DimensionError(f"key mask length {mask.shape[0]} != number of keys {n_k}")
+        if not mask.any():
+            raise ValueError("attention with every key masked")
+    dh, dvh = d // heads, dv // heads
+    c = float(1.0 / np.sqrt(dh))
+    out = np.empty((qd.shape[0], dv))
+    saved = []  # per head: its column blocks, their contiguous copies, its weights
+    for i in range(heads):
+        cols, vcols = slice(i * dh, (i + 1) * dh), slice(i * dvh, (i + 1) * dvh)
+        qh, kh, vh = (np.ascontiguousarray(a) for a in (qd[:, cols], kd[:, cols], vd[:, vcols]))
+        logits = (qh @ kh.T) * c
+        if mask is not None:
+            logits += np.where(mask, 0.0, MASK_LOGIT)
+        w = _softmax(logits, 1)
+        out[:, vcols] = w @ vh
+        saved.append((cols, vcols, qh, kh, vh, w))
+
+    def backward_fn(g):
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        for cols, vcols, qh, kh, vh, w in saved:
+            gh = np.ascontiguousarray(g[:, vcols])
+            dlogits = _softmax_grad(w, gh @ vh.T, 1) * c
+            dq[:, cols], dk[:, cols], dv[:, vcols] = dlogits @ kh, dlogits.T @ qh, w.T @ gh
+        return dq, dk, dv
+
+    return _emit(out, (q, k, v), backward_fn)
+
+
+def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
+        w_qg: Tensor, w_vg: Tensor, b_g: Tensor) -> Tensor:
+    """Attention on attention, row by row: out = gate * info, where
+
+    info = (q W_qi^T + b_i) + v W_vi^T
+    gate = sigmoid((q W_qg^T + b_g) + v W_vg^T)
+    """
+    qd, vd = q.data, v.data
+    m = b_i.data.size
+    if qd.ndim != 2 or qd.shape != vd.shape or (m,) != b_i.data.shape or (m,) != b_g.data.shape or any(
+        w.data.shape != (m, qd.shape[1]) for w in (w_qi, w_vi, w_qg, w_vg)
+    ):
+        raise DimensionError(f"aoa mismatch: q {qd.shape}, v {vd.shape}, weights ({m}, {qd.shape[-1]})")
+
+    def pre(w_q, b, w_v):
+        z = qd @ w_q.data.T
+        z += b.data
+        z += vd @ w_v.data.T
+        return z
+
+    info = pre(w_qi, b_i, w_vi)
+    gate = _sigmoid(pre(w_qg, b_g, w_vg))
+
+    def backward_fn(g):
+        di = g * gate
+        dg = (g * info) * gate * (1.0 - gate)
+        return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data,
+                di.T @ qd, di.T @ vd, di.sum(axis=0), dg.T @ qd, dg.T @ vd, dg.sum(axis=0))
+
+    # v and q are listed twice: the tape adds their gate then their info
+    # gradient, in the order of the unfused graph
+    return _emit(gate * info, (v, q, v, q, w_qi, w_vi, b_i, w_qg, w_vg, b_g), backward_fn)
+
+
+def lstm_gates(x: Tensor, h: Tensor, w_i: Tensor, w_f: Tensor, w_o: Tensor, w_c: Tensor,
+               b_i: Tensor, b_f: Tensor, b_o: Tensor, b_c: Tensor) -> Tensor:
+    """The activated LSTM gates as the rows [i; f; o; c~] of a (4, d) matrix.
+
+    Gate z is sigmoid([x; h] W_z^T + b_z) for i, f and o, tanh for c~.
+    """
+    if x.data.ndim != 1 or h.data.ndim != 1:
+        raise DimensionError(f"lstm_gates expects vectors, got {x.data.shape} and {h.data.shape}")
+    row = np.concatenate([x.data, h.data]).reshape(1, -1)
+    weights, biases = (w_i, w_f, w_o, w_c), (b_i, b_f, b_o, b_c)
+    d = h.data.shape[0]
+    if any(w.data.shape != (d, row.shape[1]) or b.data.shape != (d,) for w, b in zip(weights, biases)):
+        raise DimensionError(f"lstm gate weights must map width {row.shape[1]} to {d}")
+    acts = []
+    for z, (w, b) in enumerate(zip(weights, biases)):
+        pre = row @ w.data.T
+        pre += b.data
+        acts.append(np.tanh(pre) if z == 3 else _sigmoid(pre))
+    y = np.concatenate(acts)
+
+    def backward_fn(g):
+        dpre = np.concatenate([g[:3] * y[:3] * (1.0 - y[:3]), g[3:] * (1.0 - y[3:] * y[3:])])
+        drow = sum(dpre[z:z + 1] @ weights[z].data for z in (3, 2, 1, 0))  # the unfused order
+        split = x.data.shape[0]
+        dws = tuple(dpre[z:z + 1].T @ row for z in range(4))
+        return (drow[0, :split], drow[0, split:]) + dws + tuple(dpre)
+
+    return _emit(y, (x, h) + weights + biases, backward_fn)
+
+
+def _check_gates(gates: Tensor, m: Tensor) -> None:
+    if gates.data.ndim != 2 or gates.data.shape[0] != 4 or m.data.shape != gates.data.shape[1:]:
+        raise DimensionError(f"LSTM gates {gates.data.shape} do not match memory {m.data.shape}")
+
+
+def lstm_memory(gates: Tensor, m: Tensor) -> Tensor:
+    """The LSTM memory update f * m + i * c~, from lstm_gates' rows."""
+    _check_gates(gates, m)
+    (i, f, _, c), md = gates.data, m.data
+
+    def backward_fn(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[0], dgates[1], dgates[3] = g * c, g * md, g * i
+        return dgates, g * f
+
+    return _emit(f * md + i * c, (gates, m), backward_fn)
+
+
+def lstm_hidden(gates: Tensor, m: Tensor) -> Tensor:
+    """The LSTM output o * tanh(m), from lstm_gates' rows and the new memory."""
+    _check_gates(gates, m)
+    o, t = gates.data[2], np.tanh(m.data)
+
+    def backward_fn(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[2] = g * t
+        return dgates, (g * o) * (1.0 - t * t)
+
+    return _emit(o * t, (gates, m), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ class CaptionerConfig:
     triplet_mode: str = "mean"  # how relationship rows were aggregated
 
     def __post_init__(self):
+        if min(self.d_model, self.embed_dim, self.heads, self.spatial_dim, self.max_len) < 1:
+            raise ValueError("model widths, head count and max_len must be positive")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
         if self.vocab_size < 5:

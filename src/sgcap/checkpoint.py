@@ -7,6 +7,7 @@ tokens, and a (name, shape) manifest describing the payload.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,27 @@ def save_checkpoint(path, kind, config, arrays, seed, vocab_tokens) -> None:
     atomic_write_bytes(path, blob)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_manifest(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
+        and all(_is_int(n) and n >= 0 for n in e[1]) for e in x
+    ) and len({e[0] for e in x}) == len(x)
+
+
+# header field -> (test of its value, what the test asks for)
+_HEADER_FIELDS = {
+    "kind": (lambda x: x in KINDS, f"one of {KINDS}"),
+    "config": (lambda x: isinstance(x, dict), "an object"),
+    "seed": (_is_int, "an integer"),
+    "vocab": (lambda x: isinstance(x, list) and all(isinstance(t, str) for t in x), "a list of strings"),
+    "manifest": (_is_manifest, "a list of distinct [name, [extent, ...]] pairs"),
+}
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
@@ -72,34 +94,50 @@ def load_checkpoint(path) -> Checkpoint:
         raise FileFormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[base:base + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
         raise FileFormatError(f"{path}: corrupt header ({exc})") from None
-    for key in ("kind", "config", "seed", "vocab", "manifest"):
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: header is not a JSON object")
+    for key, (valid, what) in _HEADER_FIELDS.items():
         if key not in header:
             raise FileFormatError(f"{path}: header missing field {key!r}")
-    if header["kind"] not in KINDS:
-        raise FileFormatError(f"{path}: unknown model kind {header['kind']!r}")
+        if not valid(header[key]):
+            raise FileFormatError(f"{path}: header field {key!r} is not {what}")
     arrays: dict[str, np.ndarray] = {}
     offset = base + head_len
     for name, shape in header["manifest"]:
-        shape = tuple(int(s) for s in shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + nbytes > len(raw):
-            raise FileFormatError(
-                f"{path}: payload too short for parameter {name!r} {shape}"
-            )
-        flat = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset)
+        shape = tuple(shape)
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise FileFormatError(f"{path}: payload too short for parameter {name!r} {shape}")
+        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         arrays[name] = flat.reshape(shape).astype(np.float64)
-        offset += nbytes
+        offset += 8 * count
     if offset != len(raw):
         raise FileFormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
-    return Checkpoint(
-        kind=header["kind"],
-        config=dict(header["config"]),
-        seed=int(header["seed"]),
-        vocab_tokens=[str(t) for t in header["vocab"]],
-        arrays=arrays,
-    )
+    return Checkpoint(header["kind"], header["config"], header["seed"], header["vocab"], arrays)
+
+
+class _Unfilled:
+    """Stands in for the initialiser's generator: zero weights, no random draw,
+    for a model whose every array ``load_arrays`` then overwrites and checks."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
+def _load_model(path, kind: str, config_cls, params_cls):
+    ck = load_checkpoint(path)
+    if ck.kind != kind:
+        raise FileFormatError(f"{path}: expected a {kind} checkpoint, found {ck.kind!r}")
+    try:
+        params = params_cls.init(config_cls.from_dict(ck.config), _Unfilled())
+        params.load_arrays(ck.arrays)
+        vocab = Vocabulary(ck.vocab_tokens)
+    except (TypeError, ValueError) as exc:  # the config or the arrays do not fit the model
+        raise FileFormatError(f"{path}: {exc}") from None
+    return params, vocab, ck.seed
 
 
 def save_captioner(path, params: CaptionerParams, vocab: Vocabulary, seed: int) -> None:
@@ -110,13 +148,7 @@ def save_captioner(path, params: CaptionerParams, vocab: Vocabulary, seed: int) 
 
 
 def load_captioner(path) -> tuple[CaptionerParams, Vocabulary, int]:
-    ck = load_checkpoint(path)
-    if ck.kind != "captioner":
-        raise FileFormatError(f"{path}: expected a captioner checkpoint, found {ck.kind!r}")
-    config = CaptionerConfig.from_dict(ck.config)
-    params = CaptionerParams.init(config, np.random.default_rng(0))
-    params.load_arrays(ck.arrays)
-    return params, Vocabulary(ck.vocab_tokens), ck.seed
+    return _load_model(path, "captioner", CaptionerConfig, CaptionerParams)
 
 
 def save_vse(path, params: VseParams, vocab: Vocabulary, seed: int) -> None:
@@ -126,10 +158,4 @@ def save_vse(path, params: VseParams, vocab: Vocabulary, seed: int) -> None:
 
 
 def load_vse(path) -> tuple[VseParams, Vocabulary, int]:
-    ck = load_checkpoint(path)
-    if ck.kind != "vse":
-        raise FileFormatError(f"{path}: expected a vse checkpoint, found {ck.kind!r}")
-    config = VseConfig.from_dict(ck.config)
-    params = VseParams.init(config, np.random.default_rng(0))
-    params.load_arrays(ck.arrays)
-    return params, Vocabulary(ck.vocab_tokens), ck.seed
+    return _load_model(path, "vse", VseConfig, VseParams)

@@ -110,6 +110,10 @@ class RunConfig:
         self._values = dict(values)
         self._source = source
 
+    def given(self, key) -> bool:
+        """Whether the config file or a flag set ``key``."""
+        return key in self._values
+
     def get(self, key):
         conv, default = CONFIG_SCHEMA[key]
         if key not in self._values:
@@ -160,11 +164,18 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _load_corpus(args, cfg: RunConfig):
-    """Dataset, word vectors, and the triplet aggregation closure."""
+def _checkpoint_triplet_mode(cfg: RunConfig, params: CaptionerParams, path) -> str:
+    """The triplet mode a checkpoint was trained with; a config that names another is a usage error."""
+    mode, asked = params.config.triplet_mode, cfg.get("model.triplet_mode")
+    if cfg.given("model.triplet_mode") and asked != mode:
+        raise UsageError(f"model.triplet_mode={asked!r} conflicts with {path}, trained with {mode!r}")
+    return mode
+
+
+def _load_corpus(args, mode: str):
+    """Dataset, word vectors, and the closure that builds an image's features."""
     dataset = load_dataset(args.dataset)
     table = load_word_vectors(args.wordvecs)
-    mode = cfg.get("model.triplet_mode")
     lstm = make_triplet_lstm() if mode == "lstm" else None
     return dataset, lambda rec: load_bundle(rec, table, mode, lstm)
 
@@ -202,7 +213,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = 0
@@ -217,7 +228,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_vse(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
     records = _split_records(dataset, "train", args.dataset)
     vocab = build_vocabulary(
         (c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count")
@@ -245,7 +256,7 @@ def cmd_train_vse(args) -> int:
 
 def cmd_train_xe(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
     vocab = build_vocabulary(
@@ -284,7 +295,8 @@ def cmd_train_scst(args) -> int:
     if args.reward == "mmr" and not args.vse:
         raise UsageError("--reward mmr needs --vse <checkpoint>")
     params, vocab, _ = load_captioner(args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    mode = _checkpoint_triplet_mode(cfg, params, args.checkpoint)
+    dataset, bundle_of = _load_corpus(args, mode)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
     vse_params = None
@@ -318,7 +330,8 @@ def cmd_train_scst(args) -> int:
 def cmd_caption(args) -> int:
     cfg = load_run_config(args)
     params, vocab, _ = load_captioner(args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    mode = _checkpoint_triplet_mode(cfg, params, args.checkpoint)
+    dataset, bundle_of = _load_corpus(args, mode)
     records = _split_records(dataset, args.split, args.dataset)
     lines = []
     for rec in records:

@@ -84,9 +84,9 @@ class Vocabulary:
     """
 
     def __init__(self, tokens: Sequence[str], min_count: int = 1):
-        for i, s in enumerate(SPECIALS):
-            if tokens[i] != s:
-                raise ValueError(f"token {i} must be {s!r}, got {tokens[i]!r}")
+        head = list(tokens[:len(SPECIALS)])
+        if head != list(SPECIALS):
+            raise ValueError(f"vocabulary must start with {list(SPECIALS)}, got {head}")
         if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
         self._tokens = list(tokens)

@@ -15,15 +15,13 @@ import numpy as np
 from .autodiff import (
     DimensionError,
     Tensor,
-    add,
-    concat,
     gather_rows,
     linear,
-    mul,
+    lstm_gates,
+    lstm_hidden,
+    lstm_memory,
     parameter,
     reshape,
-    sigmoid,
-    tanh,
 )
 
 __all__ = [
@@ -192,16 +190,7 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     """
     if x.data.shape != (params.d_in,):
         raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
-    xh = concat([x, state.h], axis=0)
-    row = reshape(xh, (1, xh.data.shape[0]))
-
-    def gate(w, b, act):
-        return act(reshape(linear(row, w, b), (params.d_hidden,)))
-
-    i = gate(params.w_i, params.b_i, sigmoid)
-    f = gate(params.w_f, params.b_f, sigmoid)
-    o = gate(params.w_o, params.b_o, sigmoid)
-    c_tilde = gate(params.w_c, params.b_c, tanh)
-    m_new = add(mul(f, state.m), mul(i, c_tilde))
-    h_new = mul(o, tanh(m_new))
-    return LstmState(h_new, m_new)
+    p = params
+    gates = lstm_gates(x, state.h, p.w_i, p.w_f, p.w_o, p.w_c, p.b_i, p.b_f, p.b_o, p.b_c)
+    m_new = lstm_memory(gates, state.m)
+    return LstmState(lstm_hidden(gates, m_new), m_new)

@@ -223,3 +223,55 @@ def brute_hinge(i_embs, w_embs, margin):
             total += max(0.0, margin - i_embs[i] @ w_embs[i] + i_embs[i] @ w_embs[j])
             total += max(0.0, margin - w_embs[i] @ i_embs[i] + w_embs[i] @ i_embs[j])
     return total
+
+
+# ---------------------------------------------------------------------------
+# Unfused tape references for the fused kernels. Unlike the oracles above,
+# these are built from the engine's elementary ops, in the order in which
+# the fused ops must reproduce them bit for bit: they pin the kernels'
+# forward values exactly and their gradients up to summation order.
+
+
+def composite_attention(q, k, v, heads, key_mask=None):
+    """Per head: slice the column blocks, q k^T, scale, mask, softmax, @ v; then concat."""
+    from sgcap.autodiff import add, concat, constant, linear, matmul, scale, slice_cols, softmax
+
+    dh, dvh = q.shape[1] // heads, v.shape[1] // heads
+    outs = []
+    for i in range(heads):
+        qh = slice_cols(q, i * dh, (i + 1) * dh)
+        kh = slice_cols(k, i * dh, (i + 1) * dh)
+        vh = slice_cols(v, i * dvh, (i + 1) * dvh)
+        logits = scale(linear(qh, kh), 1.0 / np.sqrt(dh))
+        if key_mask is not None:
+            bias = np.where(np.asarray(key_mask, dtype=bool), 0.0, -1e9)
+            logits = add(logits, constant(np.tile(bias, (q.shape[0], 1))))
+        outs.append(matmul(softmax(logits, axis=-1), vh))
+    return outs[0] if heads == 1 else concat(outs, axis=1)
+
+
+def composite_aoa(q, v, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
+    """Four linears, two adds, a sigmoid and a product."""
+    from sgcap.autodiff import add, linear, mul, sigmoid
+
+    info = add(linear(q, w_qi, b_i), linear(v, w_vi))
+    gate = sigmoid(add(linear(q, w_qg, b_g), linear(v, w_vg)))
+    return mul(gate, info)
+
+
+def composite_lstm_step(p, h, m, x):
+    """The 4-gate LSTM cell, one linear and one activation per gate; returns (h', m')."""
+    from sgcap.autodiff import add, concat, linear, mul, reshape, sigmoid, tanh
+
+    xh = concat([x, h], axis=0)
+    row = reshape(xh, (1, xh.shape[0]))
+
+    def gate(w, b, act):
+        return act(reshape(linear(row, w, b), (h.shape[0],)))
+
+    i = gate(p.w_i, p.b_i, sigmoid)
+    f = gate(p.w_f, p.b_f, sigmoid)
+    o = gate(p.w_o, p.b_o, sigmoid)
+    c = gate(p.w_c, p.b_c, tanh)
+    m_new = add(mul(f, m), mul(i, c))
+    return mul(o, tanh(m_new)), m_new

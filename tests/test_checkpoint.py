@@ -1,10 +1,17 @@
 """Checkpoint container: round trips, determinism, corruption handling."""
 
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.checkpoint import (
+    KINDS,
     MAGIC,
     Checkpoint,
     atomic_write_bytes,
@@ -151,6 +158,159 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.sgck")
+
+
+def write_with_header(path, header, payload=b""):
+    """A checkpoint file with the given header (an object, or raw bytes) and payload."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(head)) + head + payload)
+
+
+def tiny_captioner_header(**fields):
+    params = tiny_captioner()
+    header = {
+        "kind": "captioner", "config": params.config.to_dict(), "seed": 0,
+        "vocab": VOCAB.tokens,
+        "manifest": [[n, list(a.shape)] for n, a in params.param_arrays().items()],
+    }
+    header.update(fields)
+    return header, b"".join(a.astype("<f8").tobytes() for a in params.param_arrays().values())
+
+
+class TestLoadBuildsNoThrowawayModel:
+    def test_captioner_arrays_equal_saved(self, tmp_path):
+        params = tiny_captioner(5)
+        save_captioner(tmp_path / "c.sgck", params, VOCAB, seed=0)
+        loaded, _, _ = load_captioner(tmp_path / "c.sgck")
+        got = loaded.param_arrays()
+        assert list(got) == list(params.param_arrays())
+        for name, arr in params.param_arrays().items():
+            assert np.array_equal(got[name], arr), name
+
+    def test_vse_arrays_equal_saved(self, tmp_path):
+        params = tiny_vse(5)
+        save_vse(tmp_path / "v.sgck", params, VOCAB, seed=0)
+        loaded, _, _ = load_vse(tmp_path / "v.sgck")
+        for name, arr in params.param_arrays().items():
+            assert np.array_equal(loaded.param_arrays()[name], arr), name
+
+    def test_missing_array_raises(self, tmp_path):
+        params = tiny_captioner()
+        arrays = params.param_arrays()
+        arrays.pop("decoder.out_proj.weight")
+        save_checkpoint(tmp_path / "c.sgck", "captioner", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        with pytest.raises(FileFormatError, match="manifest mismatch"):
+            load_captioner(tmp_path / "c.sgck")
+
+    def test_shape_that_does_not_fit_the_config_raises(self, tmp_path):
+        params = tiny_captioner()
+        config = dataclasses.replace(params.config, d_model=6, heads=3)
+        save_checkpoint(tmp_path / "c.sgck", "captioner", config.to_dict(), params.param_arrays(), 0,
+                        VOCAB.tokens)
+        with pytest.raises(FileFormatError, match="shape"):
+            load_captioner(tmp_path / "c.sgck")
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("kind", ["captioner"]), ("config", [1]), ("seed", "0"), ("seed", True), ("seed", 1.5),
+        ("vocab", "abc"), ("vocab", [1, 2]), ("manifest", 5), ("manifest", [["w", [-1]]]),
+        ("manifest", [["w", [2]], ["w", [2]]]), ("manifest", [["w", [2.0]]]), ("manifest", [[1, [2]]]),
+    ])
+    def test_bad_field_type_is_a_file_format_error(self, tmp_path, field, value):
+        header, payload = tiny_captioner_header(**{field: value})
+        write_with_header(tmp_path / "x.sgck", header, payload)
+        with pytest.raises(FileFormatError, match="header"):
+            load_checkpoint(tmp_path / "x.sgck")
+
+    @pytest.mark.parametrize("header", [[], 5, "captioner", None])
+    def test_header_that_is_not_an_object(self, tmp_path, header):
+        write_with_header(tmp_path / "x.sgck", header)
+        with pytest.raises(FileFormatError, match="JSON object"):
+            load_checkpoint(tmp_path / "x.sgck")
+
+    @pytest.mark.parametrize("config", [
+        {"bogus": 1}, {}, {"vocab_size": 7, "d_model": "4"}, {"vocab_size": 7, "heads": 0},
+        {"vocab_size": 7, "d_model": 4, "embed_dim": 4, "heads": 2, "spatial_dim": 5, "max_len": -1},
+    ])
+    def test_config_that_fits_no_model_is_a_file_format_error(self, tmp_path, config):
+        header, payload = tiny_captioner_header(config=config)
+        write_with_header(tmp_path / "x.sgck", header, payload)
+        assert load_checkpoint(tmp_path / "x.sgck").config == config  # the container is sound
+        with pytest.raises(FileFormatError):
+            load_captioner(tmp_path / "x.sgck")
+
+    def test_vocabulary_without_specials_is_a_file_format_error(self, tmp_path):
+        header, payload = tiny_captioner_header(vocab=["a"])
+        write_with_header(tmp_path / "x.sgck", header, payload)
+        with pytest.raises(FileFormatError, match="vocabulary"):
+            load_captioner(tmp_path / "x.sgck")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+SMALL = st.integers(-1, 9) | JSON
+FUZZ_HEADERS = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(KINDS) | JSON,
+    "config": st.fixed_dictionaries({}, optional={
+        name: SMALL for name in ("vocab_size", "d_model", "embed_dim", "heads", "spatial_dim",
+                                 "max_len", "hidden_dim", "space_dim", "margin", "triplet_mode")
+    }) | JSON,
+    "seed": SMALL,
+    "vocab": st.just(VOCAB.tokens) | st.lists(st.text(max_size=3), max_size=5) | JSON,
+    "manifest": st.lists(st.tuples(st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2))
+                         .map(list), max_size=3) | JSON,
+}) | JSON
+
+
+def loads_or_rejects(path, loader) -> None:
+    """The loader returns a result or raises FileFormatError, nothing else."""
+    try:
+        loader(path)
+    except FileFormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @given(raw=st.binary(max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes(self, fuzz_dir, raw):
+        (fuzz_dir / "raw.sgck").write_bytes(raw)
+        loads_or_rejects(fuzz_dir / "raw.sgck", load_checkpoint)
+
+    @given(raw=st.binary(max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_any_header_bytes(self, fuzz_dir, raw):
+        write_with_header(fuzz_dir / "head.sgck", raw)
+        loads_or_rejects(fuzz_dir / "head.sgck", load_checkpoint)
+
+    @given(header=FUZZ_HEADERS, payload=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_header(self, fuzz_dir, header, payload):
+        path = fuzz_dir / "json.sgck"
+        write_with_header(path, header, payload)
+        for loader in (load_checkpoint, load_captioner, load_vse):
+            loads_or_rejects(path, loader)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_captioner_file(self, fuzz_dir, data):
+        header, payload = tiny_captioner_header()
+        raw = bytearray(MAGIC + struct.pack("<IQ", 1, len(json.dumps(header)))
+                        + json.dumps(header).encode("utf-8") + payload)
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, len(raw)))
+        (fuzz_dir / "bad.sgck").write_bytes(bytes(raw[:cut]))
+        loads_or_rejects(fuzz_dir / "bad.sgck", load_captioner)
 
 
 class TestAtomicWrite:

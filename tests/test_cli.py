@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from sgcap.checkpoint import load_captioner, load_checkpoint, load_vse
+import sgcap.cli as cli
+from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import Vocabulary, load_dataset, load_sgaf
 
@@ -68,6 +69,30 @@ def trained(world, tmp_path_factory):
     assert rc == 0
     return {"vse": root / "vse.sgck", "xe": root / "xe.sgck",
             "xe_log": root / "xe_log.jsonl", "vse_log": root / "vse_log.jsonl"}
+
+
+@pytest.fixture(scope="module")
+def lstm_xe(trained, tmp_path_factory):
+    """The XE checkpoint, labelled as trained on lstm-aggregated relationship rows."""
+    params, vocab, seed = load_captioner(trained["xe"])
+    params.config.triplet_mode = "lstm"
+    path = tmp_path_factory.mktemp("lstm") / "xe_lstm.sgck"
+    save_captioner(path, params, vocab, seed)
+    return path
+
+
+@pytest.fixture
+def bundle_modes(monkeypatch):
+    """The triplet mode of every feature bundle the CLI builds."""
+    modes = []
+    build = cli.load_bundle
+
+    def load_bundle(record, table, mode, lstm):
+        modes.append(mode)
+        return build(record, table, mode, lstm)
+
+    monkeypatch.setattr(cli, "load_bundle", load_bundle)
+    return modes
 
 
 class TestConfigParsing:
@@ -237,6 +262,18 @@ class TestTrainScst:
         assert rc == 0
         assert info["epochs_run"] == 1
 
+    def test_triplet_mode_comes_from_checkpoint(self, world, lstm_xe, bundle_modes, tmp_path, capsys):
+        args = ["train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+                "--wordvecs", world["wordvecs"], "--checkpoint", lstm_xe, "--reward", "cider",
+                "--out", tmp_path / "o.sgck"]
+        rc, _ = run(capsys, *args, "--set", "model.triplet_mode=mean")
+        assert rc == 2
+        assert bundle_modes == []
+        rc, _ = run(capsys, *args)
+        assert rc == 0
+        assert set(bundle_modes) == {"lstm"}
+        assert load_captioner(tmp_path / "o.sgck")[0].config.triplet_mode == "lstm"
+
     def test_wrong_checkpoint_kind_fails(self, world, trained, tmp_path, capsys):
         rc, _ = run(capsys, "train-scst", "--config", world["cfg"],
                     "--dataset", world["dataset"], "--wordvecs", world["wordvecs"],
@@ -262,6 +299,30 @@ class TestCaption:
         rc, _ = run(capsys, "caption", "--checkpoint", trained["vse"],
                     "--dataset", world["dataset"], "--wordvecs", world["wordvecs"],
                     "--out", tmp_path / "c.jsonl")
+        assert rc == 1
+
+    def test_triplet_mode_comes_from_checkpoint(self, world, lstm_xe, bundle_modes, tmp_path, capsys):
+        args = ["caption", "--checkpoint", lstm_xe, "--dataset", world["dataset"],
+                "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl"]
+        rc, info = run(capsys, *args)
+        assert rc == 0
+        assert bundle_modes == ["lstm"] * info["captions"]
+        rc, _ = run(capsys, *args, "--set", "model.triplet_mode=lstm")
+        assert rc == 0
+        rc, _ = run(capsys, *args, "--set", "model.triplet_mode=mean")
+        assert rc == 2
+
+    @pytest.mark.parametrize("field,value", [("config", {"bogus": 1}), ("manifest", 5)])
+    def test_corrupt_header_exits_1(self, world, trained, tmp_path, capsys, field, value):
+        raw = trained["xe"].read_bytes()
+        head_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + head_len])
+        header[field] = value
+        head = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.sgck"
+        bad.write_bytes(MAGIC + raw[4:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:])
+        rc, _ = run(capsys, "caption", "--checkpoint", bad, "--dataset", world["dataset"],
+                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")
         assert rc == 1
 
 
