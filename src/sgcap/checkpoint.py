@@ -8,7 +8,9 @@ tokens, and a (name, shape) manifest describing the payload.
 
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,19 +83,21 @@ _HEADER_FIELDS = {
 }
 
 
-def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    raw = path.read_bytes()
+def _read_header(fh, path) -> dict:
+    """Check the layout up to the end of the payload and return the header,
+    leaving ``fh`` at the first payload byte; nothing of the payload is read."""
+    size = os.fstat(fh.fileno()).st_size
     base = len(MAGIC) + _HEAD.size
-    if len(raw) < base or raw[: len(MAGIC)] != MAGIC:
+    start = fh.read(base)
+    if len(start) < base or start[: len(MAGIC)] != MAGIC:
         raise FileFormatError(f"{path}: bad magic (not a checkpoint file)")
-    version, head_len = _HEAD.unpack_from(raw, len(MAGIC))
+    version, head_len = _HEAD.unpack_from(start, len(MAGIC))
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
-    if len(raw) < base + head_len:
+    if size < base + head_len:
         raise FileFormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[base:base + head_len].decode("utf-8"))
+        header = json.loads(fh.read(head_len).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nesting too deep
         raise FileFormatError(f"{path}: corrupt header ({exc})") from None
     if not isinstance(header, dict):
@@ -103,24 +107,39 @@ def load_checkpoint(path) -> Checkpoint:
             raise FileFormatError(f"{path}: header missing field {key!r}")
         if not valid(header[key]):
             raise FileFormatError(f"{path}: header field {key!r} is not {what}")
-    arrays: dict[str, np.ndarray] = {}
     offset = base + head_len
     for name, shape in header["manifest"]:
-        shape = tuple(shape)
-        count = math.prod(shape)
-        if offset + 8 * count > len(raw):
-            raise FileFormatError(f"{path}: payload too short for parameter {name!r} {shape}")
-        flat = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[name] = flat.reshape(shape).astype(np.float64)
-        offset += 8 * count
-    if offset != len(raw):
-        raise FileFormatError(f"{path}: {len(raw) - offset} trailing bytes after payload")
+        offset += 8 * math.prod(shape)
+        if offset > size:
+            raise FileFormatError(f"{path}: payload too short for parameter {name!r} {tuple(shape)}")
+    if offset != size:
+        raise FileFormatError(f"{path}: {size - offset} trailing bytes after payload")
+    return header
+
+
+def _read_payload(fh, path, manifest, arrays) -> None:
+    """Read each manifest entry straight into its (C-contiguous float64) array."""
+    for (name, _), arr in zip(manifest, arrays):
+        if fh.readinto(arr) != arr.nbytes:
+            raise FileFormatError(f"{path}: payload too short for parameter {name!r}")
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+        if not np.isfinite(arr).all():
+            raise FileFormatError(f"{path}: parameter {name!r} holds NaN or inf")
+
+
+def load_checkpoint(path) -> Checkpoint:
+    path = Path(path)
+    with path.open("rb") as fh:
+        header = _read_header(fh, path)
+        arrays = {name: np.empty(tuple(shape)) for name, shape in header["manifest"]}
+        _read_payload(fh, path, header["manifest"], arrays.values())
     return Checkpoint(header["kind"], header["config"], header["seed"], header["vocab"], arrays)
 
 
 class _Unfilled:
-    """Stands in for the initialiser's generator: zero weights, no random draw,
-    for a model whose every array ``load_arrays`` then overwrites and checks."""
+    """Stands in for the initialiser's generator: zero weights, no random
+    draw, for a model whose every array is then read from the file."""
 
     @staticmethod
     def uniform(low, high, size):
@@ -128,16 +147,20 @@ class _Unfilled:
 
 
 def _load_model(path, kind: str, config_cls, params_cls):
-    ck = load_checkpoint(path)
-    if ck.kind != kind:
-        raise FileFormatError(f"{path}: expected a {kind} checkpoint, found {ck.kind!r}")
-    try:
-        params = params_cls.init(config_cls.from_dict(ck.config), _Unfilled())
-        params.load_arrays(ck.arrays)
-        vocab = Vocabulary(ck.vocab_tokens)
-    except (TypeError, ValueError) as exc:  # the config or the arrays do not fit the model
-        raise FileFormatError(f"{path}: {exc}") from None
-    return params, vocab, ck.seed
+    path = Path(path)
+    with path.open("rb") as fh:
+        header = _read_header(fh, path)
+        if header["kind"] != kind:
+            raise FileFormatError(f"{path}: expected a {kind} checkpoint, found {header['kind']!r}")
+        manifest = header["manifest"]
+        try:
+            params = params_cls.init(config_cls.from_dict(header["config"]), _Unfilled())
+            slots = params.params_for(dict(manifest))
+            vocab = Vocabulary(header["vocab"])
+        except (TypeError, ValueError) as exc:  # the config or the arrays do not fit the model
+            raise FileFormatError(f"{path}: {exc}") from None
+        _read_payload(fh, path, manifest, [slots[name].data for name, _ in manifest])
+    return params, vocab, header["seed"]
 
 
 def save_captioner(path, params: CaptionerParams, vocab: Vocabulary, seed: int) -> None:

@@ -27,6 +27,7 @@ from .features import (
     load_dataset,
     load_word_vectors,
     make_triplet_lstm,
+    text_lines,
     tokenize,
     write_sgaf,
 )
@@ -88,15 +89,14 @@ CONFIG_SCHEMA = {
 def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     values: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FileFormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

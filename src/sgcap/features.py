@@ -21,8 +21,9 @@ import json
 import string
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "build_vocabulary",
     "WordVectorTable",
     "load_word_vectors",
+    "text_lines",
     "write_sgaf",
     "load_sgaf",
     "RelationshipTriplet",
@@ -198,6 +200,18 @@ def load_word_vectors(path) -> WordVectorTable:
     return WordVectorTable(vectors)
 
 
+def text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of a UTF-8 text file; a line that does not
+    decode is a FileFormatError naming it."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
+            yield lineno, line
+
+
 def write_sgaf(path, matrix: np.ndarray) -> None:
     """Write a matrix in the binary feature format (float32 payload)."""
     m = np.asarray(matrix, dtype=np.float32)
@@ -345,34 +359,55 @@ class Dataset:
 _VALID_SPLITS = ("train", "val", "test")
 
 
+def _all_strings(xs) -> bool:
+    return all(map(isinstance, xs, repeat(str)))
+
+
+def _is_triplet(t) -> bool:
+    return (isinstance(t, dict) and _all_strings(t.get(k) for k in ("s", "p", "o"))
+            and isinstance(t.get("score"), (int, float)) and not isinstance(t["score"], bool))
+
+
+# record field -> (test of its value, what the test asks for); "id" may be any value
+_RECORD_FIELDS = {
+    "split": (lambda x: x in _VALID_SPLITS, f"one of {_VALID_SPLITS}"),
+    "captions": (lambda x: isinstance(x, list) and _all_strings(x), "a list of strings"),
+    "triplets": (lambda x: isinstance(x, list) and all(_is_triplet(t) for t in x),
+                 'a list of {"s", "p", "o": string, "score": number} objects'),
+    "feature_file": (lambda x: isinstance(x, str), "a string"),
+}
+
+
 def load_dataset(path) -> Dataset:
     """Parse a JSON-lines dataset; feature paths resolve against its directory."""
     path = Path(path)
     base = path.parent
     records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            for key in ("id", "split", "captions", "triplets", "feature_file"):
-                if key not in obj:
-                    raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
-            if obj["split"] not in _VALID_SPLITS:
-                raise FileFormatError(f"{path}:{lineno}: split must be one of {_VALID_SPLITS}")
-            triplets = [
-                RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
-                for t in obj["triplets"]
-            ]
-            feature_file = Path(obj["feature_file"])
-            if not feature_file.is_absolute():
-                feature_file = base / feature_file
-            records.append(
-                ImageRecord(str(obj["id"]), obj["split"], list(obj["captions"]), triplets, feature_file)
-            )
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
+            raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
+        for key in ("id", "split", "captions", "triplets", "feature_file"):
+            if key not in obj:
+                raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
+        for key, (valid, what) in _RECORD_FIELDS.items():
+            if not valid(obj[key]):
+                raise FileFormatError(f"{path}:{lineno}: {key} must be {what}")
+        triplets = [
+            RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
+            for t in obj["triplets"]
+        ]
+        feature_file = Path(obj["feature_file"])
+        if not feature_file.is_absolute():
+            feature_file = base / feature_file
+        records.append(
+            ImageRecord(str(obj["id"]), obj["split"], obj["captions"], triplets, feature_file)
+        )
     return Dataset(records)
 
 

@@ -3,6 +3,9 @@
 All functions take pre-tokenized captions (lists of token strings); see
 ``features.tokenize`` for the canonical tokenizer. Candidate-level scores
 are pure functions of their inputs, so repeated evaluation is bit-stable.
+Every n-gram statistic comes from one table per caption (``_grams``), so
+``evaluate_captions`` counts each caption once and weighs each reference
+once for both CIDEr variants; float sums run in Counter insertion order.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 Tokens = Sequence[str]
 
@@ -19,63 +23,44 @@ DEFAULT_NGRAM_MAX = 4
 
 
 def ngram_counts(tokens: Tokens, n: int) -> Counter:
-    """Multiset of the n-grams of ``tokens`` as tuples."""
+    """Multiset of the n-grams of ``tokens`` as tuples, in first-occurrence order."""
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
-def _closest_ref_length(cand_len: int, refs: Sequence[Tokens]) -> int:
-    # ties in closeness resolve to the shorter reference
-    return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
+# a caption's length and its n-gram Counters of orders 1..n_max
+_Grams = NamedTuple("_Grams", [("length", int), ("counts", list)])
 
 
-def bleu(
-    candidates: Sequence[Tokens],
-    references: Sequence[Sequence[Tokens]],
-    n_max: int = DEFAULT_NGRAM_MAX,
-) -> list[float]:
-    """Corpus-level BLEU-1..BLEU-n_max.
+def _grams(tokens: Tokens, n_max: int) -> _Grams:
+    return _Grams(len(tokens), [ngram_counts(tokens, n) for n in range(1, n_max + 1)])
 
-    Modified (clipped) n-gram precision is pooled over the whole corpus,
-    each BLEU-n takes the geometric mean of orders 1..n with uniform
-    weights, and the brevity penalty exp(1 - r/c) applies when the total
-    candidate length c falls short of the total closest-reference length r.
-    """
-    if not candidates:
+
+def _bleu(cands: Sequence[_Grams], refs: Sequence[Sequence[_Grams]], n_max: int) -> list[float]:
+    if not cands:
         raise ValueError("bleu needs at least one candidate")
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"{len(candidates)} candidates but {len(references)} reference sets"
-        )
-    matched = [0] * n_max
-    total = [0] * n_max
-    cand_len_sum = 0
-    ref_len_sum = 0
-    for cand, refs in zip(candidates, references):
-        if not refs:
+    if len(cands) != len(refs):
+        raise ValueError(f"{len(cands)} candidates but {len(refs)} reference sets")
+    matched, total = [0] * n_max, [0] * n_max
+    cand_len_sum = ref_len_sum = 0
+    for cand, cand_refs in zip(cands, refs):
+        if not cand_refs:
             raise ValueError("every candidate needs at least one reference")
-        cand_len_sum += len(cand)
-        ref_len_sum += _closest_ref_length(len(cand), refs)
-        for n in range(1, n_max + 1):
-            counts = ngram_counts(cand, n)
-            ceiling: Counter = Counter()
-            for ref in refs:
-                for gram, k in ngram_counts(ref, n).items():
-                    ceiling[gram] = max(ceiling[gram], k)
-            matched[n - 1] += sum(min(k, ceiling[gram]) for gram, k in counts.items())
-            total[n - 1] += sum(counts.values())
+        cand_len_sum += cand.length
+        # the closest reference length; ties in closeness resolve to the shorter
+        ref_len_sum += min((abs(r.length - cand.length), r.length) for r in cand_refs)[1]
+        for n, counts in enumerate(cand.counts):
+            ref_counts = [r.counts[n] for r in cand_refs]
+            # clipped count: a gram matches at most as often as in any one reference
+            matched[n] += sum(min(k, max(rc[g] for rc in ref_counts)) for g, k in counts.items())
+            total[n] += sum(counts.values())
     if cand_len_sum == 0:
         return [0.0] * n_max
-    if cand_len_sum < ref_len_sum:
-        brevity = math.exp(1.0 - ref_len_sum / cand_len_sum)
-    else:
-        brevity = 1.0
+    brevity = math.exp(1.0 - ref_len_sum / cand_len_sum) if cand_len_sum < ref_len_sum else 1.0
     scores = []
     for n in range(1, n_max + 1):
-        precisions = [
-            matched[i] / total[i] if total[i] else 0.0 for i in range(n)
-        ]
+        precisions = [matched[i] / total[i] if total[i] else 0.0 for i in range(n)]
         if min(precisions) == 0.0:
             scores.append(0.0)
         else:
@@ -84,18 +69,32 @@ def bleu(
     return scores
 
 
+def bleu(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
+         n_max: int = DEFAULT_NGRAM_MAX) -> list[float]:
+    """Corpus-level BLEU-1..BLEU-n_max.
+
+    Modified (clipped) n-gram precision is pooled over the whole corpus,
+    each BLEU-n takes the geometric mean of orders 1..n with uniform
+    weights, and the brevity penalty exp(1 - r/c) applies when the total
+    candidate length c falls short of the total closest-reference length r.
+    """
+    cands = [_grams(c, n_max) for c in candidates]
+    return _bleu(cands, [[_grams(r, n_max) for r in refs] for refs in references], n_max)
+
+
 def _lcs_length(a: Tokens, b: Tokens) -> int:
-    # classic O(len(a)*len(b)) table, rows rolled to keep memory flat
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    # bit-parallel LCS (Allison & Dix 1986; Hyyro 2004): bit i of ``row``
+    # is 0 where the LCS of a and the prefix of b read so far steps up at
+    # a[i]; Python ints make the bit vector as long as a needs
+    match: dict = {}
+    for i, x in enumerate(a):
+        match[x] = match.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    row = full
+    for y in b:
+        u = row & match.get(y, 0)
+        row = ((row + u) | (row - u)) & full
+    return len(a) - row.bit_count()
 
 
 def rouge_l(candidate: Tokens, references: Sequence[Tokens], beta: float = 1.2) -> float:
@@ -111,10 +110,7 @@ def rouge_l(candidate: Tokens, references: Sequence[Tokens], beta: float = 1.2) 
             continue
         precision = lcs / len(candidate)
         recall = lcs / len(ref)
-        f_score = (
-            (1.0 + beta * beta) * precision * recall
-            / (recall + beta * beta * precision)
-        )
+        f_score = (1.0 + beta * beta) * precision * recall / (recall + beta * beta * precision)
         best = max(best, f_score)
     return best
 
@@ -135,48 +131,74 @@ class IdfTable:
         if self.image_count < 1:
             raise ValueError("idf table needs at least one image")
 
+    @cached_property
+    def unseen_weight(self) -> float:
+        return math.log(self.image_count)
+
     def weight(self, gram: tuple) -> float:
-        return self.weights.get(gram, math.log(self.image_count))
+        return self.weights.get(gram, self.unseen_weight)
 
 
-def compute_idf(
-    reference_corpus: Sequence[Sequence[Tokens]],
-    n_max: int = DEFAULT_NGRAM_MAX,
-) -> IdfTable:
-    """Document frequencies over a corpus of per-image reference sets.
-
-    An n-gram's df is the number of images in which any reference
-    contains it, regardless of multiplicity.
-    """
+def _idf(reference_corpus: Sequence[Sequence[_Grams]]) -> IdfTable:
     if not reference_corpus:
         raise ValueError("cannot compute idf over an empty corpus")
     doc_freq: Counter = Counter()
     for refs in reference_corpus:
-        seen = set()
-        for ref in refs:
-            for n in range(1, n_max + 1):
-                seen.update(ngram_counts(ref, n).keys())
-        doc_freq.update(seen)
+        # grams of different orders are tuples of different lengths
+        doc_freq.update(set().union(*(counts for ref in refs for counts in ref.counts)))
     n_images = len(reference_corpus)
     weights = {gram: math.log(n_images / df) for gram, df in doc_freq.items()}
     return IdfTable(weights=weights, image_count=n_images)
 
 
-def _tfidf_vector(tokens: Tokens, n: int, idf: IdfTable) -> dict:
-    return {gram: k * idf.weight(gram) for gram, k in ngram_counts(tokens, n).items()}
+def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
+                n_max: int = DEFAULT_NGRAM_MAX) -> IdfTable:
+    """Document frequencies over a corpus of per-image reference sets.
+
+    An n-gram's df is the number of images in which any reference
+    contains it, regardless of multiplicity.
+    """
+    return _idf([[_grams(r, n_max) for r in refs] for refs in reference_corpus])
 
 
-def _vector_norm(vec: dict) -> float:
-    return math.sqrt(sum(v * v for v in vec.values()))
+# a caption's length and, per order, its tf-idf vector and that vector's norm
+_Weighted = NamedTuple("_Weighted", [("length", int), ("orders", list)])
 
 
-def cider(
-    candidate: Tokens,
-    references: Sequence[Tokens],
-    idf: IdfTable,
-    variant: str = "plain",
-    n_max: int = DEFAULT_NGRAM_MAX,
-) -> float:
+def _weighted(grams: _Grams, idf: IdfTable) -> _Weighted:
+    weights, unseen = idf.weights, idf.unseen_weight
+    orders = []
+    for counts in grams.counts:
+        vec = {g: k * weights.get(g, unseen) for g, k in counts.items()}
+        orders.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+    return _Weighted(grams.length, orders)
+
+
+def _consensus(cand: _Weighted, refs: Sequence[_Weighted], clipped: bool) -> float:
+    per_order = []
+    for n, (cand_vec, cand_norm) in enumerate(cand.orders):
+        acc = 0.0
+        for ref in refs:
+            ref_vec, ref_norm = ref.orders[n]
+            if cand_norm == 0.0 or ref_norm == 0.0:
+                continue
+            if not clipped:
+                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
+                acc += dot / (cand_norm * ref_norm)
+            else:
+                # clipping happens in idf-weighted space; shared idf per
+                # gram makes that identical to clipping the raw counts
+                dot = sum(min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
+                          for g, v in cand_vec.items())
+                delta = cand.length - ref.length
+                penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA ** 2))
+                acc += penalty * dot / (cand_norm * ref_norm)
+        per_order.append(acc / len(refs))
+    return 10.0 * sum(per_order) / len(per_order)
+
+
+def cider(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
+          variant: str = "plain", n_max: int = DEFAULT_NGRAM_MAX) -> float:
     """Consensus score of one candidate against its reference set.
 
     Per n-gram order, candidate and reference token counts are weighted by
@@ -189,62 +211,33 @@ def cider(
         raise ValueError(f"unknown variant {variant!r}, expected 'plain' or 'd'")
     if not references:
         raise ValueError("cider needs at least one reference")
-    per_order = []
-    for n in range(1, n_max + 1):
-        cand_vec = _tfidf_vector(candidate, n, idf)
-        cand_norm = _vector_norm(cand_vec)
-        acc = 0.0
-        for ref in references:
-            ref_vec = _tfidf_vector(ref, n, idf)
-            ref_norm = _vector_norm(ref_vec)
-            if cand_norm == 0.0 or ref_norm == 0.0:
-                continue
-            if variant == "plain":
-                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
-                acc += dot / (cand_norm * ref_norm)
-            else:
-                # clipping happens in idf-weighted space; shared idf per
-                # gram makes that identical to clipping the raw counts
-                dot = sum(
-                    min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
-                    for g, v in cand_vec.items()
-                )
-                delta = len(candidate) - len(ref)
-                penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA ** 2))
-                acc += penalty * dot / (cand_norm * ref_norm)
-        per_order.append(acc / len(references))
-    return 10.0 * sum(per_order) / len(per_order)
+    refs = [_weighted(_grams(r, n_max), idf) for r in references]
+    return _consensus(_weighted(_grams(candidate, n_max), idf), refs, clipped=variant == "d")
 
 
-def cider_d(
-    candidate: Tokens,
-    references: Sequence[Tokens],
-    idf: IdfTable,
-    n_max: int = DEFAULT_NGRAM_MAX,
-) -> float:
+def cider_d(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
+            n_max: int = DEFAULT_NGRAM_MAX) -> float:
     return cider(candidate, references, idf, variant="d", n_max=n_max)
 
 
-def evaluate_captions(
-    candidates: Sequence[Tokens],
-    references: Sequence[Sequence[Tokens]],
-    idf: IdfTable | None = None,
-) -> dict:
+def evaluate_captions(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
+                      idf: IdfTable | None = None) -> dict:
     """Full report for a decoded split: BLEU-1..4, ROUGE-L, both consensus scores.
 
     ROUGE-L and the consensus scores average per-image values. When no idf
     table is supplied one is computed from ``references`` themselves.
     """
+    cand_grams = [_grams(c, DEFAULT_NGRAM_MAX) for c in candidates]
+    ref_grams = [[_grams(r, DEFAULT_NGRAM_MAX) for r in refs] for refs in references]
     if idf is None:
-        idf = compute_idf(references)
-    bleu_scores = bleu(candidates, references)
+        idf = _idf(ref_grams)
+    bleu_scores = _bleu(cand_grams, ref_grams, DEFAULT_NGRAM_MAX)
     n = len(candidates)
     report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
     report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
-    report["cider"] = sum(
-        cider(c, r, idf) for c, r in zip(candidates, references)
-    ) / n
-    report["ciderD"] = sum(
-        cider(c, r, idf, variant="d") for c, r in zip(candidates, references)
-    ) / n
+    # one tf-idf vector per caption and order serves both variants
+    weighted = [(_weighted(c, idf), [_weighted(r, idf) for r in rs])
+                for c, rs in zip(cand_grams, ref_grams)]
+    report["cider"] = sum(_consensus(c, rs, clipped=False) for c, rs in weighted) / n
+    report["ciderD"] = sum(_consensus(c, rs, clipped=True) for c, rs in weighted) / n
     return report

@@ -53,18 +53,24 @@ class ParamArrays:
         """Name -> owned copy of the current values, in manifest order."""
         return {name: t.data.copy() for name, t in self.named_params()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place from a name -> array map."""
+    def params_for(self, shapes: dict[str, tuple]) -> dict[str, Tensor]:
+        """Name -> parameter, once ``shapes`` is checked to name every
+        parameter, and nothing else, with its shape."""
         mine = dict(self.named_params())
-        missing = set(mine) - set(arrays)
-        extra = set(arrays) - set(mine)
+        missing = set(mine) - set(shapes)
+        extra = set(shapes) - set(mine)
         if missing or extra:
             raise ValueError(f"parameter manifest mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, t in mine.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {t.data.shape}")
-            t.data[...] = arr
+            if tuple(shapes[name]) != t.data.shape:
+                raise ValueError(f"{name}: shape {tuple(shapes[name])} != expected {t.data.shape}")
+        return mine
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Overwrite parameter values in place from a name -> array map."""
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        for name, t in self.params_for({name: a.shape for name, a in arrays.items()}).items():
+            t.data[...] = arrays[name]
 
 
 @dataclass

@@ -275,3 +275,168 @@ def composite_lstm_step(p, h, m, x):
     c = gate(p.w_c, p.b_c, tanh)
     m_new = add(mul(f, m), mul(i, c))
     return mul(o, tanh(m_new)), m_new
+
+
+# ---------------------------------------------------------------------------
+# Per-metric reference forms of the caption metrics: each function counts
+# its own n-grams, the LCS fills the O(|a|*|b|) table, and every float is
+# summed in the order the library must keep. The library, which counts
+# each caption once and shares the counts, must equal these with ==.
+
+
+def _ref_ngrams(tokens, n):
+    import collections
+
+    return collections.Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def ref_bleu(candidates, references, n_max=4):
+    import collections
+    import math
+
+    if not candidates:
+        raise ValueError("bleu needs at least one candidate")
+    if len(candidates) != len(references):
+        raise ValueError(f"{len(candidates)} candidates but {len(references)} reference sets")
+    matched = [0] * n_max
+    total = [0] * n_max
+    cand_len_sum = 0
+    ref_len_sum = 0
+    for cand, refs in zip(candidates, references):
+        if not refs:
+            raise ValueError("every candidate needs at least one reference")
+        cand_len_sum += len(cand)
+        ref_len_sum += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        for n in range(1, n_max + 1):
+            counts = _ref_ngrams(cand, n)
+            ceiling = collections.Counter()
+            for ref in refs:
+                for gram, k in _ref_ngrams(ref, n).items():
+                    ceiling[gram] = max(ceiling[gram], k)
+            matched[n - 1] += sum(min(k, ceiling[gram]) for gram, k in counts.items())
+            total[n - 1] += sum(counts.values())
+    if cand_len_sum == 0:
+        return [0.0] * n_max
+    if cand_len_sum < ref_len_sum:
+        brevity = math.exp(1.0 - ref_len_sum / cand_len_sum)
+    else:
+        brevity = 1.0
+    scores = []
+    for n in range(1, n_max + 1):
+        precisions = [matched[i] / total[i] if total[i] else 0.0 for i in range(n)]
+        if min(precisions) == 0.0:
+            scores.append(0.0)
+        else:
+            log_mean = sum(math.log(p) for p in precisions) / n
+            scores.append(brevity * math.exp(log_mean))
+    return scores
+
+
+def ref_lcs_length(a, b):
+    """The dynamic-programming table, rows rolled."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def ref_rouge_l(candidate, references, beta=1.2):
+    if not references:
+        raise ValueError("rouge_l needs at least one reference")
+    best = 0.0
+    for ref in references:
+        if not ref:
+            continue
+        lcs = ref_lcs_length(candidate, ref)
+        if lcs == 0:
+            continue
+        precision = lcs / len(candidate)
+        recall = lcs / len(ref)
+        f_score = (
+            (1.0 + beta * beta) * precision * recall
+            / (recall + beta * beta * precision)
+        )
+        best = max(best, f_score)
+    return best
+
+
+def ref_compute_idf(reference_corpus, n_max=4):
+    """(weights, image count) of the library's idf table."""
+    import collections
+    import math
+
+    if not reference_corpus:
+        raise ValueError("cannot compute idf over an empty corpus")
+    doc_freq = collections.Counter()
+    for refs in reference_corpus:
+        seen = set()
+        for ref in refs:
+            for n in range(1, n_max + 1):
+                seen.update(_ref_ngrams(ref, n).keys())
+        doc_freq.update(seen)
+    n_images = len(reference_corpus)
+    return {gram: math.log(n_images / df) for gram, df in doc_freq.items()}, n_images
+
+
+def ref_cider(candidate, references, idf, variant="plain", n_max=4):
+    """``idf`` is a (weights, image count) pair; an unseen gram weighs log(N)."""
+    import math
+
+    weights, n_images = idf
+
+    def tfidf(tokens, n):
+        return {g: k * weights.get(g, math.log(n_images)) for g, k in _ref_ngrams(tokens, n).items()}
+
+    def norm(vec):
+        return math.sqrt(sum(v * v for v in vec.values()))
+
+    if variant not in ("plain", "d"):
+        raise ValueError(f"unknown variant {variant!r}, expected 'plain' or 'd'")
+    if not references:
+        raise ValueError("cider needs at least one reference")
+    per_order = []
+    for n in range(1, n_max + 1):
+        cand_vec = tfidf(candidate, n)
+        cand_norm = norm(cand_vec)
+        acc = 0.0
+        for ref in references:
+            ref_vec = tfidf(ref, n)
+            ref_norm = norm(ref_vec)
+            if cand_norm == 0.0 or ref_norm == 0.0:
+                continue
+            if variant == "plain":
+                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
+                acc += dot / (cand_norm * ref_norm)
+            else:
+                dot = sum(
+                    min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
+                    for g, v in cand_vec.items()
+                )
+                delta = len(candidate) - len(ref)
+                penalty = math.exp(-(delta * delta) / (2.0 * 6.0 ** 2))
+                acc += penalty * dot / (cand_norm * ref_norm)
+        per_order.append(acc / len(references))
+    return 10.0 * sum(per_order) / len(per_order)
+
+
+def ref_evaluate_captions(candidates, references, idf=None):
+    """``idf`` is None or a (weights, image count) pair."""
+    if idf is None:
+        idf = ref_compute_idf(references)
+    bleu_scores = ref_bleu(candidates, references)
+    n = len(candidates)
+    report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
+    report["rougeL"] = sum(ref_rouge_l(c, r) for c, r in zip(candidates, references)) / n
+    report["cider"] = sum(
+        ref_cider(c, r, idf) for c, r in zip(candidates, references)
+    ) / n
+    report["ciderD"] = sum(
+        ref_cider(c, r, idf, variant="d") for c, r in zip(candidates, references)
+    ) / n
+    return report

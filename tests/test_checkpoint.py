@@ -211,6 +211,27 @@ class TestLoadBuildsNoThrowawayModel:
             load_captioner(tmp_path / "c.sgck")
 
 
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_captioner_array_named(self, tmp_path, bad):
+        params = tiny_captioner()
+        arrays = params.param_arrays()
+        arrays["decoder.out_proj.weight"][1, 2] = bad
+        save_checkpoint(tmp_path / "c.sgck", "captioner", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        for loader in (load_checkpoint, load_captioner):
+            with pytest.raises(FileFormatError, match="'decoder.out_proj.weight' holds NaN or inf"):
+                loader(tmp_path / "c.sgck")
+
+    def test_vse_array_named(self, tmp_path):
+        params = tiny_vse()
+        arrays = params.param_arrays()
+        name = list(arrays)[-1]
+        arrays[name].flat[0] = np.nan
+        save_checkpoint(tmp_path / "v.sgck", "vse", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        with pytest.raises(FileFormatError, match=name):
+            load_vse(tmp_path / "v.sgck")
+
+
 class TestHeaderValidation:
     @pytest.mark.parametrize("field,value", [
         ("kind", ["captioner"]), ("config", [1]), ("seed", "0"), ("seed", True), ("seed", 1.5),

@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgcap.cli as cli
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
-from sgcap.features import Vocabulary, load_dataset, load_sgaf
+from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
 
 TINY_CFG = """\
 # desk-scale settings for the test suite
@@ -122,6 +125,19 @@ class TestConfigParsing:
         assert "vse.epochs" in capsys.readouterr().err
 
 
+class TestConfigFuzz:
+    @given(raw=st.binary(max_size=80) | st.text(max_size=40).map(str.encode))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_parse_or_raise_file_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_bytes(raw)
+        try:
+            values = parse_config_file(path)
+        except FileFormatError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
+
+
 class TestUsageErrors:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +189,15 @@ class TestCoverageStats:
         assert rc == 0
         for split, st in stats.items():
             assert st["rate"] == 1.0, split
+
+    @pytest.mark.parametrize("field,value", [("triplets", 5), ("captions", "a b")])
+    def test_mistyped_field_exits_1(self, world, tmp_path, capsys, field, value):
+        record = json.loads(world["dataset"].read_text().splitlines()[0])
+        record[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["coverage-stats", "--dataset", str(bad)]) == 1
+        assert f"bad.jsonl:1: {field} must be" in capsys.readouterr().err
 
 
 class TestFeaturize:
@@ -324,6 +349,16 @@ class TestCaption:
         rc, _ = run(capsys, "caption", "--checkpoint", bad, "--dataset", world["dataset"],
                     "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")
         assert rc == 1
+
+    def test_non_finite_weight_exits_1(self, world, trained, tmp_path, capsys):
+        params, vocab, seed = load_captioner(trained["xe"])
+        params.decoder.out_proj.weight.data[0, 0] = np.nan
+        bad = tmp_path / "nan.sgck"
+        save_captioner(bad, params, vocab, seed)
+        rc = main(["caption", "--checkpoint", str(bad), "--dataset", str(world["dataset"]),
+                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert "'decoder.out_proj.weight' holds NaN or inf" in capsys.readouterr().err
 
 
 class TestEvaluate:

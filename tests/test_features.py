@@ -323,6 +323,96 @@ class TestDataset:
             load_dataset(p)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("triplets", 5),
+        ("triplets", [1]),
+        ("triplets", [{"p": "on", "o": "mat", "score": 0.5}]),
+        ("triplets", [{"s": "cat", "p": "on", "o": "mat", "score": "high"}]),
+        ("feature_file", 3),
+        ("captions", "a b"),
+    ])
+    def test_mistyped_field_names_line(self, tmp_path, field, value):
+        p = self._write_dataset(tmp_path, [GOOD_RECORD, {**GOOD_RECORD, field: value}])
+        with pytest.raises(FileFormatError, match=rf":2: {field} must be"):
+            load_dataset(p)
+
+    def test_record_that_is_not_an_object_names_line(self, tmp_path):
+        p = self._write_dataset(tmp_path, ["id split captions triplets feature_file"])
+        with pytest.raises(FileFormatError, match=r":1: record is not a JSON object"):
+            load_dataset(p)
+
+    def test_undecodable_line_names_line(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + b'{"id": "\xff"}\n')
+        with pytest.raises(FileFormatError, match=r":2: not UTF-8"):
+            load_dataset(p)
+
+
+GOOD_RECORD = {
+    "id": "x", "split": "train", "captions": ["a cat on a mat"],
+    "triplets": [{"s": "cat", "p": "on", "o": "mat", "score": 0.5}], "feature_file": "f.sgaf",
+}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+FUZZ_TRIPLETS = st.lists(st.fixed_dictionaries({}, optional={
+    k: st.text(max_size=3) | JSON for k in ("s", "p", "o")} | {"score": st.floats() | JSON}) | JSON,
+    max_size=2)
+FUZZ_RECORDS = st.fixed_dictionaries({}, optional={
+    "id": JSON,
+    "split": st.sampled_from(["train", "val", "test"]) | JSON,
+    "captions": st.lists(st.text(max_size=6), max_size=2) | JSON,
+    "triplets": FUZZ_TRIPLETS | JSON,
+    "feature_file": st.text(max_size=6) | JSON,
+}) | JSON
+
+
+def loads_or_rejects(path, loader) -> None:
+    """The loader returns a result or raises FileFormatError, nothing else."""
+    try:
+        loader(path)
+    except FileFormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @given(raw=st.binary(max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_sgaf_any_bytes(self, fuzz_dir, raw):
+        (fuzz_dir / "raw.sgaf").write_bytes(raw)
+        loads_or_rejects(fuzz_dir / "raw.sgaf", load_sgaf)
+
+    @given(version=st.integers(0, 2), rows=st.integers(0, 4) | st.integers(0, 2**32 - 1),
+           cols=st.integers(0, 4) | st.integers(0, 2**32 - 1), payload=st.binary(max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_sgaf_any_shape_and_payload(self, fuzz_dir, version, rows, cols, payload):
+        import struct
+
+        path = fuzz_dir / "shape.sgaf"
+        path.write_bytes(b"SGAF" + struct.pack("<III", version, rows, cols) + payload)
+        loads_or_rejects(path, load_sgaf)
+
+    @given(raw=st.binary(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_any_bytes(self, fuzz_dir, raw):
+        (fuzz_dir / "raw.jsonl").write_bytes(raw)
+        loads_or_rejects(fuzz_dir / "raw.jsonl", load_dataset)
+
+    @given(records=st.lists(FUZZ_RECORDS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_dataset_any_json_records(self, fuzz_dir, records):
+        path = fuzz_dir / "records.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        loads_or_rejects(path, load_dataset)
+
+
 class TestCoverageStats:
     def test_three_image_hand_count(self):
         # independent hand count:

@@ -5,10 +5,22 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bleu_hand, cider_hand
+from oracles import (
+    bleu_hand,
+    cider_hand,
+    ref_bleu,
+    ref_cider,
+    ref_compute_idf,
+    ref_evaluate_captions,
+    ref_lcs_length,
+    ref_rouge_l,
+)
 from sgcap.metrics import (
     IdfTable,
+    _lcs_length,
     bleu,
     cider,
     cider_d,
@@ -342,3 +354,47 @@ class TestEvaluateCaptions:
         explicit = evaluate_captions(cands, refs, idf=compute_idf(refs))
         default = evaluate_captions(cands, refs)
         assert explicit == default
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d"])
+# a caption: often empty, often with repeats, sometimes longer than 64 tokens,
+# where the bit-parallel LCS runs on multi-word integers
+CAPTION = st.just([]) | st.lists(WORDS, max_size=12) | st.lists(WORDS, min_size=65, max_size=90)
+# a reference from a vocabulary no candidate uses shares no gram with it
+REF = CAPTION | st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=8)
+REF_SETS = st.lists(REF, min_size=1, max_size=4)
+CORPUS = st.lists(st.tuples(CAPTION, REF_SETS), min_size=1, max_size=5)
+
+
+class TestAgainstReferenceForms:
+    """The shared-count metrics equal the per-metric reference forms bit for bit."""
+
+    @given(corpus=CORPUS, idf_corpus=st.none() | st.lists(REF_SETS, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_captions(self, corpus, idf_corpus):
+        cands, refs = [c for c, _ in corpus], [r for _, r in corpus]
+        if idf_corpus is None:
+            assert evaluate_captions(cands, refs) == ref_evaluate_captions(cands, refs)
+        else:
+            got = evaluate_captions(cands, refs, compute_idf(idf_corpus))
+            assert got == ref_evaluate_captions(cands, refs, ref_compute_idf(idf_corpus))
+
+    @given(corpus=CORPUS, n_max=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_each_metric(self, corpus, n_max):
+        cands, refs = [c for c, _ in corpus], [r for _, r in corpus]
+        assert bleu(cands, refs, n_max) == ref_bleu(cands, refs, n_max)
+        weights, n_images = ref_compute_idf(refs, n_max)
+        idf = compute_idf(refs, n_max)
+        assert idf == IdfTable(weights, n_images)
+        for cand, cand_refs in corpus:
+            assert rouge_l(cand, cand_refs) == ref_rouge_l(cand, cand_refs)
+            for variant in ("plain", "d"):
+                want = ref_cider(cand, cand_refs, (weights, n_images), variant, n_max)
+                assert cider(cand, cand_refs, idf, variant, n_max) == want
+            assert cider_d(cand, cand_refs, idf, n_max) == want
+
+    @given(a=CAPTION | st.lists(WORDS, max_size=200), b=CAPTION | st.lists(WORDS, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_lcs_equals_dynamic_programming_table(self, a, b):
+        assert _lcs_length(a, b) == ref_lcs_length(a, b)
