@@ -14,7 +14,7 @@ from sgcap.autodiff import (
     constant,
     grad_check,
     layer_norm,
-    matmul,
+    linear,
     mul,
     relu,
     softmax,
@@ -33,7 +33,7 @@ readout = constant(rng.normal(size=(3, 4)))
 
 
 def forward(*_leaves):
-    h = relu(matmul(x, w))
+    h = relu(linear(x, w))
     h = layer_norm(h, gain, bias)
     return sum_all(mul(softmax(h), readout))
 

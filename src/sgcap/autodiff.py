@@ -11,7 +11,7 @@ Design rules, enforced here rather than assumed:
 
 * everything is float64, row-major;
 * no implicit broadcasting -- shapes must match exactly, widening is done
-  with explicit ``reshape`` / ``tile_rows``;
+  with explicit ``reshape`` and ``linear`` against a column of ones;
 * non-finite values are rejected at tensor creation, and after every op
   when debug mode is on (``set_debug_finite``);
 * gradients accumulate across ``backward`` calls until cleared, so two
@@ -38,22 +38,18 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "matmul",
     "linear",
-    "transpose",
     "reshape",
     "concat",
-    "slice_cols",
     "gather_rows",
-    "tile_rows",
     "mean_rows",
     "row_sums",
     "sum_all",
     "sigmoid",
     "tanh",
     "relu",
-    "log",
     "softmax",
+    "log_prob",
     "layer_norm",
     "MASK_LOGIT",
     "attention",
@@ -275,17 +271,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.data * c, (a,), lambda g: (g * c,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-d operands, got {tuple(a.data.shape)} and {tuple(b.data.shape)}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner mismatch: {tuple(a.data.shape)} @ {tuple(b.data.shape)}")
-    ad, bd = a.data, b.data
-    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x W^T, plus b on every row: (n, k) and (m, k) -> (n, m).
 
@@ -301,12 +286,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
     y += b.data
     return _emit(y, (x, w, b), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {tuple(a.data.shape)}")
-    return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -339,22 +318,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(data, tensors, backward_fn)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous column block of a matrix."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_cols expects a matrix, got shape {tuple(a.data.shape)}")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {tuple(a.data.shape)}")
-    shape = a.data.shape
-
-    def backward_fn(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _emit(a.data[:, start:stop].copy(), (a,), backward_fn)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows of a matrix by integer index (rows may repeat)."""
     if table.data.ndim != 2:
@@ -372,15 +335,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         return (full,)
 
     return _emit(table.data[idx].copy(), (table,), backward_fn)
-
-
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Stack a vector as n identical rows (explicit widening, no broadcast)."""
-    if v.data.ndim != 1:
-        raise DimensionError(f"tile_rows expects a vector, got shape {tuple(v.data.shape)}")
-    if n < 1:
-        raise DimensionError("tile_rows needs n >= 1")
-    return _emit(np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -429,13 +383,6 @@ def relu(a: Tensor) -> Tensor:
     return _emit(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0).any():
-        raise ValueError("log of non-positive value")
-    ad = a.data
-    return _emit(np.log(ad), (a,), lambda g: (g / ad,))
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Exponential normalizer along ``axis``, max-subtracted for stability.
 
@@ -456,6 +403,31 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def log_prob(logits: Tensor, target: int) -> Tensor:
+    """log softmax(logits)[target] of a logit vector, as a scalar.
+
+    Computed as logit[target] - logsumexp(logits), max-shifted, so it stays
+    finite where the target's probability underflows to 0. The gradient is
+    g * (onehot(target) - softmax(logits)).
+    """
+    x = logits.data
+    if x.ndim != 1:
+        raise DimensionError(f"log_prob expects a vector of logits, got shape {tuple(x.shape)}")
+    target = int(target)
+    if not 0 <= target < x.shape[0]:
+        raise IndexError(f"log_prob target {target} out of range [0, {x.shape[0]})")
+    shifted = x - x.max()
+    e = np.exp(shifted)
+    total = e.sum()
+
+    def backward_fn(g):
+        d = -(e / total)
+        d[target] += 1.0
+        return (d * g,)
+
+    return _emit(np.asarray(shifted[target] - np.log(total)), (logits,), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

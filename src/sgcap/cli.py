@@ -353,20 +353,23 @@ def cmd_evaluate(args) -> int:
     records = _split_records(dataset, args.split, args.dataset)
     by_id: dict[str, str] = {}
     path = Path(args.candidates)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            for key in ("id", "caption"):
-                if key not in obj:
-                    raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
-            if obj["id"] in by_id:
-                raise FileFormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
-            by_id[obj["id"]] = obj["caption"]
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
+            raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
+        for key in ("id", "caption"):
+            if key not in obj:
+                raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
+            if not isinstance(obj[key], str):
+                raise FileFormatError(f"{path}:{lineno}: {key} must be a string")
+        if obj["id"] in by_id:
+            raise FileFormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
+        by_id[obj["id"]] = obj["caption"]
     candidates, references = [], []
     for rec in records:
         if rec.image_id not in by_id:

@@ -31,8 +31,8 @@ from .autodiff import (
     add,
     concat,
     constant,
-    gather_rows,
-    log,
+    log_prob,
+    no_grad,
     reshape,
     softmax,
     tanh,
@@ -143,16 +143,13 @@ def init_state(params: DecoderParams, enc: EncoderOutput) -> DecoderState:
     return DecoderState(LstmState(h0, m0), c0, 0, kv_spatial, kv_rel)
 
 
-def _pick(vec: Tensor, index: int) -> Tensor:
-    """Scalar element of a vector, differentiable."""
-    n = vec.data.shape[0]
-    return reshape(gather_rows(reshape(vec, (n, 1)), [index]), ())
-
-
 def decode_step(
     params: DecoderParams, enc: EncoderOutput, state: DecoderState, token_id: int
 ) -> tuple[Tensor, Tensor, DecoderState]:
-    """One step: feed a token, get (logits, probs, new state)."""
+    """One step: feed a token, get (logits, probs, new state).
+
+    ``probs`` is never recorded on a tape; losses take ``log_prob`` of the logits.
+    """
     token_id = int(token_id)
     if token_id == PAD:
         raise ValueError("decode_step fed PAD")
@@ -176,7 +173,8 @@ def decode_step(
 
     c_t = reshape(concat([o_spatial, o_rel], axis=1), (2 * d,))
     logits = params.out_proj.apply_vec(c_t)
-    probs = softmax(logits, axis=-1)
+    with no_grad():
+        probs = softmax(logits, axis=-1)
     return logits, probs, DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
 
 
@@ -208,7 +206,7 @@ def teacher_forced_logprobs(
     steps: list[StepScore] = []
     for prev, target in zip(tokens[:-1], tokens[1:]):
         logits, probs, state = decode_step(params, enc, state, prev)
-        lp = log(_pick(probs, target))
+        lp = log_prob(logits, target)
         steps.append(StepScore(logits, probs, lp, target))
         total = lp if total is None else add(total, lp)
     return total, steps
@@ -253,7 +251,7 @@ def sample_sequence(
     for _ in range(budget):
         logits, probs, state = decode_step(params, enc, state, token)
         choice = int(rng.choice(params.vocab_size, p=probs.data))
-        lp = log(_pick(probs, choice))
+        lp = log_prob(logits, choice)
         steps.append(StepScore(logits, probs, lp, choice))
         total = lp if total is None else add(total, lp)
         out.append(choice)

@@ -402,12 +402,9 @@ def load_dataset(path) -> Dataset:
             RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
             for t in obj["triplets"]
         ]
-        feature_file = Path(obj["feature_file"])
-        if not feature_file.is_absolute():
-            feature_file = base / feature_file
-        records.append(
-            ImageRecord(str(obj["id"]), obj["split"], obj["captions"], triplets, feature_file)
-        )
+        records.append(ImageRecord(  # an absolute feature_file replaces base when joined
+            str(obj["id"]), obj["split"], obj["captions"], triplets, base / obj["feature_file"]
+        ))
     return Dataset(records)
 
 

@@ -31,8 +31,6 @@ from .autodiff import (
     row_sums,
     sub,
     sum_all,
-    tile_rows,
-    transpose,
 )
 from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, lstm_step
 
@@ -141,9 +139,10 @@ def hinge_loss(pairs: Sequence[EmbeddingPair], margin: float = DEFAULT_MARGIN) -
     captions = concat([reshape(p.w_e, (1, d)) for p in pairs], axis=0)
     sim = linear(images, captions)
     eye = constant(np.eye(b))
-    diag = row_sums(mul(sim, eye))
-    by_row = transpose(tile_rows(diag, b))   # [i, j] = d[i]
-    by_col = tile_rows(diag, b)              # [i, j] = d[j]
+    column = reshape(row_sums(mul(sim, eye)), (b, 1))
+    ones = constant(np.ones((b, 1)))
+    by_row = linear(column, ones)   # [i, j] = d[i]
+    by_col = linear(ones, column)   # [i, j] = d[j]
     margin_mat = constant(np.full((b, b), float(margin)))
     off_diag = constant(np.ones((b, b)) - np.eye(b))
     image_anchor = mul(off_diag, relu(add(sub(margin_mat, by_row), sim)))

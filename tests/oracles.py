@@ -7,6 +7,8 @@ two routes can disagree.
 
 import numpy as np
 
+from sgcap.autodiff import DimensionError, Tensor, _emit
+
 
 def brute_scaled_dot(q, k, v, key_mask=None):
     """Per query row, explicit softmax over keys."""
@@ -226,6 +228,54 @@ def brute_hinge(i_embs, w_embs, margin):
 
 
 # ---------------------------------------------------------------------------
+# Tape ops the model does not use, kept as reference forms: the composites
+# below build on matmul and slice_cols, and the engine tests check linear
+# against matmul, transpose and tile_rows.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimensionError(
+            f"matmul expects 2-d operands, got {tuple(a.data.shape)} and {tuple(b.data.shape)}"
+        )
+    if a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul inner mismatch: {tuple(a.data.shape)} @ {tuple(b.data.shape)}")
+    ad, bd = a.data, b.data
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError(f"transpose expects a matrix, got shape {tuple(a.data.shape)}")
+    return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous column block of a matrix."""
+    if a.data.ndim != 2:
+        raise DimensionError(f"slice_cols expects a matrix, got shape {tuple(a.data.shape)}")
+    if not (0 <= start < stop <= a.data.shape[1]):
+        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {tuple(a.data.shape)}")
+    shape = a.data.shape
+
+    def backward_fn(g):
+        full = np.zeros(shape)
+        full[:, start:stop] = g
+        return (full,)
+
+    return _emit(a.data[:, start:stop].copy(), (a,), backward_fn)
+
+
+def tile_rows(v: Tensor, n: int) -> Tensor:
+    """Stack a vector as n identical rows (explicit widening, no broadcast)."""
+    if v.data.ndim != 1:
+        raise DimensionError(f"tile_rows expects a vector, got shape {tuple(v.data.shape)}")
+    if n < 1:
+        raise DimensionError("tile_rows needs n >= 1")
+    return _emit(np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),))
+
+
+# ---------------------------------------------------------------------------
 # Unfused tape references for the fused kernels. Unlike the oracles above,
 # these are built from the engine's elementary ops, in the order in which
 # the fused ops must reproduce them bit for bit: they pin the kernels'
@@ -234,7 +284,7 @@ def brute_hinge(i_embs, w_embs, margin):
 
 def composite_attention(q, k, v, heads, key_mask=None):
     """Per head: slice the column blocks, q k^T, scale, mask, softmax, @ v; then concat."""
-    from sgcap.autodiff import add, concat, constant, linear, matmul, scale, slice_cols, softmax
+    from sgcap.autodiff import add, concat, constant, linear, scale, softmax
 
     dh, dvh = q.shape[1] // heads, v.shape[1] // heads
     outs = []

@@ -11,6 +11,7 @@ import sgcap.cli as cli
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
+from test_features import JSON
 
 TINY_CFG = """\
 # desk-scale settings for the test suite
@@ -406,6 +407,44 @@ class TestEvaluate:
         rc, _ = run(capsys, "evaluate", "--candidates", caps,
                     "--dataset", world["dataset"], "--split", "test")
         assert rc == 1
+
+    @pytest.mark.parametrize("line,error", [
+        ('["id", "caption"]', "record is not a JSON object"),
+        ('{"id": "img_00009", "caption": 5}', "caption must be a string"),
+        ('{"id": [1], "caption": "a cat"}', "id must be a string"),
+        ('{"id": "img_00009"}', "missing key 'caption'"),
+        ('[' * 100_000, "invalid JSON"),
+    ], ids=["array", "numeric-caption", "list-id", "missing-caption", "deep-nesting"])
+    def test_malformed_record_exits_1(self, world, tmp_path, capsys, line, error):
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text(line + "\n")
+        assert main(["evaluate", "--candidates", str(caps),
+                     "--dataset", str(world["dataset"]), "--split", "test"]) == 1
+        assert f"caps.jsonl:1: {error}" in capsys.readouterr().err
+
+
+FUZZ_CANDIDATES = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["img_00008", "img_00009"]) | JSON,
+    "caption": st.text(max_size=8) | JSON,
+}) | JSON
+
+
+class TestEvaluateFuzz:
+    @given(raw=st.binary(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_exit_0_or_1(self, world, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz_caps.jsonl"
+        path.write_bytes(raw)
+        assert main(["evaluate", "--candidates", str(path),
+                     "--dataset", str(world["dataset"]), "--split", "test"]) in (0, 1)
+
+    @given(records=st.lists(FUZZ_CANDIDATES, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_records_exit_0_or_1(self, world, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "fuzz_records.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["evaluate", "--candidates", str(path),
+                     "--dataset", str(world["dataset"]), "--split", "test"]) in (0, 1)
 
 
 class TestGradAudit:

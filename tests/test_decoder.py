@@ -15,6 +15,7 @@ from sgcap.decoder import (
 )
 from sgcap.encoder import encode
 from sgcap.features import BOS, EOS, MAX_TRIPLETS, PAD, FeatureBundle
+from sgcap.trainer import xe_loss
 
 
 def tiny_setup(seed=0, vocab_size=9, d_model=6, heads=2, spatial_dim=5, n_rel=3):
@@ -267,3 +268,22 @@ class TestDecoderGradients:
         assert params.encoder.spatial_proj.weight.grad is not None
         assert params.decoder.embedding.weight.grad is not None
         assert np.abs(params.decoder.out_proj.weight.grad).sum() > 0
+
+    def test_underflowed_target_stays_finite(self):
+        _, params, bundle = tiny_setup()
+        enc = encode(params.encoder, bundle)
+        # aim word 4's row against the step-1 context so that its logit is
+        # -1000: its softmax probability underflows to exactly 0.0
+        _, _, after = decode_step(params.decoder, enc, init_state(params.decoder, enc), BOS)
+        c_t = after.c_prev.data
+        params.decoder.out_proj.weight.data[4] = -1000.0 * c_t / (c_t @ c_t)
+        tokens = [BOS, 4, EOS]
+        with Tape() as tape:
+            enc = encode(params.encoder, bundle)
+            total, steps = teacher_forced_logprobs(params.decoder, enc, tokens)
+            loss = xe_loss(params, enc, tokens)
+        logits = steps[0].logits.data
+        assert logits.max() - logits[4] > 800 and steps[0].probs.data[4] == 0.0
+        assert np.isfinite(total.item()) and np.isfinite(loss.item())
+        tape.backward(loss)
+        assert np.isfinite(params.decoder.out_proj.weight.grad).all()

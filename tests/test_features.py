@@ -303,6 +303,11 @@ class TestDataset:
         assert ds.records[0].feature_file == tmp_path / "feats/img0.sgaf"
         assert ds.records[0].triplets[0].predicate == "riding"
 
+    def test_absolute_feature_file_kept(self, tmp_path):
+        absolute = tmp_path / "elsewhere" / "f.sgaf"
+        p = self._write_dataset(tmp_path, [{**GOOD_RECORD, "feature_file": str(absolute)}])
+        assert load_dataset(p).records[0].feature_file == absolute
+
     def test_missing_key_names_line(self, tmp_path):
         p = self._write_dataset(tmp_path, [{"id": "x", "split": "train"}])
         with pytest.raises(FileFormatError, match=r":1:"):

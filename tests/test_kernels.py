@@ -1,7 +1,8 @@
 """Fused kernels (attention, AoA gate, LSTM cell) against their unfused tape forms.
 
 Forward values must be bit-identical to the composite of elementary ops;
-gradients may differ only in summation order (relative 1e-12).
+gradients may differ only in summation order (relative 1e-12). The fused
+log-probability head is checked against log(softmax) and its own identity.
 """
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 from oracles import composite_aoa, composite_attention, composite_lstm_step
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
-    DimensionError, Tape, aoa, attention, concat, constant, linear, mul, parameter, sum_all,
+    DimensionError, Tape, aoa, attention, concat, constant, grad_check, linear, log_prob, mul,
+    parameter, scale, softmax, sum_all,
 )
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import decode_step, init_state
 from sgcap.encoder import encode
-from sgcap.features import BOS, MAX_TRIPLETS, FeatureBundle
+from sgcap.features import BOS, EOS, MAX_TRIPLETS, FeatureBundle
 from sgcap.nn import LstmParams, LstmState, lstm_step
+from sgcap.trainer import xe_loss
 
 D_TOY = 32  # acceptance-scale model width
 GRAD_RTOL = 1e-12
@@ -158,6 +161,53 @@ class TestLstm:
         with Tape() as tape:
             lstm_step(p, p.zero_state(), parameter(rng.normal(size=4)))
         assert len(tape) == 3
+
+
+class TestLogProb:
+    @pytest.mark.parametrize("offset", [0.0, -1000.0, 1000.0])  # unshifted, exp over- or underflows
+    def test_matches_log_of_softmax(self, offset):
+        z = np.random.default_rng(0).normal(size=30) * 5 + offset
+        want = np.log(softmax(constant(z)).data)
+        for t in range(30):
+            assert abs(log_prob(constant(z), t).item() - want[t]) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_is_onehot_minus_probs(self, seed):
+        rng = np.random.default_rng(seed)
+        z = parameter(rng.normal(size=12))
+        t = int(rng.integers(12))
+        with Tape() as tape:
+            loss = scale(log_prob(z, t), 2.5)
+        tape.backward(loss)
+        onehot = np.eye(12)[t]
+        np.testing.assert_array_equal(z.grad, 2.5 * (onehot - softmax(constant(z.data)).data))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grad_check(self, seed):
+        z = parameter(np.random.default_rng(seed).normal(size=7))
+        assert grad_check(lambda z: log_prob(z, seed + 2), [z]) <= 1e-6
+
+    def test_rejects_bad_target_and_shape(self):
+        z = constant(np.zeros(5))
+        for target in (-1, 5):
+            with pytest.raises(IndexError):
+                log_prob(z, target)
+        with pytest.raises(DimensionError):
+            log_prob(constant(np.zeros((1, 5))), 0)
+
+
+def test_toy_xe_pair_records_at_most_180_ops():
+    rng = np.random.default_rng(0)
+    config = CaptionerConfig(vocab_size=30, d_model=D_TOY, embed_dim=D_TOY, heads=2,
+                             spatial_dim=64, max_len=16)
+    params = CaptionerParams.init(config, rng)
+    rel = np.zeros((MAX_TRIPLETS, 300))
+    rel[:3] = rng.normal(size=(3, 300))
+    mask = np.arange(MAX_TRIPLETS) < 3
+    bundle = FeatureBundle("img", rng.normal(size=(5, 64)), rel, mask)
+    with Tape() as tape:
+        xe_loss(params, encode(params.encoder, bundle), [BOS, 4, 5, 6, 7, 8, 9, EOS])  # 7 steps
+    assert len(tape) <= 180
 
 
 def test_recorded_toy_decode_step_has_at_most_24_ops():
