@@ -7,6 +7,18 @@ reverse execution order (which is a topological order by construction),
 and accumulates gradients into the ``grad`` slot of every tensor that
 requires them, leaves and intermediates alike.
 
+Weight and embedding gradients are settled once per backward rather than
+once per use. An op hands the tape a weight's gradient as its factors:
+the pair (g, x) of ``g.T @ x`` (``linear``, ``aoa``, ``lstm_gates``), or
+the pair (indices, rows) of a scatter-add into a zero table
+(``gather_rows``). The tape collects the pairs of each tensor and settles
+them as one ``concat(g).T @ concat(x)`` product and one ``np.add.at``:
+a leaf at the end of the pass, an op output just before that op's own
+backward. A weight used at every step of a caption thus costs one GEMM
+over all steps instead of one outer product per step. Dense gradients
+are summed in place, but only into buffers the tape allocated itself,
+since an op may hand one array to several inputs.
+
 Design rules, enforced here rather than assumed:
 
 * everything is float64, row-major;
@@ -22,7 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -137,9 +149,10 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate_grad(self, g: np.ndarray) -> None:
+    def _accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the grad slot; an ``owned`` array is kept, not copied."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad = self.grad + g
 
@@ -175,7 +188,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple] = []  # (out, inputs, backward_fn)
-        self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -189,10 +201,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, out: Tensor, inputs: tuple, backward_fn) -> None:
-        self._records.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
-
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
@@ -201,43 +209,95 @@ class Tape:
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {tuple(loss.data.shape)}")
-        if id(loss) not in self._produced:
+        if not any(out is loss for out, _, _ in reversed(self._records)):
             raise ValueError("loss was not produced on this tape")
         if not np.isfinite(loss.data).all():
             raise FloatingPointError("non-finite loss")
 
-        flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        # tensors hash by identity, and the records keep every key alive
+        flow: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}  # dense parts
+        owned: set[Tensor] = {loss}  # tensors whose dense part the tape allocated
+        factors: dict[Tensor, list] = {}  # tensors -> their _Outer and _Scatter parts
         for out, inputs, backward_fn in reversed(self._records):
-            g = flow.pop(id(out), None)
+            if out in factors:
+                _settle(flow, owned, factors, out)
+            g = flow.pop(out, None)
             if g is None:
                 continue  # not on a path from the loss
-            holders.pop(id(out), None)
-            if out.requires_grad:
-                out._accumulate_grad(g)
+            out._accumulate_grad(g, out in owned)
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                key = id(t)
-                if key in flow:
-                    flow[key] = flow[key] + gi
+                if type(gi) in _FACTORED:
+                    factors.setdefault(t, []).append(gi)
+                elif t not in flow:
+                    flow[t] = gi
+                elif t in owned:
+                    flow[t] += gi
                 else:
-                    flow[key] = gi
-                    holders[key] = t
+                    flow[t] = flow[t] + gi
+                    owned.add(t)
         # whatever is left never appeared as an op output: the leaves
-        for key, g in flow.items():
-            holders[key]._accumulate_grad(g)
+        for t in list(factors):
+            _settle(flow, owned, factors, t)
+        for t, g in flow.items():
+            t._accumulate_grad(g, t in owned)
+
+
+class _Outer(NamedTuple):
+    """A weight gradient left as its factors: the product g.T @ x."""
+
+    g: np.ndarray
+    x: np.ndarray
+
+
+class _Scatter(NamedTuple):
+    """A table gradient left as its factors: ``rows`` added at ``indices`` of zeros."""
+
+    indices: np.ndarray
+    rows: np.ndarray
+
+
+_FACTORED = (_Outer, _Scatter)
+
+
+def _settle(flow: dict, owned: set, factors: dict, t: Tensor) -> None:
+    """Fold a tensor's factored parts into its dense gradient, one product
+    and one scatter for all of them."""
+    parts = factors.pop(t)
+    outer = [p for p in parts if type(p) is _Outer]
+    scatter = [p for p in parts if type(p) is _Scatter]
+    dense = flow.get(t)
+    if outer:
+        prod = np.concatenate([p.g for p in outer]).T @ np.concatenate([p.x for p in outer])
+        if dense is not None:
+            prod += dense
+        dense = prod
+    elif dense is None:
+        dense = np.zeros(t.data.shape)
+    elif t not in owned:
+        dense = dense.copy()
+    if scatter:
+        np.add.at(dense, np.concatenate([p.indices for p in scatter]),
+                  np.concatenate([p.rows for p in scatter]))
+    flow[t] = dense
+    owned.add(t)
 
 
 def _emit(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     """Create an op output, recording it when a tape is active."""
     tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = False
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad:
+                track = True
+                break
     if _DEBUG_FINITE and not np.isfinite(data).all():
         raise FloatingPointError("non-finite op output")
     out = Tensor._wrap(data, track)
     if track:
-        tape._record(out, inputs, backward_fn)
+        tape._records.append((out, inputs, backward_fn))
     return out
 
 
@@ -281,11 +341,11 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(f"linear mismatch: {tuple(xd.shape)} @ {tuple(wd.shape)}^T")
     y = xd @ wd.T
     if b is None:
-        return _emit(y, (x, w), lambda g: (g @ wd, g.T @ xd))
+        return _emit(y, (x, w), lambda g: (g @ wd, _Outer(g, xd)))
     if b.data.shape != (wd.shape[0],):
         raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
     y += b.data
-    return _emit(y, (x, w, b), lambda g: (g @ wd, g.T @ xd, g.sum(axis=0)))
+    return _emit(y, (x, w, b), lambda g: (g @ wd, _Outer(g, xd), g.sum(axis=0)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -306,35 +366,36 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     for t in tensors:
         if t.data.ndim != ndim:
             raise DimensionError("concat operands differ in rank")
-    sizes = [t.data.shape[axis] for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([0] + sizes)
+    blocks, start = [], 0
+    for t in tensors:
+        stop = start + t.data.shape[axis]
+        blocks.append((slice(None),) * axis + (slice(start, stop),))
+        start = stop
 
     def backward_fn(g):
-        return tuple(
-            np.take(g, np.arange(bounds[i], bounds[i + 1]), axis=axis) for i in range(len(sizes))
-        )
+        return tuple(g[block] for block in blocks)
 
     return _emit(data, tensors, backward_fn)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a matrix by integer index (rows may repeat)."""
+    """Select rows of a matrix by integer index (rows may repeat).
+
+    A sequence of indices gives a matrix of rows, a single index the row
+    itself as a vector.
+    """
     if table.data.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got shape {tuple(table.data.shape)}")
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    indices = np.asarray(indices, dtype=np.int64)
+    idx = indices.reshape(-1)
     if idx.size == 0:
         raise DimensionError("gather_rows with no indices")
     if idx.min() < 0 or idx.max() >= table.data.shape[0]:
         raise IndexError(f"gather_rows index out of range [0, {table.data.shape[0]})")
-    shape = table.data.shape
-
-    def backward_fn(g):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _emit(table.data[idx].copy(), (table,), backward_fn)
+    rows = table.data[idx[0]].copy() if indices.ndim == 0 else table.data[idx]
+    shape = (idx.size, table.data.shape[1])
+    return _emit(rows, (table,), lambda g: (_Scatter(idx, g.reshape(shape)),))
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -359,13 +420,11 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so that exp never overflows."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    """Logistic function, split by sign so that exp never overflows:
+    1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -405,29 +464,34 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
 
-def log_prob(logits: Tensor, target: int) -> Tensor:
-    """log softmax(logits)[target] of a logit vector, as a scalar.
+def log_prob(logits: Tensor, target) -> Tensor:
+    """log softmax(logits)[target] of a logit vector, as a scalar; of a
+    logit matrix and one target per row, the vector of each row's value.
 
     Computed as logit[target] - logsumexp(logits), max-shifted, so it stays
     finite where the target's probability underflows to 0. The gradient is
-    g * (onehot(target) - softmax(logits)).
+    g * (onehot(target) - softmax(logits)), row by row.
     """
     x = logits.data
-    if x.ndim != 1:
-        raise DimensionError(f"log_prob expects a vector of logits, got shape {tuple(x.shape)}")
-    target = int(target)
-    if not 0 <= target < x.shape[0]:
-        raise IndexError(f"log_prob target {target} out of range [0, {x.shape[0]})")
-    shifted = x - x.max()
+    target = np.asarray(target, dtype=np.int64)
+    if not (x.ndim == 1 and target.ndim == 0 or x.ndim == 2 and target.shape == x.shape[:1]):
+        raise DimensionError(
+            f"log_prob expects a logit vector and one target, or a matrix and one target "
+            f"per row; got shape {tuple(x.shape)} and {target.size} target(s)"
+        )
+    if target.min() < 0 or target.max() >= x.shape[-1]:
+        raise IndexError(f"log_prob target out of range [0, {x.shape[-1]})")
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum()
+    total = e.sum(axis=-1, keepdims=True)
+    at = (np.arange(x.shape[0]), target) if x.ndim == 2 else target
 
     def backward_fn(g):
         d = -(e / total)
-        d[target] += 1.0
-        return (d * g,)
+        d[at] += 1.0
+        return (d * g[..., None],)
 
-    return _emit(np.asarray(shifted[target] - np.log(total)), (logits,), backward_fn)
+    return _emit(np.asarray(shifted[at] - np.log(total[..., 0])), (logits,), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -498,14 +562,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
             raise ValueError("attention with every key masked")
     dh, dvh = d // heads, dv // heads
     c = float(1.0 / np.sqrt(dh))
+    bias = None if mask is None else np.where(mask, 0.0, MASK_LOGIT)
     out = np.empty((qd.shape[0], dv))
     saved = []  # per head: its column blocks, their contiguous copies, its weights
     for i in range(heads):
         cols, vcols = slice(i * dh, (i + 1) * dh), slice(i * dvh, (i + 1) * dvh)
         qh, kh, vh = (np.ascontiguousarray(a) for a in (qd[:, cols], kd[:, cols], vd[:, vcols]))
         logits = (qh @ kh.T) * c
-        if mask is not None:
-            logits += np.where(mask, 0.0, MASK_LOGIT)
+        if bias is not None:
+            logits += bias
         w = _softmax(logits, 1)
         out[:, vcols] = w @ vh
         saved.append((cols, vcols, qh, kh, vh, w))
@@ -547,8 +612,8 @@ def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
     def backward_fn(g):
         di = g * gate
         dg = (g * info) * gate * (1.0 - gate)
-        return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data,
-                di.T @ qd, di.T @ vd, di.sum(axis=0), dg.T @ qd, dg.T @ vd, dg.sum(axis=0))
+        return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data, _Outer(di, qd),
+                _Outer(di, vd), di.sum(axis=0), _Outer(dg, qd), _Outer(dg, vd), dg.sum(axis=0))
 
     # v and q are listed twice: the tape adds their gate then their info
     # gradient, in the order of the unfused graph
@@ -568,18 +633,17 @@ def lstm_gates(x: Tensor, h: Tensor, w_i: Tensor, w_f: Tensor, w_o: Tensor, w_c:
     d = h.data.shape[0]
     if any(w.data.shape != (d, row.shape[1]) or b.data.shape != (d,) for w, b in zip(weights, biases)):
         raise DimensionError(f"lstm gate weights must map width {row.shape[1]} to {d}")
-    acts = []
-    for z, (w, b) in enumerate(zip(weights, biases)):
-        pre = row @ w.data.T
-        pre += b.data
-        acts.append(np.tanh(pre) if z == 3 else _sigmoid(pre))
-    y = np.concatenate(acts)
+    y = np.concatenate([row @ w.data.T for w in weights])
+    for z, b in enumerate(biases):
+        y[z] += b.data
+    y[:3] = _sigmoid(y[:3])
+    y[3] = np.tanh(y[3])
 
     def backward_fn(g):
         dpre = np.concatenate([g[:3] * y[:3] * (1.0 - y[:3]), g[3:] * (1.0 - y[3:] * y[3:])])
         drow = sum(dpre[z:z + 1] @ weights[z].data for z in (3, 2, 1, 0))  # the unfused order
         split = x.data.shape[0]
-        dws = tuple(dpre[z:z + 1].T @ row for z in range(4))
+        dws = tuple(_Outer(dpre[z:z + 1], row) for z in range(4))
         return (drow[0, :split], drow[0, split:]) + dws + tuple(dpre)
 
     return _emit(y, (x, h) + weights + biases, backward_fn)

@@ -35,6 +35,7 @@ from .autodiff import (
     no_grad,
     reshape,
     softmax,
+    sum_all,
     tanh,
 )
 from .encoder import EncoderOutput
@@ -122,7 +123,13 @@ class DecoderState:
 
 @dataclass
 class StepScore:
-    """Per-step artifacts kept for loss construction and audits."""
+    """Per-step artifacts kept for loss construction and audits.
+
+    A sampled step's ``logits`` and ``log_prob`` are the tape outputs the
+    loss is built from. Teacher-forced steps carry untracked rows of one
+    logits matrix, computed once per caption, and their log-probs as
+    untracked scalars; only the caption total is on the tape.
+    """
 
     logits: Tensor
     probs: Tensor
@@ -150,6 +157,18 @@ def decode_step(
 
     ``probs`` is never recorded on a tape; losses take ``log_prob`` of the logits.
     """
+    state = _recur(params, enc, state, token_id)
+    logits = params.out_proj.apply_vec(state.c_prev)
+    with no_grad():
+        probs = softmax(logits, axis=-1)
+    return logits, probs, state
+
+
+def _recur(
+    params: DecoderParams, enc: EncoderOutput, state: DecoderState, token_id: int
+) -> DecoderState:
+    """The recurrence of one step, without the output head: the new state,
+    whose ``c_prev`` is this step's context vector."""
     token_id = int(token_id)
     if token_id == PAD:
         raise ValueError("decode_step fed PAD")
@@ -172,10 +191,7 @@ def decode_step(
     o_rel = aoa_block(params.rel_aoa, q, v_rel)
 
     c_t = reshape(concat([o_spatial, o_rel], axis=1), (2 * d,))
-    logits = params.out_proj.apply_vec(c_t)
-    with no_grad():
-        probs = softmax(logits, axis=-1)
-    return logits, probs, DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
+    return DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
 
 
 def _validate_sequence(tokens, vocab_size: int) -> list[int]:
@@ -198,18 +214,27 @@ def teacher_forced_logprobs(
     """Sum of log-probs of each next token under forced decoding.
 
     gt_tokens is BOS, words..., EOS for ground truth; a rollout truncated
-    at the length budget (no terminal EOS) is also accepted.
+    at the length budget (no terminal EOS) is also accepted. The logits
+    never feed back into the recurrence here, so the output head runs
+    once, over the (T, 2 * d_model) stack of the steps' context vectors.
     """
     tokens = _validate_sequence(gt_tokens, params.vocab_size)
     state = init_state(params, enc)
-    total: Optional[Tensor] = None
-    steps: list[StepScore] = []
-    for prev, target in zip(tokens[:-1], tokens[1:]):
-        logits, probs, state = decode_step(params, enc, state, prev)
-        lp = log_prob(logits, target)
-        steps.append(StepScore(logits, probs, lp, target))
-        total = lp if total is None else add(total, lp)
-    return total, steps
+    contexts = []
+    for prev in tokens[:-1]:
+        state = _recur(params, enc, state, prev)
+        contexts.append(state.c_prev)
+    targets = tokens[1:]
+    stack = reshape(concat(contexts, axis=0), (len(contexts), 2 * params.d_model))
+    logits = params.out_proj.apply_rows(stack)
+    lps = log_prob(logits, targets)
+    with no_grad():
+        probs = softmax(logits, axis=-1)
+    steps = [
+        StepScore(constant(logits.data[t]), constant(probs.data[t]), constant(lps.data[t]), target)
+        for t, target in enumerate(targets)
+    ]
+    return sum_all(lps), steps
 
 
 def generate_greedy(params: DecoderParams, enc: EncoderOutput, max_len: Optional[int] = None) -> list[int]:
@@ -238,9 +263,9 @@ def sample_sequence(
 ) -> tuple[list[int], Optional[Tensor], list[StepScore]]:
     """Multinomial rollout from each step's distribution.
 
-    Returns (tokens, total log-prob tensor, per-step scores). The stored
-    log-probs come from the same forward pass, so re-scoring the returned
-    tokens with teacher_forced_logprobs reproduces them exactly.
+    Returns (tokens, total log-prob tensor, per-step scores). Re-scoring
+    the returned tokens with teacher_forced_logprobs reproduces the total
+    within 1e-12: its batched output head rounds differently.
     """
     budget = params.max_len if max_len is None else int(max_len)
     state = init_state(params, enc)

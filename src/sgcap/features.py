@@ -379,10 +379,14 @@ _RECORD_FIELDS = {
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a JSON-lines dataset; feature paths resolve against its directory."""
+    """Parse a JSON-lines dataset; feature paths resolve against its directory.
+
+    Image ids must be unique: a repeated one is a ``FileFormatError``.
+    """
     path = Path(path)
     base = path.parent
     records = []
+    first_line: dict[str, int] = {}  # image id -> line it first appeared on
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -398,12 +402,18 @@ def load_dataset(path) -> Dataset:
         for key, (valid, what) in _RECORD_FIELDS.items():
             if not valid(obj[key]):
                 raise FileFormatError(f"{path}:{lineno}: {key} must be {what}")
+        image_id = str(obj["id"])
+        if image_id in first_line:
+            raise FileFormatError(
+                f"{path}:{lineno}: duplicate id {image_id!r} (first on line {first_line[image_id]})"
+            )
+        first_line[image_id] = lineno
         triplets = [
             RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
             for t in obj["triplets"]
         ]
         records.append(ImageRecord(  # an absolute feature_file replaces base when joined
-            str(obj["id"]), obj["split"], obj["captions"], triplets, base / obj["feature_file"]
+            image_id, obj["split"], obj["captions"], triplets, base / obj["feature_file"]
         ))
     return Dataset(records)
 

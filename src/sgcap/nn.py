@@ -132,7 +132,7 @@ class EmbeddingTable:
     def lookup(self, token_id: int) -> Tensor:
         if not 0 <= int(token_id) < self.vocab_size:
             raise IndexError(f"token id {token_id} outside vocabulary of {self.vocab_size}")
-        return reshape(gather_rows(self.weight, [int(token_id)]), (self.width,))
+        return gather_rows(self.weight, int(token_id))
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.weight", self.weight

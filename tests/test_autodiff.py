@@ -404,6 +404,105 @@ class TestLinear:
             linear(constant(np.ones(x_shape)), constant(np.ones(w_shape)), b)
 
 
+def leaf_grads(build, leaves):
+    """Gradients of build(*leaves) w.r.t. every leaf, from a fresh tape."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        loss = build(*leaves)
+    tape.backward(loss)
+    return [t.grad for t in leaves]
+
+
+class TestSettledGradients:
+    """Factored weight and row-sparse table gradients against their dense forms."""
+
+    def test_weight_over_nine_steps_matches_dense_products(self):
+        rng = np.random.default_rng(0)
+        w = parameter(rng.normal(size=(4, 4)) * 0.5)
+        h0 = parameter(rng.normal(size=(1, 4)))
+        xs = [constant(rng.normal(size=(1, 4))) for _ in range(9)]
+        readout = constant(rng.normal(size=(1, 4)))
+
+        def unroll(product):
+            def build(w, h0):
+                h = h0
+                for x in xs:
+                    h = tanh(add(product(h, w), x))
+                return sum_all(mul(h, readout))
+            return build
+
+        got = leaf_grads(unroll(linear), [w, h0])
+        want = leaf_grads(unroll(lambda h, w: matmul(h, transpose(w))), [w, h0])
+        for g, ref in zip(got, want):
+            assert np.abs(g - ref).max() <= 1e-12
+
+    def test_repeated_token_matches_scatter_add(self):
+        rng = np.random.default_rng(1)
+        table, other = parameter(rng.normal(size=(6, 3))), parameter(rng.normal(size=(6, 3)))
+        dense = rng.normal(size=(6, 3))
+        picks = [3, 1, 3, 3, 0, [1, 3, 1]]  # single ids give vectors, a list a matrix
+        readouts = [rng.normal(size=(3,) if np.ndim(i) == 0 else (3, 3)) for i in picks]
+
+        def build(table, other):
+            # add hands table and other one array, which the scatter must not write into
+            total = sum_all(mul(add(table, other), constant(dense)))
+            for i, r in zip(picks, readouts):
+                total = add(total, sum_all(mul(gather_rows(table, i), constant(r))))
+            return total
+
+        got, got_other = leaf_grads(build, [table, other])
+        want = dense.copy()
+        for i, r in zip(picks, readouts):
+            np.add.at(want, np.reshape(i, -1), np.reshape(r, (-1, 3)))
+        assert np.abs(got - want).max() <= 1e-12
+        np.testing.assert_array_equal(got_other, dense)
+
+    def test_weight_that_is_an_op_output(self):
+        rng = np.random.default_rng(2)
+        p, q = parameter(rng.normal(size=4)), parameter(rng.normal(size=(4, 1)))
+        ones = constant(np.ones((4, 1)))
+        readout = constant(rng.normal(size=(4, 4)))
+        side = constant(rng.normal(size=(4, 1)))
+
+        def widen(product):
+            def build(p, q):
+                column = reshape(p, (4, 1))
+                wide = product(ones, column)  # [i, j] = p[j]
+                # add hands column and q one array, which the product must not be summed into
+                return add(sum_all(mul(wide, readout)), sum_all(mul(add(column, q), side)))
+            return build
+
+        got, got_q = leaf_grads(widen(linear), [p, q])
+        (want, _) = leaf_grads(widen(lambda x, w: matmul(x, transpose(w))), [p, q])
+        assert np.abs(got - want).max() <= 1e-12
+        np.testing.assert_allclose(want, readout.data.sum(axis=0) + side.data[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got_q, side.data)
+
+    def test_shared_gradient_is_not_summed_into(self):
+        # add hands one array to x and y; y's second contribution must not
+        # be added into that array, or x's gradient changes with it
+        x, y = parameter(np.ones(3)), parameter(np.ones(3))
+        r1, r2 = constant([1.0, 2.0, 3.0]), constant([0.5, -1.0, 4.0])
+
+        def build(x, y):
+            u = mul(y, r2)
+            both = add(add(x, y), u)  # backward hands one array to add(x, y) and u
+            return sum_all(mul(both, r1))
+
+        gx, gy = leaf_grads(build, [x, y])
+        np.testing.assert_array_equal(gx, r1.data)
+        np.testing.assert_array_equal(gy, r1.data + r1.data * r2.data)
+        assert not np.shares_memory(gx, gy)
+
+    def test_single_index_gathers_a_vector_in_one_op(self):
+        table = parameter(np.arange(6.0).reshape(3, 2))
+        with Tape() as tape:
+            row = gather_rows(table, 2)
+        assert len(tape) == 1
+        np.testing.assert_array_equal(row.data, [4.0, 5.0])
+
+
 class TestNoGrad:
     def test_records_nothing_inside_a_tape(self):
         x = parameter([1.0, 2.0])

@@ -408,6 +408,18 @@ class TestEvaluate:
                     "--dataset", world["dataset"], "--split", "test")
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "coverage-stats"])
+    def test_repeated_dataset_id_exits_1(self, world, tmp_path, capsys, command):
+        record = next(r for r in map(json.loads, world["dataset"].read_text().splitlines())
+                      if r["split"] == "test")
+        dataset = tmp_path / "twice.jsonl"
+        dataset.write_text(2 * (json.dumps(record) + "\n"))
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text(json.dumps({"id": record["id"], "caption": record["captions"][0]}) + "\n")
+        args = ["--candidates", str(caps), "--split", "test"] if command == "evaluate" else []
+        assert main([command, "--dataset", str(dataset)] + args) == 1
+        assert "twice.jsonl:2: duplicate id" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,error", [
         ('["id", "caption"]', "record is not a JSON object"),
         ('{"id": "img_00009", "caption": 5}', "caption must be a string"),

@@ -308,6 +308,11 @@ class TestDataset:
         p = self._write_dataset(tmp_path, [{**GOOD_RECORD, "feature_file": str(absolute)}])
         assert load_dataset(p).records[0].feature_file == absolute
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        p = self._write_dataset(tmp_path, [GOOD_RECORD, {**GOOD_RECORD, "id": "y"}, GOOD_RECORD])
+        with pytest.raises(FileFormatError, match=r":3: duplicate id 'x' \(first on line 1\)"):
+            load_dataset(p)
+
     def test_missing_key_names_line(self, tmp_path):
         p = self._write_dataset(tmp_path, [{"id": "x", "split": "train"}])
         with pytest.raises(FileFormatError, match=r":1:"):

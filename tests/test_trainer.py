@@ -358,6 +358,19 @@ def test_greedy_decodes_add_no_tape_records(monkeypatch):
     assert added == [0, 0, 0]
 
 
+def test_mmr_rewards_add_no_tape_records():
+    vocab, params, bundles, refs, idf, vse, _, _ = tiny_world()
+    vse_params = {id(t) for _, t in vse.named_params()}
+
+    def reward(tokens, bundle, r):
+        return combined_reward(tokens, bundle, r, idf, vse, vocab, 0.7).r
+
+    with Tape() as tape:
+        rollout = scst_rollout(params, bundles[0], refs[0], reward, np.random.default_rng(0))
+    assert any(t not in (PAD, BOS, EOS) for t in rollout.sampled)  # the VSE caption LSTM ran
+    assert not [inputs for _, inputs, _ in tape._records if any(id(t) in vse_params for t in inputs)]
+
+
 class TestValidationCider:
     def test_matches_manual_computation(self):
         vocab, params, bundles, refs, idf, vse, _, items = tiny_world()
