@@ -334,18 +334,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x W^T, plus b on every row: (n, k) and (m, k) -> (n, m).
 
-    W is read through a transposed view, so no weight is copied.
+    W is read through a transposed view, so no weight is copied. A
+    constant x (say, the encoder's feature rows) gets no ``g @ W``.
     """
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
         raise DimensionError(f"linear mismatch: {tuple(xd.shape)} @ {tuple(wd.shape)}^T")
     y = xd @ wd.T
     if b is None:
-        return _emit(y, (x, w), lambda g: (g @ wd, _Outer(g, xd)))
+        return _emit(y, (x, w), lambda g: (g @ wd if x.requires_grad else None, _Outer(g, xd)))
     if b.data.shape != (wd.shape[0],):
         raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
     y += b.data
-    return _emit(y, (x, w, b), lambda g: (g @ wd, _Outer(g, xd), g.sum(axis=0)))
+    return _emit(y, (x, w, b),
+                 lambda g: (g @ wd if x.requires_grad else None, _Outer(g, xd), g.sum(axis=0)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -21,9 +21,9 @@ import json
 import string
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -180,24 +180,70 @@ class WordVectorTable:
 
 
 def load_word_vectors(path) -> WordVectorTable:
+    """Parse a text word-vector file: per non-blank line a word, then
+    WORD_VECTOR_DIM finite ASCII decimal floats, separated by whitespace.
+
+    One ``np.loadtxt`` pass parses every line's numbers into one matrix,
+    and the table holds its rows. A bad line is a ``FileFormatError``
+    naming it; a repeated word keeps its last vector.
+    """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != WORD_VECTOR_DIM + 1:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected word + {WORD_VECTOR_DIM} values, got {len(parts)} fields"
-                )
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-            vectors[parts[0]] = vec
-    return WordVectorTable(vectors)
+    words: list[str] = []
+
+    def numbers():
+        for _, word, rest in _word_vector_lines(path):
+            words.append(word)
+            yield rest
+
+    rows = numbers()
+    first = next(rows, None)
+    if first is None:
+        return WordVectorTable({})
+    try:
+        matrix = _parse_vectors(chain([first], rows))
+        ok = matrix.shape == (len(words), WORD_VECTOR_DIM) and np.isfinite(matrix).all()
+    except ValueError:  # also the FileFormatError of a line on its way in
+        ok = False
+    if not ok:
+        _raise_first_bad_line(path)
+    return WordVectorTable(dict(zip(words, matrix)))
+
+
+def _parse_vectors(lines: Iterable[str]) -> np.ndarray:
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _word_vector_lines(path: Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, word, rest of the line) per non-blank line; a line
+    with a word alone is rejected here, since loadtxt would skip it."""
+    for lineno, line in text_lines(path):
+        parts = line.split(None, 1)
+        if len(parts) == 2:
+            yield lineno, parts[0], parts[1]
+        elif parts:
+            raise _width_error(path, lineno, 1)
+
+
+def _width_error(path: Path, lineno: int, fields: int) -> FileFormatError:
+    return FileFormatError(
+        f"{path}:{lineno}: expected word + {WORD_VECTOR_DIM} values, got {fields} fields"
+    )
+
+
+def _raise_first_bad_line(path: Path) -> NoReturn:
+    """Parse the file again one line at a time and name the first line the
+    bulk parse rejected (its row numbers do not map back to lines)."""
+    for lineno, _, rest in _word_vector_lines(path):
+        try:
+            row = _parse_vectors([rest])
+        except ValueError as exc:
+            detail = str(exc).split(" at row ")[0]
+            raise FileFormatError(f"{path}:{lineno}: non-numeric value ({detail})") from None
+        if row.shape != (1, WORD_VECTOR_DIM):
+            raise _width_error(path, lineno, row.size + 1)
+        if not np.isfinite(row).all():
+            raise FileFormatError(f"{path}:{lineno}: non-finite value")
+    raise FileFormatError(f"{path}: lines parse one by one but not as one table")
 
 
 def text_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -222,7 +268,8 @@ def write_sgaf(path, matrix: np.ndarray) -> None:
 
 
 def load_sgaf(path) -> np.ndarray:
-    """Read a binary feature matrix, widened to float64."""
+    """Read a binary feature matrix, widened to float64; NaN or inf is a
+    ``FileFormatError`` naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != _SGAF_MAGIC:
@@ -234,6 +281,8 @@ def load_sgaf(path) -> np.ndarray:
     if len(raw) != expected:
         raise FileFormatError(f"{path}: payload size {len(raw) - 16} != {rows}x{cols} float32")
     data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols)
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"{path}: feature matrix holds NaN or inf")
     return data.astype(np.float64)
 
 

@@ -41,9 +41,16 @@ def xavier_limit(fan_in: int, fan_out: int) -> float:
 
 
 def init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
-    """(fan_out, fan_in) weight drawn uniform in +-xavier_limit."""
+    """(fan_out, fan_in) weight drawn uniform in +-xavier_limit.
+
+    The parameter owns the fresh draw, uncopied: a model built to be
+    loaded leaves its zero buffers untouched until the file fills them.
+    """
     s = xavier_limit(fan_in, fan_out)
-    return parameter(rng.uniform(-s, s, size=(fan_out, fan_in)))
+    w = rng.uniform(-s, s, size=(fan_out, fan_in))
+    if w.size == 0:
+        raise DimensionError(f"zero-size extent in shape {w.shape}")
+    return Tensor._wrap(w, requires_grad=True)
 
 
 class ParamArrays:

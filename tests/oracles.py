@@ -5,9 +5,12 @@ where practical, deliberately not sharing code with the library, so the
 two routes can disagree.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from sgcap.autodiff import DimensionError, Tensor, _emit
+from sgcap.features import WORD_VECTOR_DIM, FileFormatError, WordVectorTable
 
 
 def brute_scaled_dot(q, k, v, key_mask=None):
@@ -490,3 +493,30 @@ def ref_evaluate_captions(candidates, references, idf=None):
         ref_cider(c, r, idf, variant="d") for c, r in zip(candidates, references)
     ) / n
     return report
+
+
+# ---------------------------------------------------------------------------
+# Reference word-vector parser: one float() call per value and one array per
+# line. The library parses all lines' values in one np.loadtxt pass, and its
+# rows must equal these with np.array_equal.
+
+
+def ref_load_word_vectors(path) -> WordVectorTable:
+    path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != WORD_VECTOR_DIM + 1:
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected word + {WORD_VECTOR_DIM} values, got {len(parts)} fields"
+                )
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            vectors[parts[0]] = vec
+    return WordVectorTable(vectors)

@@ -392,6 +392,29 @@ class TestLinear:
         np.testing.assert_allclose(linear(x, w, b).data, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(linear(x, w).data, matmul(x, transpose(w)).data, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_constant_input_gets_no_input_gradient(self, with_bias):
+        rng = np.random.default_rng(7)
+        xd, g = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
+        w = parameter(rng.normal(size=(3, 6)))
+        b = parameter(rng.normal(size=3)) if with_bias else None
+        with Tape() as tape:
+            loss = sum_all(mul(linear(constant(xd), w, b), constant(g)))
+        _, inputs, backward_fn = tape._records[0]
+        assert backward_fn(g)[0] is None
+        tape.backward(loss)
+        assert np.array_equal(w.grad, g.T @ xd)
+        if with_bias:
+            assert np.array_equal(b.grad, g.sum(axis=0))
+        # a tracked input still gets g @ W, and the weight's gradient is unchanged
+        x = parameter(xd)
+        dense = leaf_grads(lambda x, w, *b: sum_all(mul(linear(x, w, *b), constant(g))),
+                           [x, w] + ([b] if with_bias else []))
+        assert np.array_equal(dense[0], g @ w.data)
+        assert np.array_equal(dense[1], g.T @ xd)
+        if with_bias:
+            assert np.array_equal(dense[2], g.sum(axis=0))
+
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((2, 4), (3, 5), None),      # inner widths differ
         ((4,), (3, 4), None),        # vector input

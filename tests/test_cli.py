@@ -1,12 +1,17 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgcap
 import sgcap.cli as cli
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
@@ -214,6 +219,29 @@ class TestFeaturize:
             assert m.shape == (len(rec.triplets), 300)
             total += m.shape[0]
         assert info["relationship_rows"] == total
+
+
+    def test_non_finite_word_vector_exits_1(self, world, tmp_path, capsys):
+        lines = world["wordvecs"].read_text().splitlines(keepends=True)
+        word, _, rest = lines[2].partition(" ")
+        lines[2] = f"{word} nan {rest.split(' ', 1)[1]}"
+        wordvecs = tmp_path / "nan.txt"
+        wordvecs.write_text("".join(lines))
+        out_dir = tmp_path / "rel"
+        rc = main(["featurize", "--dataset", str(world["dataset"]), "--wordvecs", str(wordvecs),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert "nan.txt:3: non-finite value" in capsys.readouterr().err
+        assert not list(out_dir.glob("*.sgaf"))
+
+
+class TestModuleEntry:
+    def test_python_m_sgcap_help(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sgcap.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "sgcap", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: sgcap")
 
 
 class TestTrainVse:

@@ -1,12 +1,15 @@
 """Vocabulary, word vectors, triplets, binary feature files, datasets."""
 
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ref_load_word_vectors
 from sgcap.features import (
     BOS,
     EOS,
@@ -140,6 +143,119 @@ class TestWordVectors:
             load_word_vectors(p)
 
 
+GOOD_VALUES = " ".join(["0.25"] * 300)
+
+# one formatting per value, chosen at random: the bulk parse must read
+# each exactly as float() does
+FORMATS = (repr, "{:.6f}".format, "{:.17e}".format, "{:.3E}".format, "{:g}".format)
+SEPARATORS = (" ", "\t", "   ", " \t ")
+
+
+@st.composite
+def word_vector_files(draw):
+    """Bytes of a valid word-vector file with varied formatting."""
+    words = draw(st.lists(st.sampled_from(["a", "horse", "on", "façade", "x1"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # short formats round the largest floats up to inf, hence the bound
+    specials = draw(st.lists(st.floats(-1e300, 1e300), max_size=6))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for word in words:
+        values = rng.normal(0.0, 10.0 ** rng.integers(-8, 8), size=300)
+        values[rng.integers(0, 300, size=len(specials))] = specials
+        values[rng.integers(0, 300)] = -0.0
+        seps = rng.integers(0, len(SEPARATORS), size=300)
+        forms = rng.integers(0, len(FORMATS), size=300)
+        line = draw(st.sampled_from(["", " ", "\t"])) + word + "".join(
+            SEPARATORS[s] + FORMATS[f](float(v)) for s, f, v in zip(seps, forms, values)
+        ) + draw(st.sampled_from(["", " ", "  \t"]))
+        lines.extend([""] * draw(st.integers(0, 2)) + [line])
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return text.encode("utf-8")
+
+
+def _bad_file(tmp_path, bad: bytes, at: int) -> Path:
+    """Good lines, a blank line, and ``bad`` as line ``at`` (1-based)."""
+    good = [b"w%d %s" % (i, GOOD_VALUES.encode()) for i in range(5)]
+    good[1] = b""
+    lines = good[:at - 1] + [bad] + good[at - 1:]
+    p = tmp_path / "wv.txt"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    return p
+
+
+def _values(*head) -> bytes:
+    return " ".join(list(head) + ["0.5"] * (300 - len(head))).encode()
+
+
+class TestWordVectorParser:
+    """The bulk parse against the per-value float() reference."""
+
+    @given(raw=word_vector_files())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_reference(self, tmp_path_factory, raw):
+        p = tmp_path_factory.mktemp("wv") / "wv.txt"
+        p.write_bytes(raw)
+        got, want = load_word_vectors(p), ref_load_word_vectors(p)
+        assert len(got) == len(want)
+        for word, vec in want._vectors.items():
+            assert word in got
+            row = got.get(word)
+            assert row.dtype == np.float64
+            assert row.tobytes() == vec.tobytes(), word  # also tells -0.0 from 0.0
+
+    def test_repeated_word_keeps_last_vector(self, tmp_path):
+        p = tmp_path / "wv.txt"
+        p.write_text(f"a {GOOD_VALUES}\nb {GOOD_VALUES}\na " + " ".join(["-1.5"] * 300) + "\n")
+        table = load_word_vectors(p)
+        assert len(table) == 2
+        np.testing.assert_array_equal(table.get("a"), np.full(300, -1.5))
+        np.testing.assert_array_equal(table.get("b"), np.full(300, 0.25))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \t\n\r\n"])
+    def test_blank_file_is_an_empty_table(self, tmp_path, text):
+        p = tmp_path / "wv.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(load_word_vectors(p)) == 0
+
+    @pytest.mark.parametrize("at", [1, 3, 6])
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(b"lonely", "expected word \\+ 300 values, got 1 fields", id="word-only"),
+        pytest.param(b"lonely   ", "expected word \\+ 300 values, got 1 fields", id="word-and-spaces"),
+        pytest.param(b"w " + b" ".join([b"0.5"] * 299), "expected word \\+ 300 values, got 300 fields",
+                     id="299-values"),
+        pytest.param(b"w " + b" ".join([b"0.5"] * 301), "expected word \\+ 300 values, got 302 fields",
+                     id="301-values"),
+        pytest.param(b"w " + _values() + b" #c", "non-numeric value", id="hash-comment"),
+        pytest.param(b"w " + _values("x"), "non-numeric value", id="letter"),
+        pytest.param(b"w " + _values("0.1", "1_000"), "non-numeric value", id="underscore"),
+        pytest.param(b"w " + _values("\u0661"), "non-numeric value", id="arabic-digit"),
+        pytest.param(b"w " + _values("0.1\r0.2"), "non-numeric value", id="lone-cr"),
+        pytest.param(b"w " + _values("nan"), "non-finite value", id="nan"),
+        pytest.param(b"w " + _values("0.5", "-inf"), "non-finite value", id="-inf"),
+        pytest.param(b"w " + _values("1e999"), "non-finite value", id="overflow"),
+        pytest.param(b"w\xff " + _values(), "not UTF-8", id="not-utf8"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, bad, at, message):
+        p = _bad_file(tmp_path, bad, at)
+        with pytest.raises(FileFormatError, match=f"wv.txt:{at}: {message}"):
+            load_word_vectors(p)
+
+    def test_every_line_short_names_the_first(self, tmp_path):
+        p = tmp_path / "wv.txt"
+        p.write_text("\n".join(f"w{i} " + " ".join(["0.5"] * 299) for i in range(3)) + "\n")
+        with pytest.raises(FileFormatError, match="wv.txt:1: expected word \\+ 300 values, got 300"):
+            load_word_vectors(p)
+
+    def test_first_of_two_bad_lines_is_named(self, tmp_path):
+        p = tmp_path / "wv.txt"
+        p.write_bytes(b"\n".join([b"a " + _values(), b"b " + _values("inf"), b"c 0.5"]) + b"\n")
+        with pytest.raises(FileFormatError, match="wv.txt:2: non-finite value"):
+            load_word_vectors(p)
+
+
 class TestSgafFormat:
     def test_round_trip_exact_for_float32(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -161,6 +277,15 @@ class TestSgafFormat:
         write_sgaf(p, np.ones((2, 3), dtype=np.float32))
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(FileFormatError, match="short.sgaf"):
+            load_sgaf(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_file(self, tmp_path, bad):
+        m = np.ones((3, 4), dtype=np.float32)
+        m[2, 1] = bad
+        p = tmp_path / "nan.sgaf"
+        write_sgaf(p, m)
+        with pytest.raises(FileFormatError, match="nan.sgaf: feature matrix holds NaN or inf"):
             load_sgaf(p)
 
     def test_wrong_version(self, tmp_path):
@@ -408,6 +533,19 @@ class TestFuzz:
         path = fuzz_dir / "shape.sgaf"
         path.write_bytes(b"SGAF" + struct.pack("<III", version, rows, cols) + payload)
         loads_or_rejects(path, load_sgaf)
+
+    @given(raw=st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_word_vectors_any_bytes(self, fuzz_dir, raw):
+        (fuzz_dir / "raw.txt").write_bytes(raw)
+        loads_or_rejects(fuzz_dir / "raw.txt", load_word_vectors)
+
+    @given(at=st.integers(0, 2 * 301 * 5), raw=st.binary(min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_word_vectors_with_bytes_spliced_in(self, fuzz_dir, at, raw):
+        text = f"a {GOOD_VALUES}\nb {GOOD_VALUES}\n".encode()
+        (fuzz_dir / "spliced.txt").write_bytes(text[:at] + raw + text[at:])
+        loads_or_rejects(fuzz_dir / "spliced.txt", load_word_vectors)
 
     @given(raw=st.binary(max_size=120))
     @settings(max_examples=200, deadline=None)

@@ -87,6 +87,24 @@ class TestInitStatistics:
         assert abs(w.data.std() - s / np.sqrt(3)) < 0.1 * (s / np.sqrt(3))
         assert np.abs(w.data).max() <= s
 
+    def test_weight_owns_its_draw(self):
+        from sgcap.nn import init_weight
+
+        class Draw:
+            def uniform(self, low, high, size):
+                self.out = np.zeros(size)
+                return self.out
+
+        rng = Draw()
+        w = init_weight(rng, 3, 4)
+        assert w.data is rng.out and w.requires_grad
+
+    def test_zero_extent_weight_raises(self):
+        from sgcap.nn import init_weight
+
+        with pytest.raises(DimensionError):
+            init_weight(np.random.default_rng(0), 3, 0)
+
     def test_lstm_bias_init(self):
         p = LstmParams.init(np.random.default_rng(0), 4, 3)
         np.testing.assert_array_equal(p.b_f.data, np.ones(3))
