@@ -3,12 +3,14 @@
 The gated refinement block (attention on attention) combines a query and
 an attended vector into an information vector and a sigmoid gate, and
 returns their elementwise product. Multi-head attention projects queries,
-keys and values once, then runs scaled dot-product attention per
-contiguous column block (one per head, with the per-head width), each
-head writing its own column block of the output. There is no output
-projection. Both blocks are single fused tape ops (``autodiff.attention``
-and ``autodiff.aoa``). A memory attended by many queries (the decoder's
-steps) can have its keys and values projected once, by ``project_memory``.
+keys and values once; head i attends with column block i of each, at the
+per-head width, and writes column block i of the output. All heads run
+as one stacked product over (heads, n, d / heads) copies of the blocks.
+There is no output projection. Both blocks are single fused tape ops
+(``autodiff.attention`` and ``autodiff.aoa``). A memory attended by many
+queries (the decoder's steps) can have its keys and values projected
+once, by ``project_memory``; the decoder then attends to both of its
+memories and gates both results in one op, ``autodiff.gated_context``.
 
 Masked keys receive an additive -1e9 on their logits; after the softmax
 max-subtraction the exponential underflows to exactly 0.0 in float64, so
@@ -75,22 +77,14 @@ class MultiHeadParams:
 
 
 def multi_head_attention(
-    params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None, projected=False
+    params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None
 ) -> Tensor:
-    """Project, then attend per contiguous head column block (one tape op).
-
-    With ``projected``, keys and values arrive already projected (by
-    ``MultiHeadParams.project_memory``); only the query is projected here.
-    """
+    """Project queries, keys and values, then attend with every head at once (one tape op)."""
     d = params.d_model
     for name, t in (("query", q_in), ("key", k_in), ("value", v_in)):
         if t.data.ndim != 2 or t.data.shape[1] != d:
             raise DimensionError(f"{name} must be (n, {d}), got {tuple(t.data.shape)}")
-    q = linear(q_in, params.w_q)
-    if projected:
-        k, v = k_in, v_in
-    else:
-        k, v = linear(k_in, params.w_k), linear(v_in, params.w_v)
+    q, k, v = linear(q_in, params.w_q), linear(k_in, params.w_k), linear(v_in, params.w_v)
     return attention(q, k, v, params.heads, key_mask)
 
 

@@ -19,6 +19,13 @@ over all steps instead of one outer product per step. Dense gradients
 are summed in place, but only into buffers the tape allocated itself,
 since an op may hand one array to several inputs.
 
+Whole blocks of the model are fused into single ops, each with a
+hand-written backward that adds gradients in the order of the unfused
+graph: multi-head ``attention``, the ``aoa`` gate, the decoder step's
+``gated_context`` (query projections, attention and gates of both paths)
+and the LSTM cell (``lstm_gates``, ``lstm_memory``, ``lstm_hidden``).
+The first three share their array kernels.
+
 Design rules, enforced here rather than assumed:
 
 * everything is float64, row-major;
@@ -66,6 +73,7 @@ __all__ = [
     "MASK_LOGIT",
     "attention",
     "aoa",
+    "gated_context",
     "lstm_gates",
     "lstm_memory",
     "lstm_hidden",
@@ -540,6 +548,63 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 MASK_LOGIT = -1e9  # exp of a masked logit underflows to exactly 0.0 after max-subtraction
 
 
+def _key_bias(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int, mask):
+    """Check attention's operands; return the key mask's logit bias, or None."""
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
+        raise DimensionError("attention expects matrices")
+    (n_k, d), dv = kd.shape, vd.shape[1]
+    if qd.shape[1] != d or vd.shape[0] != n_k:
+        raise DimensionError(f"attention mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    if heads < 1 or d % heads or dv % heads:
+        raise DimensionError(f"heads {heads} must divide widths {d} and {dv}")
+    if mask is None:
+        return None
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    if mask.shape != (n_k,):
+        raise DimensionError(f"key mask length {mask.shape[0]} != number of keys {n_k}")
+    if not mask.any():
+        raise ValueError("attention with every key masked")
+    return np.where(mask, 0.0, MASK_LOGIT)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(n, heads * w) -> (heads, n, w), column block i as slice i, contiguous."""
+    n, width = a.shape
+    return np.ascontiguousarray(a.reshape(n, heads, width // heads).transpose(1, 0, 2))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(heads, n, w) -> (n, heads * w), the inverse of _split_heads."""
+    heads, n, width = a.shape
+    return a.transpose(1, 0, 2).reshape(n, heads * width)
+
+
+def _mha_fwd(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int, bias):
+    """Every head's attention as one stacked product; returns the output
+    and what _mha_bwd needs.
+
+    Each head's 2-D slice goes to the BLAS call a product of that head's
+    own column blocks would make, so the values equal a per-head loop's
+    bit for bit.
+    """
+    q, k, v = (_split_heads(a, heads) for a in (qd, kd, vd))
+    c = float(1.0 / np.sqrt(q.shape[2]))
+    logits = (q @ k.transpose(0, 2, 1)) * c
+    if bias is not None:
+        logits += bias
+    w = _softmax(logits, 2)
+    return _merge_heads(w @ v), (q, k, v, w, c)
+
+
+def _mha_bwd(g: np.ndarray, saved) -> tuple:
+    """The gradients of attention's q, k and v."""
+    q, k, v, w, c = saved
+    gh = _split_heads(g, q.shape[0])
+    dlogits = _softmax_grad(w, gh @ v.transpose(0, 2, 1), 2) * c
+    return (_merge_heads(dlogits @ k), _merge_heads(dlogits.transpose(0, 2, 1) @ q),
+            _merge_heads(w.transpose(0, 2, 1) @ gh))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
     """Scaled dot-product attention of every head, side by side.
 
@@ -548,44 +613,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
     column block i of the output. Keys whose ``mask`` entry is False get
     MASK_LOGIT on their logits, so their weight is exactly 0.0.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
-        raise DimensionError("attention expects matrices")
-    (n_k, d), dv = kd.shape, vd.shape[1]
-    if qd.shape[1] != d or vd.shape[0] != n_k:
-        raise DimensionError(f"attention mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    if heads < 1 or d % heads or dv % heads:
-        raise DimensionError(f"heads {heads} must divide widths {d} and {dv}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.shape != (n_k,):
-            raise DimensionError(f"key mask length {mask.shape[0]} != number of keys {n_k}")
-        if not mask.any():
-            raise ValueError("attention with every key masked")
-    dh, dvh = d // heads, dv // heads
-    c = float(1.0 / np.sqrt(dh))
-    bias = None if mask is None else np.where(mask, 0.0, MASK_LOGIT)
-    out = np.empty((qd.shape[0], dv))
-    saved = []  # per head: its column blocks, their contiguous copies, its weights
-    for i in range(heads):
-        cols, vcols = slice(i * dh, (i + 1) * dh), slice(i * dvh, (i + 1) * dvh)
-        qh, kh, vh = (np.ascontiguousarray(a) for a in (qd[:, cols], kd[:, cols], vd[:, vcols]))
-        logits = (qh @ kh.T) * c
-        if bias is not None:
-            logits += bias
-        w = _softmax(logits, 1)
-        out[:, vcols] = w @ vh
-        saved.append((cols, vcols, qh, kh, vh, w))
+    bias = _key_bias(q.data, k.data, v.data, heads, mask)
+    out, saved = _mha_fwd(q.data, k.data, v.data, heads, bias)
+    return _emit(out, (q, k, v), lambda g: _mha_bwd(g, saved))
 
-    def backward_fn(g):
-        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
-        for cols, vcols, qh, kh, vh, w in saved:
-            gh = np.ascontiguousarray(g[:, vcols])
-            dlogits = _softmax_grad(w, gh @ vh.T, 1) * c
-            dq[:, cols], dk[:, cols], dv[:, vcols] = dlogits @ kh, dlogits.T @ qh, w.T @ gh
-        return dq, dk, dv
 
-    return _emit(out, (q, k, v), backward_fn)
+def _check_aoa(qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]) -> None:
+    w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
+    m = b_i.data.size
+    if qd.ndim != 2 or qd.shape != vd.shape or (m,) != b_i.data.shape or (m,) != b_g.data.shape or any(
+        w.data.shape != (m, qd.shape[1]) for w in (w_qi, w_vi, w_qg, w_vg)
+    ):
+        raise DimensionError(f"aoa mismatch: q {qd.shape}, v {vd.shape}, weights ({m}, {qd.shape[-1]})")
+
+
+def _aoa_fwd(qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]):
+    """aoa's output gate * info, then info and gate themselves."""
+    w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
+
+    def pre(w_q, b, w_v):
+        z = qd @ w_q.data.T
+        z += b.data
+        z += vd @ w_v.data.T
+        return z
+
+    info = pre(w_qi, b_i, w_vi)
+    sig = _sigmoid(pre(w_qg, b_g, w_vg))
+    return sig * info, info, sig
+
+
+def _aoa_bwd(g: np.ndarray, qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor], info, sig) -> tuple:
+    """The gradients of aoa's inputs (v, q, v, q, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
+    v's and q's gate part before their info part, as the unfused graph adds them."""
+    w_qi, w_vi, _, w_qg, w_vg, _ = gate
+    di = g * sig
+    dg = (g * info) * sig * (1.0 - sig)
+    return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data, _Outer(di, qd),
+            _Outer(di, vd), di.sum(axis=0), _Outer(dg, qd), _Outer(dg, vd), dg.sum(axis=0))
 
 
 def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
@@ -595,31 +659,67 @@ def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
     info = (q W_qi^T + b_i) + v W_vi^T
     gate = sigmoid((q W_qg^T + b_g) + v W_vg^T)
     """
-    qd, vd = q.data, v.data
-    m = b_i.data.size
-    if qd.ndim != 2 or qd.shape != vd.shape or (m,) != b_i.data.shape or (m,) != b_g.data.shape or any(
-        w.data.shape != (m, qd.shape[1]) for w in (w_qi, w_vi, w_qg, w_vg)
-    ):
-        raise DimensionError(f"aoa mismatch: q {qd.shape}, v {vd.shape}, weights ({m}, {qd.shape[-1]})")
-
-    def pre(w_q, b, w_v):
-        z = qd @ w_q.data.T
-        z += b.data
-        z += vd @ w_v.data.T
-        return z
-
-    info = pre(w_qi, b_i, w_vi)
-    gate = _sigmoid(pre(w_qg, b_g, w_vg))
-
-    def backward_fn(g):
-        di = g * gate
-        dg = (g * info) * gate * (1.0 - gate)
-        return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data, _Outer(di, qd),
-                _Outer(di, vd), di.sum(axis=0), _Outer(dg, qd), _Outer(dg, vd), dg.sum(axis=0))
-
+    qd, vd, gate = q.data, v.data, (w_qi, w_vi, b_i, w_qg, w_vg, b_g)
+    _check_aoa(qd, vd, gate)
+    out, info, sig = _aoa_fwd(qd, vd, gate)
     # v and q are listed twice: the tape adds their gate then their info
     # gradient, in the order of the unfused graph
-    return _emit(gate * info, (v, q, v, q, w_qi, w_vi, b_i, w_qg, w_vg, b_g), backward_fn)
+    return _emit(out, (v, q, v, q) + gate, lambda g: _aoa_bwd(g, qd, vd, gate, info, sig))
+
+
+def gated_context(h: Tensor, paths: Sequence[tuple]) -> Tensor:
+    """The decoder's context vector of one step: for each path
+    (w_q, k, v, heads, mask, gate), with the hidden state h as the row q,
+
+    out = aoa(q, attention(q W_q^T, k, v, heads, mask), *gate)
+
+    and the paths' outputs side by side in one vector. ``gate`` is aoa's
+    six weights. A path whose k and v are None attends to nothing: its
+    gate runs on a zero row. h's gradient is one running sum over the
+    paths, last path first, of each path's gate, info and query
+    projection terms, the order in which the unfused graph adds them.
+    """
+    if h.data.ndim != 1:
+        raise DimensionError(f"gated_context expects a vector, got shape {tuple(h.data.shape)}")
+    qd = h.data.reshape(1, -1)
+    inputs, outs, saved, start = [h], [], [], 0
+    for w_q, k, v, heads, mask, gate in paths:
+        if k is None:
+            vd, att = np.zeros(qd.shape), None
+        else:
+            if w_q.data.ndim != 2 or w_q.data.shape[1] != qd.shape[1]:
+                raise DimensionError(
+                    f"query projection {tuple(w_q.data.shape)} does not take width {qd.shape[1]}")
+            qp = qd @ w_q.data.T
+            vd, att = _mha_fwd(qp, k.data, v.data, heads, _key_bias(qp, k.data, v.data, heads, mask))
+            inputs += (w_q, k, v)
+        _check_aoa(qd, vd, gate)
+        out, info, sig = _aoa_fwd(qd, vd, gate)
+        inputs += gate
+        outs.append(out)
+        cols = slice(start, start + out.shape[1])
+        start = cols.stop
+        saved.append((cols, w_q, vd, att, gate, info, sig))
+
+    def backward_fn(g):
+        grads, gq = [], None
+        for cols, w_q, vd, att, gate, info, sig in reversed(saved):
+            dv_gate, dq_gate, dv_info, dq_info, *dgate = _aoa_bwd(
+                g[cols].reshape(1, -1), qd, vd, gate, info, sig)
+            terms, part = [dq_gate, dq_info], []
+            if att is not None:
+                dqp, dk, dv = _mha_bwd(dv_gate + dv_info, att)
+                terms.append(dqp @ w_q.data)
+                part = [_Outer(dqp, qd), dk, dv]
+            for t in terms:
+                if gq is None:
+                    gq = t  # a fresh product, safe to add into
+                else:
+                    gq += t
+            grads = part + dgate + grads
+        return [gq.reshape(-1)] + grads
+
+    return _emit(np.concatenate(outs, axis=1).reshape(-1), tuple(inputs), backward_fn)
 
 
 def lstm_gates(x: Tensor, h: Tensor, w_i: Tensor, w_f: Tensor, w_o: Tensor, w_c: Tensor,

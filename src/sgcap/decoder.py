@@ -9,7 +9,10 @@ attention, each attended result is gated against the hidden state, and
 the two gated vectors concatenate into the step's context vector, which
 a bias-free linear layer maps to vocabulary logits. The keys and values
 of both paths are projected once per caption, in ``init_state``, and
-carried in the decoder state.
+carried in the decoder state. A recorded step is thus 10 tape ops: the
+visual sum, the token's embedding row and the LSTM input (3), the LSTM
+cell (3), the context vector of both paths (1, ``gated_context``) and
+the output head (3); teacher forcing runs the head once per caption.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -25,12 +28,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .attention import AoAParams, MultiHeadParams, aoa_block, multi_head_attention
+# The step attends through gated_context alone. aoa_block and
+# multi_head_attention stay importable here because perfbench/tracing.py
+# times them at these names, and fails to install without them.
+from .attention import AoAParams, MultiHeadParams, aoa_block, multi_head_attention  # noqa: F401
 from .autodiff import (
     Tensor,
     add,
     concat,
     constant,
+    gated_context,
     log_prob,
     no_grad,
     reshape,
@@ -174,24 +181,21 @@ def _recur(
         raise ValueError("decode_step fed PAD")
     if not 0 <= token_id < params.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {params.vocab_size}")
-    d = params.d_model
     u = add(enc.a_bar, state.c_prev)
     x = concat([params.embedding.lookup(token_id), u], axis=0)
     lstm_state = lstm_step(params.lstm, state.lstm, x)
-    q = reshape(lstm_state.h, (1, d))
-
-    v_spatial = multi_head_attention(params.spatial_att, q, *state.kv_spatial, projected=True)
-    o_spatial = aoa_block(params.spatial_aoa, q, v_spatial)
-    if state.kv_rel is not None:
-        v_rel = multi_head_attention(
-            params.rel_att, q, *state.kv_rel, key_mask=enc.rel_mask, projected=True
-        )
-    else:
-        v_rel = constant(np.zeros((1, d)))
-    o_rel = aoa_block(params.rel_aoa, q, v_rel)
-
-    c_t = reshape(concat([o_spatial, o_rel], axis=1), (2 * d,))
+    c_t = gated_context(lstm_state.h, (
+        _path(params.spatial_att, state.kv_spatial, None, params.spatial_aoa),
+        _path(params.rel_att, state.kv_rel, enc.rel_mask, params.rel_aoa),
+    ))
     return DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
+
+
+def _path(att: MultiHeadParams, kv, key_mask, gate: AoAParams) -> tuple:
+    """One path of ``gated_context``; ``kv`` None attends to nothing."""
+    k, v = (None, None) if kv is None else kv
+    return (att.w_q, k, v, att.heads, key_mask, (gate.w_q_info, gate.w_v_info, gate.b_info,
+                                                 gate.w_q_gate, gate.w_v_gate, gate.b_gate))
 
 
 def _validate_sequence(tokens, vocab_size: int) -> list[int]:
@@ -218,6 +222,19 @@ def teacher_forced_logprobs(
     never feed back into the recurrence here, so the output head runs
     once, over the (T, 2 * d_model) stack of the steps' context vectors.
     """
+    logits, lps, targets = _forced_log_probs(params, enc, gt_tokens)
+    with no_grad():
+        probs = softmax(logits, axis=-1)
+    steps = [
+        StepScore(constant(logits.data[t]), constant(probs.data[t]), constant(lps.data[t]), target)
+        for t, target in enumerate(targets)
+    ]
+    return sum_all(lps), steps
+
+
+def _forced_log_probs(params: DecoderParams, enc: EncoderOutput, gt_tokens) -> tuple[Tensor, Tensor, list[int]]:
+    """The (T, vocab) logits of forced decoding, each step's log-prob of its
+    target, and the targets: the part of teacher_forced_logprobs a loss needs."""
     tokens = _validate_sequence(gt_tokens, params.vocab_size)
     state = init_state(params, enc)
     contexts = []
@@ -227,14 +244,7 @@ def teacher_forced_logprobs(
     targets = tokens[1:]
     stack = reshape(concat(contexts, axis=0), (len(contexts), 2 * params.d_model))
     logits = params.out_proj.apply_rows(stack)
-    lps = log_prob(logits, targets)
-    with no_grad():
-        probs = softmax(logits, axis=-1)
-    steps = [
-        StepScore(constant(logits.data[t]), constant(probs.data[t]), constant(lps.data[t]), target)
-        for t, target in enumerate(targets)
-    ]
-    return sum_all(lps), steps
+    return logits, log_prob(logits, targets), targets
 
 
 def generate_greedy(params: DecoderParams, enc: EncoderOutput, max_len: Optional[int] = None) -> list[int]:

@@ -24,9 +24,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, no_grad, scale
+from .autodiff import Tape, Tensor, add, no_grad, scale, sum_all
 from .captioner import CaptionerParams
-from .decoder import generate_greedy, sample_sequence, teacher_forced_logprobs
+from .decoder import _forced_log_probs, generate_greedy, sample_sequence
 from .encoder import EncoderOutput, encode
 from .features import BOS, EOS, PAD, FeatureBundle, Vocabulary
 from .metrics import IdfTable, cider, cider_d
@@ -118,8 +118,8 @@ class TrainResult:
 
 def xe_loss(params: CaptionerParams, enc: EncoderOutput, gt_tokens: Sequence[int]) -> Tensor:
     """Summed negative log-likelihood of one ground-truth sequence."""
-    total, _ = teacher_forced_logprobs(params.decoder, enc, gt_tokens)
-    return scale(total, -1.0)
+    _, lps, _ = _forced_log_probs(params.decoder, enc, gt_tokens)
+    return scale(sum_all(lps), -1.0)
 
 
 def combined_reward(

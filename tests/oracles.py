@@ -303,6 +303,72 @@ def composite_attention(q, k, v, heads, key_mask=None):
     return outs[0] if heads == 1 else concat(outs, axis=1)
 
 
+def ref_attention_per_head(q, k, v, heads, mask=None):
+    """The attention op as one loop over heads, each head on contiguous
+    copies of its column blocks. The stacked kernel must equal it bit for
+    bit, forward and backward."""
+    from sgcap.autodiff import MASK_LOGIT, _softmax, _softmax_grad
+
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
+        raise DimensionError("attention expects matrices")
+    (n_k, d), dv = kd.shape, vd.shape[1]
+    if qd.shape[1] != d or vd.shape[0] != n_k:
+        raise DimensionError(f"attention mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    if heads < 1 or d % heads or dv % heads:
+        raise DimensionError(f"heads {heads} must divide widths {d} and {dv}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        if mask.shape != (n_k,):
+            raise DimensionError(f"key mask length {mask.shape[0]} != number of keys {n_k}")
+        if not mask.any():
+            raise ValueError("attention with every key masked")
+    dh, dvh = d // heads, dv // heads
+    c = float(1.0 / np.sqrt(dh))
+    bias = None if mask is None else np.where(mask, 0.0, MASK_LOGIT)
+    out = np.empty((qd.shape[0], dv))
+    saved = []  # per head: its column blocks, their contiguous copies, its weights
+    for i in range(heads):
+        cols, vcols = slice(i * dh, (i + 1) * dh), slice(i * dvh, (i + 1) * dvh)
+        qh, kh, vh = (np.ascontiguousarray(a) for a in (qd[:, cols], kd[:, cols], vd[:, vcols]))
+        logits = (qh @ kh.T) * c
+        if bias is not None:
+            logits += bias
+        w = _softmax(logits, 1)
+        out[:, vcols] = w @ vh
+        saved.append((cols, vcols, qh, kh, vh, w))
+
+    def backward_fn(g):
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
+        for cols, vcols, qh, kh, vh, w in saved:
+            gh = np.ascontiguousarray(g[:, vcols])
+            dlogits = _softmax_grad(w, gh @ vh.T, 1) * c
+            dq[:, cols], dk[:, cols], dv[:, vcols] = dlogits @ kh, dlogits.T @ qh, w.T @ gh
+        return dq, dk, dv
+
+    return _emit(out, (q, k, v), backward_fn)
+
+
+def composite_decoder_context(h, spatial_att, spatial_aoa, kv_spatial, rel_att, rel_aoa, kv_rel, rel_mask):
+    """A decoder step's context vector as nine ops: reshape h to a row; per
+    path a query linear, per-head attention and an AoA gate (the
+    relationship gate on a zero row when ``kv_rel`` is None); concat and
+    reshape. ``gated_context`` must equal it bit for bit, gradients too."""
+    from sgcap.attention import aoa_block
+    from sgcap.autodiff import concat, constant, linear, reshape
+
+    d = h.shape[0]
+    q = reshape(h, (1, d))
+    v_spatial = ref_attention_per_head(linear(q, spatial_att.w_q), *kv_spatial, spatial_att.heads)
+    o_spatial = aoa_block(spatial_aoa, q, v_spatial)
+    if kv_rel is not None:
+        v_rel = ref_attention_per_head(linear(q, rel_att.w_q), *kv_rel, rel_att.heads, rel_mask)
+    else:
+        v_rel = constant(np.zeros((1, d)))
+    o_rel = aoa_block(rel_aoa, q, v_rel)
+    return reshape(concat([o_spatial, o_rel], axis=1), (2 * d,))
+
+
 def composite_aoa(q, v, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
     """Four linears, two adds, a sigmoid and a product."""
     from sgcap.autodiff import add, linear, mul, sigmoid
