@@ -27,6 +27,7 @@ from .features import (
     load_dataset,
     load_word_vectors,
     make_triplet_lstm,
+    read_jsonl,
     text_lines,
     tokenize,
     write_sgaf,
@@ -351,25 +352,10 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
     records = _split_records(dataset, args.split, args.dataset)
-    by_id: dict[str, str] = {}
     path = Path(args.candidates)
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
-            raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
-        for key in ("id", "caption"):
-            if key not in obj:
-                raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
-            if not isinstance(obj[key], str):
-                raise FileFormatError(f"{path}:{lineno}: {key} must be a string")
-        if obj["id"] in by_id:
-            raise FileFormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
-        by_id[obj["id"]] = obj["caption"]
+    a_string = (lambda x: isinstance(x, str), "a string")
+    by_id = {obj["id"]: obj["caption"]
+             for obj in read_jsonl(path, {"id": a_string, "caption": a_string})}
     candidates, references = [], []
     for rec in records:
         if rec.image_id not in by_id:

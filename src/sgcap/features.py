@@ -53,6 +53,7 @@ __all__ = [
     "FeatureBundle",
     "ImageRecord",
     "Dataset",
+    "read_jsonl",
     "load_dataset",
     "coverage_stats",
 ]
@@ -427,15 +428,16 @@ _RECORD_FIELDS = {
 }
 
 
-def load_dataset(path) -> Dataset:
-    """Parse a JSON-lines dataset; feature paths resolve against its directory.
+def read_jsonl(path, fields: dict) -> Iterator[dict]:
+    """The objects of a JSON-lines file, one per non-blank line.
 
-    Image ids must be unique: a repeated one is a ``FileFormatError``.
+    Each must hold an "id", unique after ``str()``, plus every key of
+    ``fields`` (key -> (test of its value, what the test asks for)) with a
+    value that passes its test. Anything else is a ``FileFormatError``
+    naming the line.
     """
     path = Path(path)
-    base = path.parent
-    records = []
-    first_line: dict[str, int] = {}  # image id -> line it first appeared on
+    first_line: dict[str, int] = {}  # id -> line it first appeared on
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
@@ -445,24 +447,36 @@ def load_dataset(path) -> Dataset:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
-        for key in ("id", "split", "captions", "triplets", "feature_file"):
+        for key in ("id", *fields):
             if key not in obj:
                 raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
-        for key, (valid, what) in _RECORD_FIELDS.items():
+        for key, (valid, what) in fields.items():
             if not valid(obj[key]):
                 raise FileFormatError(f"{path}:{lineno}: {key} must be {what}")
-        image_id = str(obj["id"])
-        if image_id in first_line:
+        ident = str(obj["id"])
+        if ident in first_line:
             raise FileFormatError(
-                f"{path}:{lineno}: duplicate id {image_id!r} (first on line {first_line[image_id]})"
+                f"{path}:{lineno}: duplicate id {ident!r} (first on line {first_line[ident]})"
             )
-        first_line[image_id] = lineno
+        first_line[ident] = lineno
+        yield obj
+
+
+def load_dataset(path) -> Dataset:
+    """Parse a JSON-lines dataset; feature paths resolve against its directory.
+
+    Image ids must be unique: a repeated one is a ``FileFormatError``.
+    """
+    path = Path(path)
+    records = []
+    for obj in read_jsonl(path, _RECORD_FIELDS):
         triplets = [
             RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
             for t in obj["triplets"]
         ]
-        records.append(ImageRecord(  # an absolute feature_file replaces base when joined
-            image_id, obj["split"], obj["captions"], triplets, base / obj["feature_file"]
+        records.append(ImageRecord(  # an absolute feature_file replaces the base when joined
+            str(obj["id"]), obj["split"], obj["captions"], triplets,
+            path.parent / obj["feature_file"],
         ))
     return Dataset(records)
 

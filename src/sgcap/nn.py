@@ -7,13 +7,15 @@ zero for biases, except the LSTM forget-gate bias which starts at 1.0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import (
     DimensionError,
+    Tape,
     Tensor,
     gather_rows,
     linear,
@@ -33,6 +35,7 @@ __all__ = [
     "LstmParams",
     "LstmState",
     "lstm_step",
+    "descend",
 ]
 
 
@@ -207,3 +210,50 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     gates = lstm_gates(x, state.h, p.w_i, p.w_f, p.w_o, p.w_c, p.b_i, p.b_f, p.b_o, p.b_c)
     m_new = lstm_memory(gates, state.m)
     return LstmState(lstm_hidden(gates, m_new), m_new)
+
+
+def _clip_gradients(leaves: Sequence[Tensor], clip_norm: float) -> None:
+    total = 0.0
+    for t in leaves:
+        if t.grad is not None:
+            total += float((t.grad * t.grad).sum())
+    norm = math.sqrt(total)
+    if norm > clip_norm:
+        factor = clip_norm / norm
+        for t in leaves:
+            if t.grad is not None:
+                t.grad *= factor
+
+
+def _sgd_step(leaves: Sequence[Tensor], lr: float) -> None:
+    for t in leaves:
+        if t.grad is not None:
+            t.data -= lr * t.grad
+
+
+def descend(
+    leaves: Sequence[Tensor],
+    build_loss: Callable[[], Optional[Tensor]],
+    lr: float,
+    clip_norm: Optional[float] = None,
+) -> Optional[float]:
+    """One SGD step on the loss ``build_loss()`` records on a fresh tape.
+
+    Gradients longer than ``clip_norm`` (None: no clipping) are scaled to
+    that norm. Returns the loss value, or None with no update when
+    ``build_loss`` returns None; a non-finite loss raises before any update.
+    """
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        loss = build_loss()
+    if loss is None:
+        return None
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"loss is not finite: {value!r}")
+    tape.backward(loss)
+    if clip_norm is not None:
+        _clip_gradients(leaves, clip_norm)
+    _sgd_step(leaves, lr)
+    return value

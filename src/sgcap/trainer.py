@@ -24,12 +24,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, no_grad, scale, sum_all
+from .autodiff import Tensor, add, no_grad, scale, sum_all
 from .captioner import CaptionerParams
 from .decoder import _forced_log_probs, generate_greedy, sample_sequence
 from .encoder import EncoderOutput, encode
 from .features import BOS, EOS, PAD, FeatureBundle, Vocabulary
 from .metrics import IdfTable, cider, cider_d
+from .nn import _clip_gradients, _sgd_step, descend  # noqa: F401  (re-exported for test oracles)
 from .vse import VseParams, embed_caption, embed_image, vision_reward
 
 __all__ = [
@@ -94,6 +95,8 @@ class Phase2Config:
             raise ValueError("phase-2 learning rate must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"phase-2 max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass
@@ -159,25 +162,6 @@ def combined_reward(
     return RewardBreakdown(r_l=r_l, r_v=r_v, alpha=alpha, r=r)
 
 
-def _clip_gradients(leaves: Sequence[Tensor], clip_norm: float) -> None:
-    total = 0.0
-    for t in leaves:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    norm = math.sqrt(total)
-    if norm > clip_norm:
-        factor = clip_norm / norm
-        for t in leaves:
-            if t.grad is not None:
-                t.grad *= factor
-
-
-def _sgd_step(leaves: Sequence[Tensor], lr: float) -> None:
-    for t in leaves:
-        if t.grad is not None:
-            t.data -= lr * t.grad
-
-
 @dataclass
 class ScstRollout:
     """One image's sampled-vs-greedy comparison inside an active tape."""
@@ -239,23 +223,14 @@ def scst_step(
     """
     if not batch:
         raise ValueError("scst_step needs a non-empty batch")
-    leaves = [t for _, t in params.named_params()]
-    for t in leaves:
-        t.zero_grad()
-    with Tape() as tape:
-        rollouts = [
-            scst_rollout(params, bundle, refs, reward_fn, rng) for bundle, refs in batch
-        ]
+    rollouts = []
+
+    def batch_loss():
+        rollouts.extend(scst_rollout(params, b, refs, reward_fn, rng) for b, refs in batch)
         live = [r.loss for r in rollouts if r.advantage != 0.0]
-        if live:
-            loss = scale(functools.reduce(add, live), 1.0 / len(batch))
-    if live:
-        value = loss.item()
-        if not math.isfinite(value):
-            raise FloatingPointError(f"self-critical loss is not finite: {value!r}")
-        tape.backward(loss)
-        _clip_gradients(leaves, clip_norm)
-        _sgd_step(leaves, lr)
+        return scale(functools.reduce(add, live), 1.0 / len(batch)) if live else None
+
+    descend([t for _, t in params.named_params()], batch_loss, lr, clip_norm)
     mean_advantage = float(np.mean([r.advantage for r in rollouts]))
     mean_sampled = float(np.mean([r.sampled_reward for r in rollouts]))
     return mean_advantage, mean_sampled
@@ -291,6 +266,61 @@ def _epoch_batches(rng: np.random.Generator, count: int, batch: int) -> list[np.
     return [order[i:i + batch] for i in range(0, count, batch)]
 
 
+def _fit(
+    params: CaptionerParams,
+    run_epoch: Callable[[int], tuple[dict, float, Optional[str]]],
+    epochs: int,
+    patience: int,
+    loss_name: str,
+    val_items: Sequence[tuple[FeatureBundle, Sequence[Sequence[str]]]],
+    vocab: Vocabulary,
+    idf: IdfTable,
+    log_path: Optional[Path],
+) -> TrainResult:
+    """The epoch loop both phases share.
+
+    ``run_epoch(epoch)`` trains one epoch and returns its training figure
+    (one key -> value), its learning rate and its own stop reason or None.
+    Each epoch is validated, logged and checked against the best so far.
+    A "stop_loss" stop keeps the current parameters and wins over patience,
+    which wins over any other phase stop. A ``FloatingPointError`` restores
+    the best parameters before it propagates.
+    """
+    history: list[dict] = []
+    best_val = -math.inf
+    best_epoch = -1
+    best_arrays = params.param_arrays()
+    since_best = 0
+    stop_reason = "max_epochs"
+    for epoch in range(epochs):
+        try:
+            figure, lr, stop = run_epoch(epoch)
+        except FloatingPointError:
+            params.load_arrays(best_arrays)
+            where = "their starting values" if best_epoch < 0 else f"epoch {best_epoch}"
+            raise FloatingPointError(
+                f"{loss_name} loss diverged at epoch {epoch}; parameters restored to {where}"
+            ) from None
+        val = validation_cider(params, val_items, vocab, idf)
+        record = {"epoch": epoch, **figure, "val_cider": val, "lr": lr}
+        history.append(record)
+        _append_log(log_path, record)
+        # the point of the loss threshold is the overfit itself, so the
+        # current parameters win over the best-on-validation snapshot
+        if val > best_val or stop == "stop_loss":
+            best_val, best_epoch, best_arrays = val, epoch, params.param_arrays()
+            since_best = 0
+        else:
+            since_best += 1
+        if since_best >= patience:
+            stop = "patience"
+        if stop is not None:
+            stop_reason = stop
+            break
+    params.load_arrays(best_arrays)
+    return TrainResult(history, best_epoch, best_val, stop_reason)
+
+
 def train_xe(
     params: CaptionerParams,
     train_pairs: Sequence[tuple[FeatureBundle, Sequence[int]]],
@@ -313,65 +343,23 @@ def train_xe(
     cfg = config.phase1
     rng = np.random.default_rng(config.seed)
     leaves = [t for _, t in params.named_params()]
-    history: list[dict] = []
-    best_val = -math.inf
-    best_epoch = -1
-    best_arrays = params.param_arrays()
-    since_best = 0
-    stop_reason = "max_epochs"
-    for epoch in range(cfg.max_epochs):
+
+    def run_epoch(epoch):
         lr = cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
         epoch_loss = 0.0
         for batch in _epoch_batches(rng, len(train_pairs), cfg.batch):
-            for t in leaves:
-                t.zero_grad()
-            with Tape() as tape:
-                parts = []
-                for k in batch:
-                    bundle, tokens = train_pairs[k]
-                    parts.append(xe_loss(params, encode(params.encoder, bundle), tokens))
-                loss = scale(functools.reduce(add, parts), 1.0 / len(batch))
-            value = loss.item()
-            if not math.isfinite(value):
-                params.load_arrays(best_arrays)
-                raise FloatingPointError(
-                    f"cross-entropy loss diverged at epoch {epoch}; "
-                    f"parameters restored to epoch {best_epoch}"
-                )
-            epoch_loss += value * len(batch)
-            tape.backward(loss)
-            _clip_gradients(leaves, config.clip_norm)
-            _sgd_step(leaves, lr)
+            def batch_loss():
+                parts = [xe_loss(params, encode(params.encoder, bundle), tokens)
+                         for bundle, tokens in (train_pairs[k] for k in batch)]
+                return scale(functools.reduce(add, parts), 1.0 / len(batch))
+
+            epoch_loss += descend(leaves, batch_loss, lr, config.clip_norm) * len(batch)
         mean_loss = epoch_loss / len(train_pairs)
-        val = validation_cider(params, val_items, vocab, idf)
-        record = {"epoch": epoch, "loss": mean_loss, "val_cider": val, "lr": lr}
-        history.append(record)
-        _append_log(log_path, record)
-        if val > best_val:
-            best_val = val
-            best_epoch = epoch
-            best_arrays = params.param_arrays()
-            since_best = 0
-        else:
-            since_best += 1
-        if cfg.stop_loss is not None and mean_loss < cfg.stop_loss:
-            # the point of the threshold is the overfit itself, so the
-            # current parameters win over the best-on-validation snapshot
-            best_arrays = params.param_arrays()
-            best_epoch = epoch
-            best_val = val
-            stop_reason = "stop_loss"
-            break
-        if since_best >= cfg.patience:
-            stop_reason = "patience"
-            break
-    params.load_arrays(best_arrays)
-    return TrainResult(
-        history=history,
-        best_epoch=best_epoch,
-        best_val_cider=best_val,
-        stop_reason=stop_reason,
-    )
+        stop = "stop_loss" if cfg.stop_loss is not None and mean_loss < cfg.stop_loss else None
+        return {"loss": mean_loss}, lr, stop
+
+    return _fit(params, run_epoch, cfg.max_epochs, cfg.patience, "cross-entropy",
+                val_items, vocab, idf, log_path)
 
 
 def train_scst(
@@ -410,58 +398,22 @@ def train_scst(
             return combined_reward(tokens, bundle, refs, idf, vse, vocab, cfg.alpha).r
 
     rng = np.random.default_rng(config.seed)
-    history: list[dict] = []
-    best_val = -math.inf
-    best_epoch = -1
-    best_arrays = params.param_arrays()
-    since_best = 0
-    steps_done = 0
-    stop_reason = "max_epochs"
-    for epoch in range(cfg.epochs):
+    steps_left = math.inf if cfg.max_steps is None else cfg.max_steps
+
+    def run_epoch(epoch):
+        nonlocal steps_left
         epoch_reward = 0.0
         epoch_count = 0
         for batch_idx in _epoch_batches(rng, len(train_items), cfg.batch):
-            if cfg.max_steps is not None and steps_done >= cfg.max_steps:
+            if steps_left == 0:
                 break
             batch = [train_items[k] for k in batch_idx]
-            try:
-                _, mean_sampled = scst_step(
-                    params, batch, reward_fn, cfg.lr, rng, clip_norm=config.clip_norm
-                )
-            except FloatingPointError:
-                params.load_arrays(best_arrays)
-                raise FloatingPointError(
-                    f"self-critical loss diverged at epoch {epoch}; "
-                    f"parameters restored to epoch {best_epoch}"
-                ) from None
+            _, mean_sampled = scst_step(params, batch, reward_fn, cfg.lr, rng, config.clip_norm)
             epoch_reward += mean_sampled * len(batch)
             epoch_count += len(batch)
-            steps_done += 1
-        if epoch_count == 0:
-            stop_reason = "max_steps"
-            break
-        mean_reward = epoch_reward / epoch_count
-        val = validation_cider(params, val_items, vocab, idf)
-        record = {"epoch": epoch, "mean_reward": mean_reward, "val_cider": val, "lr": cfg.lr}
-        history.append(record)
-        _append_log(log_path, record)
-        if val > best_val:
-            best_val = val
-            best_epoch = epoch
-            best_arrays = params.param_arrays()
-            since_best = 0
-        else:
-            since_best += 1
-        if since_best >= cfg.patience:
-            stop_reason = "patience"
-            break
-        if cfg.max_steps is not None and steps_done >= cfg.max_steps:
-            stop_reason = "max_steps"
-            break
-    params.load_arrays(best_arrays)
-    return TrainResult(
-        history=history,
-        best_epoch=best_epoch,
-        best_val_cider=best_val,
-        stop_reason=stop_reason,
-    )
+            steps_left -= 1
+        stop = "max_steps" if steps_left == 0 else None
+        return {"mean_reward": epoch_reward / epoch_count}, cfg.lr, stop
+
+    return _fit(params, run_epoch, cfg.epochs, cfg.patience, "self-critical",
+                val_items, vocab, idf, log_path)

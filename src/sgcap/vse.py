@@ -18,7 +18,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import (
-    Tape,
     Tensor,
     add,
     concat,
@@ -32,7 +31,7 @@ from .autodiff import (
     sub,
     sum_all,
 )
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, lstm_step
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, lstm_step
 
 __all__ = [
     "VseConfig",
@@ -179,6 +178,11 @@ def train_vse(
     """
     if len(pairs) < 2:
         raise ValueError("training needs at least two image-caption pairs")
+    if epochs < 1 or batch_size < 2 or not lr > 0:
+        raise ValueError(
+            f"VSE training needs epochs >= 1, batch_size >= 2 (ranking needs negatives) "
+            f"and lr > 0, got epochs={epochs}, batch_size={batch_size}, lr={lr}"
+        )
     if params is None:
         params = VseParams.init(config, rng)
     leaves = [t for _, t in params.named_params()]
@@ -191,26 +195,17 @@ def train_vse(
             batches.pop()
         epoch_loss = 0.0
         for batch in batches:
-            for t in leaves:
-                t.zero_grad()
-            with Tape() as tape:
+            def batch_loss():
                 embedded = [
-                    EmbeddingPair(
-                        i_e=embed_image(params, constant(pairs[k][0])),
-                        w_e=embed_caption(params, pairs[k][1]),
-                    )
+                    EmbeddingPair(i_e=embed_image(params, constant(pairs[k][0])),
+                                  w_e=embed_caption(params, pairs[k][1]))
                     for k in batch
                 ]
-                loss = hinge_loss(embedded, margin=config.margin)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise FloatingPointError(
-                    f"hinge loss diverged at epoch {epoch}: {value!r}"
-                )
-            epoch_loss += value
-            tape.backward(loss)
-            for t in leaves:
-                if t.grad is not None:
-                    t.data -= lr * t.grad
+                return hinge_loss(embedded, margin=config.margin)
+
+            try:
+                epoch_loss += descend(leaves, batch_loss, lr)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"hinge loss diverged at epoch {epoch}: {exc}") from None
         losses.append(epoch_loss / len(pairs))
     return params, losses

@@ -254,6 +254,16 @@ class TestTrainVse:
         records = [json.loads(s) for s in lines]
         assert records[-1]["loss"] < records[0]["loss"]
 
+    @pytest.mark.parametrize("setting", ["vse.epochs=0", "vse.batch=0", "vse.lr=-1"])
+    def test_bad_loop_setting_exits_1(self, world, tmp_path, capsys, setting):
+        rc = main(["train-vse", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),
+                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "v.sgck"),
+                   "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "v.sgck").exists()
+
 
 class TestTrainXe:
     def test_checkpoint_and_log(self, world, trained):
@@ -327,6 +337,15 @@ class TestTrainScst:
         assert rc == 0
         assert set(bundle_modes) == {"lstm"}
         assert load_captioner(tmp_path / "o.sgck")[0].config.triplet_mode == "lstm"
+
+    def test_zero_max_steps_exits_1(self, world, trained, tmp_path, capsys):
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+            "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"], "--reward", "cider",
+            "--out", tmp_path / "o.sgck", "--set", "phase2.max_steps=0")])
+        assert rc == 1
+        assert "max_steps" in capsys.readouterr().err
+        assert not (tmp_path / "o.sgck").exists()
 
     def test_wrong_checkpoint_kind_fails(self, world, trained, tmp_path, capsys):
         rc, _ = run(capsys, "train-scst", "--config", world["cfg"],

@@ -79,7 +79,7 @@ class TestConfigs:
             Phase1Config(**kw)
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(lr=-1.0), dict(alpha=1.5),
-                                    dict(alpha=-0.1), dict(batch=0)])
+                                    dict(alpha=-0.1), dict(batch=0), dict(max_steps=0)])
     def test_phase2_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             Phase2Config(**kw)
@@ -473,6 +473,34 @@ class TestTrainXe:
         config = short_config(max_epochs=10, patience=10, lr0=0.1)
         result = train_xe(params, pairs, items, vocab, config, idf)
         assert result.history[-1]["loss"] < result.history[0]["loss"]
+
+    @pytest.mark.parametrize("diverge_at, restored_to", [
+        (0, "their starting values"),
+        (1, "epoch 0"),
+    ])
+    def test_divergence_restores_best_params(self, monkeypatch, diverge_at, restored_to):
+        # the loss turns NaN from epoch ``diverge_at`` on; the best snapshot
+        # then is the start, or the parameters epoch 0 was validated with
+        vocab, params, bundles, refs, idf, vse, pairs, items = tiny_world()
+        validated = [params.param_arrays()]
+        real_loss, real_validation = trainer.xe_loss, trainer.validation_cider
+
+        def xe_loss(*args):
+            loss = real_loss(*args)
+            return scale(loss, math.nan) if len(validated) > diverge_at else loss
+
+        def validation_cider(p, *args):
+            validated.append(p.param_arrays())
+            return real_validation(p, *args)
+
+        monkeypatch.setattr(trainer, "xe_loss", xe_loss)
+        monkeypatch.setattr(trainer, "validation_cider", validation_cider)
+        with pytest.raises(FloatingPointError,
+                           match=f"diverged at epoch {diverge_at}; parameters restored to {restored_to}"):
+            train_xe(params, pairs, items, vocab, short_config(max_epochs=3), idf)
+        assert len(validated) == diverge_at + 1
+        for name, arr in params.param_arrays().items():
+            assert np.array_equal(arr, validated[diverge_at][name]), name
 
 
 def scst_config(**phase2):

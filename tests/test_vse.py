@@ -272,6 +272,14 @@ class TestTrainVse:
         with pytest.raises(ValueError):
             train_vse(toy_training_pairs(rng, config, 1), config, rng)
 
+    @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(batch_size=1),
+                                    dict(lr=0.0), dict(lr=-1.0)])
+    def test_rejects_bad_loop_arguments(self, kw):
+        config = VseConfig(**TINY)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            train_vse(toy_training_pairs(rng, config, 4), config, rng, **kw)
+
     def test_divergence_aborts_with_diagnostics(self):
         config = VseConfig(**TINY)
         rng = np.random.default_rng(0)
