@@ -10,7 +10,8 @@ There is no output projection. Both blocks are single fused tape ops
 (``autodiff.attention`` and ``autodiff.aoa``). A memory attended by many
 queries (the decoder's steps) can have its keys and values projected
 once, by ``project_memory``; the decoder then attends to both of its
-memories and gates both results in one op, ``autodiff.gated_context``.
+memories and gates both results inside its step op,
+``autodiff.decoder_cell``.
 
 Masked keys receive an additive -1e9 on their logits; after the softmax
 max-subtraction the exponential underflows to exactly 0.0 in float64, so
@@ -114,6 +115,10 @@ class AoAParams:
     def d_model(self) -> int:
         return self.w_q_info.shape[0]
 
+    def weights(self) -> tuple[Tensor, ...]:
+        """(w_q_info, w_v_info, b_info, w_q_gate, w_v_gate, b_gate), aoa's order."""
+        return (self.w_q_info, self.w_v_info, self.b_info, self.w_q_gate, self.w_v_gate, self.b_gate)
+
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name in ("w_q_info", "w_v_info", "b_info", "w_q_gate", "w_v_gate", "b_gate"):
             yield f"{prefix}.{name}", getattr(self, name)
@@ -126,5 +131,4 @@ def aoa_block(params: AoAParams, q: Tensor, v_hat: Tensor) -> Tensor:
     gate = sigmoid(q W_qg^T + v_hat W_vg^T + b_g)
     out  = gate * info        (elementwise, row by row)
     """
-    p = params
-    return aoa(q, v_hat, p.w_q_info, p.w_v_info, p.b_info, p.w_q_gate, p.w_v_gate, p.b_gate)
+    return aoa(q, v_hat, *params.weights())

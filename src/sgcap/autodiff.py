@@ -2,14 +2,15 @@
 
 A small tape engine. Forward ops run eagerly on numpy arrays; when a
 :class:`Tape` is active, every primitive op appends a record referencing
-its inputs and output. ``Tape.backward`` walks the records once, in
-reverse execution order (which is a topological order by construction),
-and accumulates gradients into the ``grad`` slot of every tensor that
-requires them, leaves and intermediates alike.
+its inputs and outputs (one for most ops, several for the cells).
+``Tape.backward`` walks the records once, in reverse execution order
+(which is a topological order by construction), and accumulates
+gradients into the ``grad`` slot of every tensor that requires them,
+leaves and intermediates alike.
 
 Weight and embedding gradients are settled once per backward rather than
 once per use. An op hands the tape a weight's gradient as its factors:
-the pair (g, x) of ``g.T @ x`` (``linear``, ``aoa``, ``lstm_gates``), or
+the pair (g, x) of ``g.T @ x`` (``linear``, ``aoa``, the cells), or
 the pair (indices, rows) of a scatter-add into a zero table
 (``gather_rows``). The tape collects the pairs of each tensor and settles
 them as one ``concat(g).T @ concat(x)`` product and one ``np.add.at``:
@@ -20,11 +21,13 @@ are summed in place, but only into buffers the tape allocated itself,
 since an op may hand one array to several inputs.
 
 Whole blocks of the model are fused into single ops, each with a
-hand-written backward that adds gradients in the order of the unfused
-graph: multi-head ``attention``, the ``aoa`` gate, the decoder step's
-``gated_context`` (query projections, attention and gates of both paths)
-and the LSTM cell (``lstm_gates``, ``lstm_memory``, ``lstm_hidden``).
-The first three share their array kernels.
+hand-written backward that forms and adds gradients in the order of the
+unfused graph: multi-head ``attention``, the ``aoa`` gate, the LSTM
+transition ``lstm_cell`` -> (h, m), and ``decoder_cell`` -> (h, m, c),
+the whole recurrence of a decoder step (its LSTM input, the LSTM, and
+the query projections, attention and gates of both attention paths).
+They share their array kernels: the stacked attention heads, the AoA
+gate and the LSTM cell, each with its backward.
 
 Design rules, enforced here rather than assumed:
 
@@ -73,10 +76,10 @@ __all__ = [
     "MASK_LOGIT",
     "attention",
     "aoa",
-    "gated_context",
-    "lstm_gates",
-    "lstm_memory",
-    "lstm_hidden",
+    "KeyValues",
+    "key_values",
+    "lstm_cell",
+    "decoder_cell",
     "grad_check",
 ]
 
@@ -195,7 +198,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple] = []  # (out, inputs, backward_fn)
+        self._records: list[tuple] = []  # (out or tuple of outs, inputs, backward_fn)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -212,12 +215,14 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
-        ``loss`` must be a scalar produced on this tape. Non-finite loss is
-        rejected here even when debug mode is off.
+        ``loss`` must be a scalar produced on this tape, alone or as one
+        output of several. Non-finite loss is rejected here even when debug
+        mode is off. A multi-output record settles each output's factored
+        parts, then runs its backward once on all their flows.
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {tuple(loss.data.shape)}")
-        if not any(out is loss for out, _, _ in reversed(self._records)):
+        if not any(out is loss or type(out) is tuple and loss in out for out, _, _ in reversed(self._records)):
             raise ValueError("loss was not produced on this tape")
         if not np.isfinite(loss.data).all():
             raise FloatingPointError("non-finite loss")
@@ -227,23 +232,42 @@ class Tape:
         owned: set[Tensor] = {loss}  # tensors whose dense part the tape allocated
         factors: dict[Tensor, list] = {}  # tensors -> their _Outer and _Scatter parts
         for out, inputs, backward_fn in reversed(self._records):
-            if out in factors:
-                _settle(flow, owned, factors, out)
-            g = flow.pop(out, None)
-            if g is None:
-                continue  # not on a path from the loss
-            out._accumulate_grad(g, out in owned)
-            for t, gi in zip(inputs, backward_fn(g)):
+            if type(out) is tuple:  # several outputs, one backward over all their flows
+                for o in out:
+                    if o in factors:
+                        _settle(flow, owned, factors, o)
+                g = [flow.pop(o, None) for o in out]
+                if all(gi is None for gi in g):
+                    continue
+                whole, grads = backward_fn(g)
+                for o, gi, flow_gi in zip(out, whole, g):
+                    if gi is not None:  # a whole gradient that is not the flow is the op's own array
+                        o._accumulate_grad(gi, gi is not flow_gi or o in owned)
+            else:
+                if out in factors:
+                    _settle(flow, owned, factors, out)
+                g = flow.pop(out, None)
+                if g is None:
+                    continue  # not on a path from the loss
+                out._accumulate_grad(g, out in owned)
+                grads = backward_fn(g)
+            for t, gi in zip(inputs, grads):
                 if gi is None or not t.requires_grad:
                     continue
                 if type(gi) in _FACTORED:
-                    factors.setdefault(t, []).append(gi)
-                elif t not in flow:
+                    parts = factors.get(t)
+                    if parts is None:
+                        factors[t] = [gi]
+                    else:
+                        parts.append(gi)
+                    continue
+                f = flow.get(t)
+                if f is None:
                     flow[t] = gi
                 elif t in owned:
-                    flow[t] += gi
+                    f += gi
                 else:
-                    flow[t] = flow[t] + gi
+                    flow[t] = f + gi
                     owned.add(t)
         # whatever is left never appeared as an op output: the leaves
         for t in list(factors):
@@ -277,7 +301,10 @@ def _settle(flow: dict, owned: set, factors: dict, t: Tensor) -> None:
     scatter = [p for p in parts if type(p) is _Scatter]
     dense = flow.get(t)
     if outer:
-        prod = np.concatenate([p.g for p in outer]).T @ np.concatenate([p.x for p in outer])
+        if len(outer) == 1 and outer[0].g.flags.c_contiguous and outer[0].x.flags.c_contiguous:
+            prod = outer[0].g.T @ outer[0].x  # laid out as the concatenations would copy them
+        else:
+            prod = np.concatenate([p.g for p in outer]).T @ np.concatenate([p.x for p in outer])
         if dense is not None:
             prod += dense
         dense = prod
@@ -292,21 +319,44 @@ def _settle(flow: dict, owned: set, factors: dict, t: Tensor) -> None:
     owned.add(t)
 
 
-def _emit(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    """Create an op output, recording it when a tape is active."""
+def _recording_tape(inputs: tuple):
+    """The active tape if it records an op on these inputs, else None."""
     tape = _active_tape()
-    track = False
     if tape is not None:
         for t in inputs:
             if t.requires_grad:
-                track = True
-                break
+                return tape
+    return None
+
+
+def _emit(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
+    """Create an op output, recording it when a tape is active."""
+    tape = _recording_tape(inputs)
     if _DEBUG_FINITE and not np.isfinite(data).all():
         raise FloatingPointError("non-finite op output")
-    out = Tensor._wrap(data, track)
-    if track:
+    out = Tensor._wrap(data, tape is not None)
+    if tape is not None:
         tape._records.append((out, inputs, backward_fn))
     return out
+
+
+def _emit_many(datas: tuple, inputs: tuple, backward_fn) -> tuple:
+    """Create the outputs of a multi-output op, recorded as one record.
+
+    Its backward takes a list of the outputs' flows, None where no flow
+    reached one, and returns (the outputs' whole gradients, the inputs'
+    gradients). An output the op itself reads, such as the LSTM's new
+    memory read by its new hidden state, has a whole gradient of its flow
+    plus the op's own term: an array the op made and hands to no input,
+    which the output's grad slot keeps uncopied.
+    """
+    tape = _recording_tape(inputs)
+    if _DEBUG_FINITE and not all(np.isfinite(d).all() for d in datas):
+        raise FloatingPointError("non-finite op output")
+    outs = tuple(Tensor._wrap(d, tape is not None) for d in datas)
+    if tape is not None:
+        tape._records.append((outs, inputs, backward_fn))
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +483,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function, split by sign so that exp never overflows:
     1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -465,13 +514,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit(y, (a,), lambda g: (_softmax_grad(y, g, ax),))
 
 
+# The kernels below reduce with np.maximum.reduce and np.add.reduce, the
+# ufuncs behind ndarray.max and ndarray.sum, without their Python wrappers.
+
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+    return y * (g - np.add.reduce(g * y, axis=axis, keepdims=True))
 
 
 def log_prob(logits: Tensor, target) -> Tensor:
@@ -570,12 +622,16 @@ def _key_bias(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int, mask):
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     """(n, heads * w) -> (heads, n, w), column block i as slice i, contiguous."""
     n, width = a.shape
+    if n == 1 and a.flags.c_contiguous:
+        return a.reshape(heads, 1, width // heads)  # one row is already in head order
     return np.ascontiguousarray(a.reshape(n, heads, width // heads).transpose(1, 0, 2))
 
 
 def _merge_heads(a: np.ndarray) -> np.ndarray:
     """(heads, n, w) -> (n, heads * w), the inverse of _split_heads."""
     heads, n, width = a.shape
+    if n == 1 and a.flags.c_contiguous:
+        return a.reshape(1, heads * width)
     return a.transpose(1, 0, 2).reshape(n, heads * width)
 
 
@@ -587,8 +643,12 @@ def _mha_fwd(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int, bias):
     own column blocks would make, so the values equal a per-head loop's
     bit for bit.
     """
-    q, k, v = (_split_heads(a, heads) for a in (qd, kd, vd))
-    c = float(1.0 / np.sqrt(q.shape[2]))
+    return _heads_fwd(*(_split_heads(a, heads) for a in (qd, kd, vd)), bias)
+
+
+def _heads_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias):
+    """_mha_fwd on operands already split into (heads, n, d / heads)."""
+    c = 1.0 / math.sqrt(q.shape[2])
     logits = (q @ k.transpose(0, 2, 1)) * c
     if bias is not None:
         logits += bias
@@ -598,11 +658,14 @@ def _mha_fwd(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int, bias):
 
 def _mha_bwd(g: np.ndarray, saved) -> tuple:
     """The gradients of attention's q, k and v."""
+    return tuple(_merge_heads(d) for d in _heads_bwd(_split_heads(g, saved[0].shape[0]), saved))
+
+
+def _heads_bwd(g: np.ndarray, saved) -> tuple:
+    """_mha_bwd on a gradient split by head; returns q's, k's and v's split alike."""
     q, k, v, w, c = saved
-    gh = _split_heads(g, q.shape[0])
-    dlogits = _softmax_grad(w, gh @ v.transpose(0, 2, 1), 2) * c
-    return (_merge_heads(dlogits @ k), _merge_heads(dlogits.transpose(0, 2, 1) @ q),
-            _merge_heads(w.transpose(0, 2, 1) @ gh))
+    dlogits = _softmax_grad(w, g @ v.transpose(0, 2, 1), 2) * c
+    return dlogits @ k, dlogits.transpose(0, 2, 1) @ q, w.transpose(0, 2, 1) @ g
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
@@ -619,37 +682,45 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
 
 
 def _check_aoa(qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]) -> None:
-    w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
-    m = b_i.data.size
-    if qd.ndim != 2 or qd.shape != vd.shape or (m,) != b_i.data.shape or (m,) != b_g.data.shape or any(
-        w.data.shape != (m, qd.shape[1]) for w in (w_qi, w_vi, w_qg, w_vg)
-    ):
+    m = gate[2].data.size
+    w, b = (m, qd.shape[-1]), (m,)
+    if qd.ndim != 2 or qd.shape != vd.shape or [t.data.shape for t in gate] != [w, w, b, w, w, b]:
         raise DimensionError(f"aoa mismatch: q {qd.shape}, v {vd.shape}, weights ({m}, {qd.shape[-1]})")
+
+
+def _aoa_pre(qd: np.ndarray, vd: np.ndarray, w_q: Tensor, b: Tensor, w_v: Tensor) -> np.ndarray:
+    """(q W_q^T + b) + v W_v^T: aoa's info, or its gate before the sigmoid."""
+    z = qd @ w_q.data.T
+    z += b.data
+    z += vd @ w_v.data.T
+    return z
 
 
 def _aoa_fwd(qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]):
     """aoa's output gate * info, then info and gate themselves."""
     w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
-
-    def pre(w_q, b, w_v):
-        z = qd @ w_q.data.T
-        z += b.data
-        z += vd @ w_v.data.T
-        return z
-
-    info = pre(w_qi, b_i, w_vi)
-    sig = _sigmoid(pre(w_qg, b_g, w_vg))
+    info = _aoa_pre(qd, vd, w_qi, b_i, w_vi)
+    sig = _sigmoid(_aoa_pre(qd, vd, w_qg, b_g, w_vg))
     return sig * info, info, sig
 
 
-def _aoa_bwd(g: np.ndarray, qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor], info, sig) -> tuple:
-    """The gradients of aoa's inputs (v, q, v, q, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
-    v's and q's gate part before their info part, as the unfused graph adds them."""
+def _aoa_dpre(g: np.ndarray, info: np.ndarray, sig: np.ndarray) -> tuple:
+    """The gradients of aoa's info and of its gate before the sigmoid."""
+    return g * sig, (g * info) * sig * (1.0 - sig)
+
+
+def _aoa_parts(di: np.ndarray, dg: np.ndarray, qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]) -> tuple:
+    """The gradients of aoa's inputs (v, q, v, q, w_qi, w_vi, b_i, w_qg, w_vg, b_g)
+    from those of its info and pre-sigmoid gate: v's and q's gate part
+    before their info part, as the unfused graph adds them."""
     w_qi, w_vi, _, w_qg, w_vg, _ = gate
-    di = g * sig
-    dg = (g * info) * sig * (1.0 - sig)
     return (dg @ w_vg.data, dg @ w_qg.data, di @ w_vi.data, di @ w_qi.data, _Outer(di, qd),
-            _Outer(di, vd), di.sum(axis=0), _Outer(dg, qd), _Outer(dg, vd), dg.sum(axis=0))
+            _Outer(di, vd), np.add.reduce(di, axis=0), _Outer(dg, qd), _Outer(dg, vd), np.add.reduce(dg, axis=0))
+
+
+def _aoa_bwd(g: np.ndarray, qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor], info, sig) -> tuple:
+    """The gradients of aoa's inputs, as _aoa_parts lists them."""
+    return _aoa_parts(*_aoa_dpre(g, info, sig), qd, vd, gate)
 
 
 def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
@@ -667,119 +738,214 @@ def aoa(q: Tensor, v: Tensor, w_qi: Tensor, w_vi: Tensor, b_i: Tensor,
     return _emit(out, (v, q, v, q) + gate, lambda g: _aoa_bwd(g, qd, vd, gate, info, sig))
 
 
-def gated_context(h: Tensor, paths: Sequence[tuple]) -> Tensor:
-    """The decoder's context vector of one step: for each path
-    (w_q, k, v, heads, mask, gate), with the hidden state h as the row q,
+class KeyValues(NamedTuple):
+    """Keys and values that every step of a caption attends to.
 
-    out = aoa(q, attention(q W_q^T, k, v, heads, mask), *gate)
-
-    and the paths' outputs side by side in one vector. ``gate`` is aoa's
-    six weights. A path whose k and v are None attends to nothing: its
-    gate runs on a zero row. h's gradient is one running sum over the
-    paths, last path first, of each path's gate, info and query
-    projection terms, the order in which the unfused graph adds them.
+    ``key_values`` checks them once and splits each by head,
+    (heads, n, d / heads), as one tape op, with the key mask kept as its
+    logit bias: a step neither re-splits nor re-checks them, and their
+    gradients are merged back once per backward, not once per step.
     """
-    if h.data.ndim != 1:
-        raise DimensionError(f"gated_context expects a vector, got shape {tuple(h.data.shape)}")
-    qd = h.data.reshape(1, -1)
-    inputs, outs, saved, start = [h], [], [], 0
-    for w_q, k, v, heads, mask, gate in paths:
-        if k is None:
+
+    k: Tensor
+    v: Tensor
+    heads: int
+    k_heads: Tensor
+    v_heads: Tensor
+    bias: Optional[np.ndarray]
+
+
+def key_values(k: Tensor, v: Tensor, heads: int, mask=None) -> KeyValues:
+    """Keys and values for many queries; keys whose ``mask`` entry is
+    False get MASK_LOGIT, as in ``attention``."""
+    kd, vd = k.data, v.data
+    bias = _key_bias(kd, kd, vd, heads, mask)  # the keys stand in for the queries: a step checks those
+
+    def backward_fn(g):
+        return g, tuple(None if gi is None else _merge_heads(gi) for gi in g)
+
+    k_heads, v_heads = _emit_many((_split_heads(kd, heads), _split_heads(vd, heads)), (k, v), backward_fn)
+    return KeyValues(k, v, heads, k_heads, v_heads, bias)
+
+
+def _context_fwd(qd: np.ndarray, paths: Sequence[tuple]):
+    """The context vector of the row qd over each path (w_q, kv, gate):
+
+    out = aoa(qd, attention(qd W_q^T, kv, ...), *gate)
+
+    with the paths' outputs side by side in one vector, and what
+    _context_bwd needs. A path whose kv is None attends to nothing: its
+    gate runs on a zero row. The paths' gates take their sigmoid and
+    product together, as rows of one matrix.
+    """
+    saved, pre = [], []
+    for w_q, kv, gate in paths:
+        if kv is None:
             vd, att = np.zeros(qd.shape), None
         else:
-            if w_q.data.ndim != 2 or w_q.data.shape[1] != qd.shape[1]:
-                raise DimensionError(
-                    f"query projection {tuple(w_q.data.shape)} does not take width {qd.shape[1]}")
-            qp = qd @ w_q.data.T
-            vd, att = _mha_fwd(qp, k.data, v.data, heads, _key_bias(qp, k.data, v.data, heads, mask))
-            inputs += (w_q, k, v)
+            if w_q.data.shape != (kv.k.data.shape[1], qd.shape[1]):
+                raise DimensionError(f"query projection {tuple(w_q.data.shape)} does not map width "
+                                     f"{qd.shape[1]} to the key width {tuple(kv.k.data.shape)}")
+            vd, att = _heads_fwd(_split_heads(qd @ w_q.data.T, kv.heads), kv.k_heads.data, kv.v_heads.data,
+                                 kv.bias)
         _check_aoa(qd, vd, gate)
-        out, info, sig = _aoa_fwd(qd, vd, gate)
+        w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
+        pre += (_aoa_pre(qd, vd, w_qi, b_i, w_vi), _aoa_pre(qd, vd, w_qg, b_g, w_vg))
+        saved.append((w_q, vd, att, gate))
+    pre = np.concatenate(pre)  # rows: each path's info, then its gate
+    info, sig = pre[0::2], _sigmoid(pre[1::2])
+    return (sig * info).reshape(-1), (saved, info, sig)
+
+
+def _context_inputs(paths: Sequence[tuple]) -> list:
+    """The tensors _context_bwd's gradients are for: each path's w_q and
+    split k and v when it attends, then its gate's six weights."""
+    inputs = []
+    for w_q, kv, gate in paths:
+        if kv is not None:
+            inputs += (w_q, kv.k_heads, kv.v_heads)
         inputs += gate
-        outs.append(out)
-        cols = slice(start, start + out.shape[1])
-        start = cols.stop
-        saved.append((cols, w_q, vd, att, gate, info, sig))
-
-    def backward_fn(g):
-        grads, gq = [], None
-        for cols, w_q, vd, att, gate, info, sig in reversed(saved):
-            dv_gate, dq_gate, dv_info, dq_info, *dgate = _aoa_bwd(
-                g[cols].reshape(1, -1), qd, vd, gate, info, sig)
-            terms, part = [dq_gate, dq_info], []
-            if att is not None:
-                dqp, dk, dv = _mha_bwd(dv_gate + dv_info, att)
-                terms.append(dqp @ w_q.data)
-                part = [_Outer(dqp, qd), dk, dv]
-            for t in terms:
-                if gq is None:
-                    gq = t  # a fresh product, safe to add into
-                else:
-                    gq += t
-            grads = part + dgate + grads
-        return [gq.reshape(-1)] + grads
-
-    return _emit(np.concatenate(outs, axis=1).reshape(-1), tuple(inputs), backward_fn)
+    return inputs
 
 
-def lstm_gates(x: Tensor, h: Tensor, w_i: Tensor, w_f: Tensor, w_o: Tensor, w_c: Tensor,
-               b_i: Tensor, b_f: Tensor, b_o: Tensor, b_c: Tensor) -> Tensor:
-    """The activated LSTM gates as the rows [i; f; o; c~] of a (4, d) matrix.
+def _context_bwd(g: np.ndarray, qd: np.ndarray, saved) -> tuple:
+    """The gradients of _context_fwd's row, and of _context_inputs.
 
-    Gate z is sigmoid([x; h] W_z^T + b_z) for i, f and o, tanh for c~.
+    The row's is one running sum over the paths, last path first, of each
+    path's gate, info and query projection terms: the order in which the
+    unfused graph adds them. Each weight gets one factor pair, each bias
+    and each split k and v one dense part.
     """
-    if x.data.ndim != 1 or h.data.ndim != 1:
-        raise DimensionError(f"lstm_gates expects vectors, got {x.data.shape} and {h.data.shape}")
-    row = np.concatenate([x.data, h.data]).reshape(1, -1)
-    weights, biases = (w_i, w_f, w_o, w_c), (b_i, b_f, b_o, b_c)
-    d = h.data.shape[0]
-    if any(w.data.shape != (d, row.shape[1]) or b.data.shape != (d,) for w, b in zip(weights, biases)):
-        raise DimensionError(f"lstm gate weights must map width {row.shape[1]} to {d}")
-    y = np.concatenate([row @ w.data.T for w in weights])
-    for z, b in enumerate(biases):
-        y[z] += b.data
+    saved, info, sig = saved
+    di, dg = _aoa_dpre(g.reshape(info.shape), info, sig)
+    grads, gq = [], None
+    for p in reversed(range(len(saved))):
+        w_q, vd, att, gate = saved[p]
+        dv_gate, dq_gate, dv_info, dq_info, *dgate = _aoa_parts(di[p:p + 1], dg[p:p + 1], qd, vd, gate)
+        terms, part = [dq_gate, dq_info], []
+        if att is not None:
+            dqp, dk, dv = _heads_bwd(_split_heads(dv_gate + dv_info, att[0].shape[0]), att)
+            dqp = _merge_heads(dqp)
+            terms.append(dqp @ w_q.data)
+            part = [_Outer(dqp, qd), dk, dv]
+        for t in terms:
+            if gq is None:
+                gq = t  # a fresh product, safe to add into
+            else:
+                gq += t
+        grads = part + dgate + grads
+    return gq.reshape(-1), grads
+
+
+def _lstm_fwd(row: np.ndarray, md: np.ndarray, cell: Sequence[Tensor]):
+    """The LSTM cell on the row [x; h] and the memory md, with ``cell`` the
+    weights (w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c):
+
+    gate z = sigmoid([x; h] W_z^T + b_z) for i, f and o, tanh for c~
+    m' = f * m + i * c~          h' = o * tanh(m')
+
+    Returns h', m' and what _lstm_bwd needs.
+    """
+    d, width = md.shape[0], row.shape[1]
+    if md.ndim != 1 or [t.data.shape for t in cell] != [(d, width)] * 4 + [(d,)] * 4:
+        raise DimensionError(f"lstm weights must map width {width} to the memory's {md.shape}")
+    y = np.concatenate([row @ w.data.T for w in cell[:4]])  # the gates as rows [i; f; o; c~]
+    y += np.concatenate([b.data for b in cell[4:]]).reshape(4, d)
     y[:3] = _sigmoid(y[:3])
-    y[3] = np.tanh(y[3])
+    np.tanh(y[3], out=y[3])
+    i, f, o, c = y
+    m_new = f * md + i * c
+    t = np.tanh(m_new)
+    return o * t, m_new, (row, md, y, t)
+
+
+def _lstm_bwd(gh, gm, cell: Sequence[Tensor], saved) -> tuple:
+    """The LSTM cell's gradients from those of h' and m' (None where no
+    flow reached one): m''s whole gradient (its flow, then h''s term),
+    the row's, the memory's, then the four weights' factor pairs and the
+    four biases'. Each term is formed as the unfused gate, memory and
+    hidden-state ops form it, and added in their order.
+    """
+    row, md, y, t = saved
+    i, f, o, c = y
+    dpre = np.zeros(y.shape)  # the gates' gradient, then in place their pre-activations'
+    if gh is not None:
+        np.multiply(gh, t, out=dpre[2])
+        dm = (gh * o) * (1.0 - t * t)
+        gm = dm if gm is None else gm + dm
+    np.multiply(gm, c, out=dpre[0])
+    np.multiply(gm, md, out=dpre[1])
+    np.multiply(gm, i, out=dpre[3])
+    if gh is not None:
+        dpre += 0.0  # the unfused sum of two zero-padded parts, which turns -0.0 into 0.0
+    dpre[:3] *= y[:3]
+    dpre[:3] *= 1.0 - y[:3]
+    dpre[3] *= 1.0 - y[3] * y[3]
+    drow = sum(dpre[z:z + 1] @ cell[z].data for z in (3, 2, 1, 0))  # the unfused order
+    dcell = tuple(_Outer(dpre[z:z + 1], row) for z in range(4)) + tuple(dpre)
+    return gm, drow[0], gm * f, dcell
+
+
+def lstm_cell(x: Tensor, h: Tensor, m: Tensor, cell: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM transition as one op with two outputs, (h', m'): see
+    _lstm_fwd. ``cell`` is (w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c)."""
+    xd, hd, md = x.data, h.data, m.data
+    if xd.ndim != 1 or hd.shape != md.shape:
+        raise DimensionError(f"lstm_cell expects vectors and h, m alike, got {xd.shape}, {hd.shape}, {md.shape}")
+    h_new, m_new, saved = _lstm_fwd(np.concatenate([xd, hd]).reshape(1, -1), md, cell)
+    split = xd.shape[0]
 
     def backward_fn(g):
-        dpre = np.concatenate([g[:3] * y[:3] * (1.0 - y[:3]), g[3:] * (1.0 - y[3:] * y[3:])])
-        drow = sum(dpre[z:z + 1] @ weights[z].data for z in (3, 2, 1, 0))  # the unfused order
-        split = x.data.shape[0]
-        dws = tuple(_Outer(dpre[z:z + 1], row) for z in range(4))
-        return (drow[0, :split], drow[0, split:]) + dws + tuple(dpre)
+        gh, gm = g
+        gm, drow, dm, dcell = _lstm_bwd(gh, gm, cell, saved)
+        return (gh, gm), (drow[:split], drow[split:], dm) + dcell
 
-    return _emit(y, (x, h) + weights + biases, backward_fn)
+    return _emit_many((h_new, m_new), (x, h, m) + tuple(cell), backward_fn)
 
 
-def _check_gates(gates: Tensor, m: Tensor) -> None:
-    if gates.data.ndim != 2 or gates.data.shape[0] != 4 or m.data.shape != gates.data.shape[1:]:
-        raise DimensionError(f"LSTM gates {gates.data.shape} do not match memory {m.data.shape}")
+def decoder_cell(a_bar: Tensor, c_prev: Tensor, table: Tensor, token: int, h: Tensor, m: Tensor,
+                 cell: Sequence[Tensor], paths: Sequence[tuple]) -> tuple[Tensor, Tensor, Tensor]:
+    """The recurrence of one decoder step as one op with three outputs,
+    (h', m', c'):
 
+    x = [table[token]; a_bar + c_prev]
+    (h', m') = the LSTM transition of x, h and m (``lstm_cell``)
+    c' = the context vector of h' over ``paths``
 
-def lstm_memory(gates: Tensor, m: Tensor) -> Tensor:
-    """The LSTM memory update f * m + i * c~, from lstm_gates' rows."""
-    _check_gates(gates, m)
-    (i, f, _, c), md = gates.data, m.data
+    Each path is (w_q, kv, gate): w_q projects h' to the query, kv is the
+    path's ``KeyValues`` (None: the path attends to nothing, and its gate
+    runs on a zero row), gate is ``aoa``'s six weights; the path's output
+    is aoa(h', attention(h' W_q^T, kv), *gate). Every gradient is formed
+    and added as the unfused ops (add, gather_rows, concat, the LSTM
+    cell, the context) form and add it: h''s whole gradient is its flow,
+    then the context's term; m''s its flow, then h''s term.
+    """
+    ad, cd, hd = a_bar.data, c_prev.data, h.data
+    if ad.ndim != 1 or cd.shape != ad.shape or hd.ndim != 1 or m.data.shape != hd.shape:
+        raise DimensionError(f"decoder_cell expects vectors, got a_bar {ad.shape}, c_prev {cd.shape}, "
+                             f"h {hd.shape} and m {m.data.shape}")
+    if table.data.ndim != 2 or not 0 <= token < table.data.shape[0]:
+        raise IndexError(f"token {token} outside a table of shape {tuple(table.data.shape)}")
+    e = table.data[token]
+    width, split = e.shape[0], e.shape[0] + ad.shape[0]
+    h_new, m_new, lstm_saved = _lstm_fwd(np.concatenate([e, ad + cd, hd]).reshape(1, -1), m.data, cell)
+    qd = h_new.reshape(1, -1)
+    c_new, context_saved = _context_fwd(qd, paths)
+    indices = np.array([token], dtype=np.int64)
 
     def backward_fn(g):
-        dgates = np.zeros_like(gates.data)
-        dgates[0], dgates[1], dgates[3] = g * c, g * md, g * i
-        return dgates, g * f
+        gh, gm, gc = g
+        dcontext = []  # with no flow into c', zip gives the paths' inputs nothing
+        if gc is not None:
+            dh, dcontext = _context_bwd(gc, qd, context_saved)
+            gh = dh if gh is None else gh + dh
+        gm, drow, dm, dcell = _lstm_bwd(gh, gm, cell, lstm_saved)
+        du = drow[width:split]
+        return (gh, gm, gc), (du, du, _Scatter(indices, drow[:width].reshape(1, width)), drow[split:], dm,
+                              *dcell, *dcontext)
 
-    return _emit(f * md + i * c, (gates, m), backward_fn)
-
-
-def lstm_hidden(gates: Tensor, m: Tensor) -> Tensor:
-    """The LSTM output o * tanh(m), from lstm_gates' rows and the new memory."""
-    _check_gates(gates, m)
-    o, t = gates.data[2], np.tanh(m.data)
-
-    def backward_fn(g):
-        dgates = np.zeros_like(gates.data)
-        dgates[2] = g * t
-        return dgates, (g * o) * (1.0 - t * t)
-
-    return _emit(o * t, (gates, m), backward_fn)
+    inputs = (a_bar, c_prev, table, h, m, *cell, *_context_inputs(paths))
+    return _emit_many((h_new, m_new, c_new), inputs, backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,18 @@ class Checkpoint:
 
 
 def save_checkpoint(path, kind, config, arrays, seed, vocab_tokens) -> None:
-    """Serialize a named-array map with its config snapshot, atomically."""
+    """Serialize a named-array map with its config snapshot, atomically.
+
+    An array holding NaN or inf is refused, as the loader refuses it.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown checkpoint kind {kind!r}, expected one of {KINDS}")
     manifest = []
     chunks = []
     for name, arr in arrays.items():
         a = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: parameter {name!r} holds NaN or inf")
         manifest.append([name, list(a.shape)])
         chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
     header = {

@@ -8,11 +8,12 @@ new hidden state queries each refined feature path through multi-head
 attention, each attended result is gated against the hidden state, and
 the two gated vectors concatenate into the step's context vector, which
 a bias-free linear layer maps to vocabulary logits. The keys and values
-of both paths are projected once per caption, in ``init_state``, and
-carried in the decoder state. A recorded step is thus 10 tape ops: the
-visual sum, the token's embedding row and the LSTM input (3), the LSTM
-cell (3), the context vector of both paths (1, ``gated_context``) and
-the output head (3); teacher forcing runs the head once per caption.
+of both paths are projected, checked and split by head once per caption,
+in ``init_state``, and carried in the decoder state. A recorded step is
+thus 4 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
+sum, the token's embedding row, the LSTM input, the LSTM cell and the
+context vector of both paths) and the output head (3); teacher forcing
+runs the head once per caption.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -28,16 +29,18 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-# The step attends through gated_context alone. aoa_block and
-# multi_head_attention stay importable here because perfbench/tracing.py
-# times them at these names, and fails to install without them.
+# The step runs as one decoder_cell op. aoa_block, multi_head_attention
+# and lstm_step stay importable here because perfbench/tracing.py times
+# them at these names, and fails to install without them.
 from .attention import AoAParams, MultiHeadParams, aoa_block, multi_head_attention  # noqa: F401
 from .autodiff import (
+    KeyValues,
     Tensor,
     add,
     concat,
     constant,
-    gated_context,
+    decoder_cell,
+    key_values,
     log_prob,
     no_grad,
     reshape,
@@ -47,7 +50,7 @@ from .autodiff import (
 )
 from .encoder import EncoderOutput
 from .features import BOS, EOS, PAD
-from .nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, lstm_step
+from .nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, lstm_step  # noqa: F401
 
 __all__ = [
     "DecoderParams",
@@ -124,8 +127,8 @@ class DecoderState:
     lstm: LstmState
     c_prev: Tensor  # previous context vector, (2 * d_model,)
     t: int
-    kv_spatial: tuple[Tensor, Tensor]  # projected keys and values of refined_spatial
-    kv_rel: Optional[tuple[Tensor, Tensor]]  # of refined_rel; None without relationships
+    kv_spatial: KeyValues  # projected keys and values of refined_spatial, split by head
+    kv_rel: Optional[KeyValues]  # of refined_rel, key-masked; None without relationships
 
 
 @dataclass
@@ -147,12 +150,15 @@ class StepScore:
 def init_state(params: DecoderParams, enc: EncoderOutput) -> DecoderState:
     """h0 and m0 are tanh images of the summary; context starts at zero.
 
-    Each path's keys and values are projected here, once per caption.
+    Each path's keys and values are projected and split by head here,
+    once per caption.
     """
     h0 = tanh(params.init_h.apply_vec(enc.a_bar))
     m0 = tanh(params.init_m.apply_vec(enc.a_bar))
-    kv_spatial = params.spatial_att.project_memory(enc.refined_spatial)
-    kv_rel = params.rel_att.project_memory(enc.refined_rel) if enc.rel_mask.any() else None
+    spatial, rel = params.spatial_att, params.rel_att
+    kv_spatial = key_values(*spatial.project_memory(enc.refined_spatial), spatial.heads)
+    kv_rel = (key_values(*rel.project_memory(enc.refined_rel), rel.heads, enc.rel_mask)
+              if enc.rel_mask.any() else None)
     c0 = constant(np.zeros(2 * params.d_model))
     return DecoderState(LstmState(h0, m0), c0, 0, kv_spatial, kv_rel)
 
@@ -181,21 +187,13 @@ def _recur(
         raise ValueError("decode_step fed PAD")
     if not 0 <= token_id < params.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {params.vocab_size}")
-    u = add(enc.a_bar, state.c_prev)
-    x = concat([params.embedding.lookup(token_id), u], axis=0)
-    lstm_state = lstm_step(params.lstm, state.lstm, x)
-    c_t = gated_context(lstm_state.h, (
-        _path(params.spatial_att, state.kv_spatial, None, params.spatial_aoa),
-        _path(params.rel_att, state.kv_rel, enc.rel_mask, params.rel_aoa),
-    ))
-    return DecoderState(lstm_state, c_t, state.t + 1, state.kv_spatial, state.kv_rel)
-
-
-def _path(att: MultiHeadParams, kv, key_mask, gate: AoAParams) -> tuple:
-    """One path of ``gated_context``; ``kv`` None attends to nothing."""
-    k, v = (None, None) if kv is None else kv
-    return (att.w_q, k, v, att.heads, key_mask, (gate.w_q_info, gate.w_v_info, gate.b_info,
-                                                 gate.w_q_gate, gate.w_v_gate, gate.b_gate))
+    h, m, c_t = decoder_cell(
+        enc.a_bar, state.c_prev, params.embedding.weight, token_id, state.lstm.h, state.lstm.m,
+        params.lstm.weights(), (
+            (params.spatial_att.w_q, state.kv_spatial, params.spatial_aoa.weights()),
+            (params.rel_att.w_q, state.kv_rel, params.rel_aoa.weights()),
+        ))
+    return DecoderState(LstmState(h, m), c_t, state.t + 1, state.kv_spatial, state.kv_rel)
 
 
 def _validate_sequence(tokens, vocab_size: int) -> list[int]:

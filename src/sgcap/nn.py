@@ -19,9 +19,7 @@ from .autodiff import (
     Tensor,
     gather_rows,
     linear,
-    lstm_gates,
-    lstm_hidden,
-    lstm_memory,
+    lstm_cell,
     parameter,
     reshape,
 )
@@ -192,13 +190,17 @@ class LstmParams:
         z = np.zeros(self.d_hidden)
         return LstmState(Tensor(z), Tensor(z))
 
+    def weights(self) -> tuple[Tensor, ...]:
+        """(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c), the cell ops' order."""
+        return (self.w_i, self.w_f, self.w_o, self.w_c, self.b_i, self.b_f, self.b_o, self.b_c)
+
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c"):
             yield f"{prefix}.{name}", getattr(self, name)
 
 
 def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
-    """One LSTM transition.
+    """One LSTM transition, one tape op.
 
     i = sigma(W_i [x; h] + b_i)      f = sigma(W_f [x; h] + b_f)
     o = sigma(W_o [x; h] + b_o)      c~ = tanh(W_c [x; h] + b_c)
@@ -206,10 +208,7 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     """
     if x.data.shape != (params.d_in,):
         raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
-    p = params
-    gates = lstm_gates(x, state.h, p.w_i, p.w_f, p.w_o, p.w_c, p.b_i, p.b_f, p.b_o, p.b_c)
-    m_new = lstm_memory(gates, state.m)
-    return LstmState(lstm_hidden(gates, m_new), m_new)
+    return LstmState(*lstm_cell(x, state.h, state.m, params.weights()))
 
 
 def _clip_gradients(leaves: Sequence[Tensor], clip_norm: float) -> None:

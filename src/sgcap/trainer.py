@@ -74,8 +74,10 @@ class Phase1Config:
     def __post_init__(self):
         if min(self.max_epochs, self.patience, self.decay_every, self.batch) < 1:
             raise ValueError("phase-1 epoch/patience/decay/batch settings must be positive")
-        if self.lr0 <= 0 or not 0 < self.decay_factor <= 1:
+        if not (math.isfinite(self.lr0) and self.lr0 > 0 and 0 < self.decay_factor <= 1):
             raise ValueError("phase-1 learning-rate settings out of range")
+        if self.stop_loss is not None and not math.isfinite(self.stop_loss):
+            raise ValueError(f"phase-1 stop_loss must be finite, got {self.stop_loss}")
 
 
 @dataclass
@@ -91,8 +93,8 @@ class Phase2Config:
     def __post_init__(self):
         if min(self.epochs, self.patience, self.batch) < 1:
             raise ValueError("phase-2 epoch/patience/batch settings must be positive")
-        if self.lr <= 0:
-            raise ValueError("phase-2 learning rate must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"phase-2 learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -107,8 +109,8 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("gradient clip norm must be positive")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"gradient clip norm must be positive and finite, got {self.clip_norm}")
 
 
 @dataclass

@@ -178,10 +178,10 @@ def train_vse(
     """
     if len(pairs) < 2:
         raise ValueError("training needs at least two image-caption pairs")
-    if epochs < 1 or batch_size < 2 or not lr > 0:
+    if epochs < 1 or batch_size < 2 or not (math.isfinite(lr) and lr > 0):
         raise ValueError(
             f"VSE training needs epochs >= 1, batch_size >= 2 (ranking needs negatives) "
-            f"and lr > 0, got epochs={epochs}, batch_size={batch_size}, lr={lr}"
+            f"and a finite lr > 0, got epochs={epochs}, batch_size={batch_size}, lr={lr}"
         )
     if params is None:
         params = VseParams.init(config, rng)

@@ -6,10 +6,14 @@ two routes can disagree.
 """
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from sgcap.autodiff import DimensionError, Tensor, _emit
+from sgcap.autodiff import (
+    DimensionError, Tensor, _aoa_bwd, _aoa_fwd, _check_aoa, _emit, _key_bias, _mha_bwd, _mha_fwd, _Outer,
+    _sigmoid,
+)
 from sgcap.features import WORD_VECTOR_DIM, FileFormatError, WordVectorTable
 
 
@@ -394,6 +398,147 @@ def composite_lstm_step(p, h, m, x):
     c = gate(p.w_c, p.b_c, tanh)
     m_new = add(mul(f, m), mul(i, c))
     return mul(o, tanh(m_new)), m_new
+
+
+# ---------------------------------------------------------------------------
+# The ops the decoder step and the LSTM cell were built from before their
+# fusion into ``decoder_cell`` and ``lstm_cell``, kept verbatim as
+# reference forms: the fused cells must equal the chain of these bit for
+# bit, gradients included.
+
+
+def gated_context(h: Tensor, paths: Sequence[tuple]) -> Tensor:
+    """The decoder's context vector of one step: for each path
+    (w_q, k, v, heads, mask, gate), with the hidden state h as the row q,
+
+    out = aoa(q, attention(q W_q^T, k, v, heads, mask), *gate)
+
+    and the paths' outputs side by side in one vector. ``gate`` is aoa's
+    six weights. A path whose k and v are None attends to nothing: its
+    gate runs on a zero row. h's gradient is one running sum over the
+    paths, last path first, of each path's gate, info and query
+    projection terms, the order in which the unfused graph adds them.
+    """
+    if h.data.ndim != 1:
+        raise DimensionError(f"gated_context expects a vector, got shape {tuple(h.data.shape)}")
+    qd = h.data.reshape(1, -1)
+    inputs, outs, saved, start = [h], [], [], 0
+    for w_q, k, v, heads, mask, gate in paths:
+        if k is None:
+            vd, att = np.zeros(qd.shape), None
+        else:
+            if w_q.data.ndim != 2 or w_q.data.shape[1] != qd.shape[1]:
+                raise DimensionError(
+                    f"query projection {tuple(w_q.data.shape)} does not take width {qd.shape[1]}")
+            qp = qd @ w_q.data.T
+            vd, att = _mha_fwd(qp, k.data, v.data, heads, _key_bias(qp, k.data, v.data, heads, mask))
+            inputs += (w_q, k, v)
+        _check_aoa(qd, vd, gate)
+        out, info, sig = _aoa_fwd(qd, vd, gate)
+        inputs += gate
+        outs.append(out)
+        cols = slice(start, start + out.shape[1])
+        start = cols.stop
+        saved.append((cols, w_q, vd, att, gate, info, sig))
+
+    def backward_fn(g):
+        grads, gq = [], None
+        for cols, w_q, vd, att, gate, info, sig in reversed(saved):
+            dv_gate, dq_gate, dv_info, dq_info, *dgate = _aoa_bwd(
+                g[cols].reshape(1, -1), qd, vd, gate, info, sig)
+            terms, part = [dq_gate, dq_info], []
+            if att is not None:
+                dqp, dk, dv = _mha_bwd(dv_gate + dv_info, att)
+                terms.append(dqp @ w_q.data)
+                part = [_Outer(dqp, qd), dk, dv]
+            for t in terms:
+                if gq is None:
+                    gq = t  # a fresh product, safe to add into
+                else:
+                    gq += t
+            grads = part + dgate + grads
+        return [gq.reshape(-1)] + grads
+
+    return _emit(np.concatenate(outs, axis=1).reshape(-1), tuple(inputs), backward_fn)
+
+
+def lstm_gates(x: Tensor, h: Tensor, w_i: Tensor, w_f: Tensor, w_o: Tensor, w_c: Tensor,
+               b_i: Tensor, b_f: Tensor, b_o: Tensor, b_c: Tensor) -> Tensor:
+    """The activated LSTM gates as the rows [i; f; o; c~] of a (4, d) matrix.
+
+    Gate z is sigmoid([x; h] W_z^T + b_z) for i, f and o, tanh for c~.
+    """
+    if x.data.ndim != 1 or h.data.ndim != 1:
+        raise DimensionError(f"lstm_gates expects vectors, got {x.data.shape} and {h.data.shape}")
+    row = np.concatenate([x.data, h.data]).reshape(1, -1)
+    weights, biases = (w_i, w_f, w_o, w_c), (b_i, b_f, b_o, b_c)
+    d = h.data.shape[0]
+    if any(w.data.shape != (d, row.shape[1]) or b.data.shape != (d,) for w, b in zip(weights, biases)):
+        raise DimensionError(f"lstm gate weights must map width {row.shape[1]} to {d}")
+    y = np.concatenate([row @ w.data.T for w in weights])
+    for z, b in enumerate(biases):
+        y[z] += b.data
+    y[:3] = _sigmoid(y[:3])
+    y[3] = np.tanh(y[3])
+
+    def backward_fn(g):
+        dpre = np.concatenate([g[:3] * y[:3] * (1.0 - y[:3]), g[3:] * (1.0 - y[3:] * y[3:])])
+        drow = sum(dpre[z:z + 1] @ weights[z].data for z in (3, 2, 1, 0))  # the unfused order
+        split = x.data.shape[0]
+        dws = tuple(_Outer(dpre[z:z + 1], row) for z in range(4))
+        return (drow[0, :split], drow[0, split:]) + dws + tuple(dpre)
+
+    return _emit(y, (x, h) + weights + biases, backward_fn)
+
+
+def _check_gates(gates: Tensor, m: Tensor) -> None:
+    if gates.data.ndim != 2 or gates.data.shape[0] != 4 or m.data.shape != gates.data.shape[1:]:
+        raise DimensionError(f"LSTM gates {gates.data.shape} do not match memory {m.data.shape}")
+
+
+def lstm_memory(gates: Tensor, m: Tensor) -> Tensor:
+    """The LSTM memory update f * m + i * c~, from lstm_gates' rows."""
+    _check_gates(gates, m)
+    (i, f, _, c), md = gates.data, m.data
+
+    def backward_fn(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[0], dgates[1], dgates[3] = g * c, g * md, g * i
+        return dgates, g * f
+
+    return _emit(f * md + i * c, (gates, m), backward_fn)
+
+
+def lstm_hidden(gates: Tensor, m: Tensor) -> Tensor:
+    """The LSTM output o * tanh(m), from lstm_gates' rows and the new memory."""
+    _check_gates(gates, m)
+    o, t = gates.data[2], np.tanh(m.data)
+
+    def backward_fn(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[2] = g * t
+        return dgates, (g * o) * (1.0 - t * t)
+
+    return _emit(o * t, (gates, m), backward_fn)
+
+
+def ref_decoder_cell(a_bar, c_prev, table, token, h, m, cell, paths):
+    """decoder_cell as the seven ops it replaces, in the decoder's order:
+    add, gather_rows, concat, lstm_gates, lstm_memory, lstm_hidden and
+    gated_context."""
+    from sgcap.autodiff import add, concat, gather_rows
+
+    u = add(a_bar, c_prev)
+    x = concat([gather_rows(table, token), u], axis=0)
+    gates = lstm_gates(x, h, *cell)
+    m_new = lstm_memory(gates, m)
+    h_new = lstm_hidden(gates, m_new)
+    c = gated_context(h_new, [
+        (w_q, None, None, None, None, gate) if kv is None
+        else (w_q, kv.k, kv.v, kv.heads, None if kv.bias is None else kv.bias == 0.0, gate)
+        for w_q, kv, gate in paths
+    ])
+    return h_new, m_new, c
 
 
 # ---------------------------------------------------------------------------

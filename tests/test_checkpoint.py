@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -38,6 +39,20 @@ def tiny_vse(seed=0):
     config = VseConfig(vocab_size=len(VOCAB), spatial_dim=5, embed_dim=4,
                        hidden_dim=4, space_dim=3)
     return VseParams.init(config, np.random.default_rng(seed))
+
+
+def poke(path, name, flat_index, value):
+    """Overwrite one float64 of parameter ``name`` in a saved checkpoint:
+    ``save_checkpoint`` itself refuses to write NaN or inf."""
+    raw = bytearray(path.read_bytes())
+    head_len = struct.unpack_from("<Q", raw, len(MAGIC) + 4)[0]
+    offset = len(MAGIC) + 12 + head_len
+    for entry, shape in json.loads(raw[len(MAGIC) + 12:offset])["manifest"]:
+        if entry == name:
+            break
+        offset += 8 * math.prod(shape)
+    struct.pack_into("<d", raw, offset + 8 * flat_index, value)
+    path.write_bytes(bytes(raw))
 
 
 class TestRoundTrip:
@@ -216,8 +231,9 @@ class TestNonFiniteWeights:
     def test_captioner_array_named(self, tmp_path, bad):
         params = tiny_captioner()
         arrays = params.param_arrays()
-        arrays["decoder.out_proj.weight"][1, 2] = bad
         save_checkpoint(tmp_path / "c.sgck", "captioner", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        poke(tmp_path / "c.sgck", "decoder.out_proj.weight",
+             np.ravel_multi_index((1, 2), arrays["decoder.out_proj.weight"].shape), bad)
         for loader in (load_checkpoint, load_captioner):
             with pytest.raises(FileFormatError, match="'decoder.out_proj.weight' holds NaN or inf"):
                 loader(tmp_path / "c.sgck")
@@ -226,10 +242,18 @@ class TestNonFiniteWeights:
         params = tiny_vse()
         arrays = params.param_arrays()
         name = list(arrays)[-1]
-        arrays[name].flat[0] = np.nan
         save_checkpoint(tmp_path / "v.sgck", "vse", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        poke(tmp_path / "v.sgck", name, 0, np.nan)
         with pytest.raises(FileFormatError, match=name):
             load_vse(tmp_path / "v.sgck")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_with_the_loaders_message(self, tmp_path, bad):
+        params = tiny_captioner()
+        params.decoder.out_proj.weight.data[1, 2] = bad
+        with pytest.raises(ValueError, match="'decoder.out_proj.weight' holds NaN or inf"):
+            save_captioner(tmp_path / "c.sgck", params, VOCAB, 0)
+        assert not (tmp_path / "c.sgck").exists()
 
 
 class TestHeaderValidation:

@@ -16,6 +16,7 @@ import sgcap.cli as cli
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
+from test_checkpoint import poke
 from test_features import JSON
 
 TINY_CFG = """\
@@ -264,6 +265,16 @@ class TestTrainVse:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "v.sgck").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_exits_1(self, world, tmp_path, capsys, value):
+        rc = main(["train-vse", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),
+                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "v.sgck"),
+                   "--set", f"vse.lr={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "v.sgck").exists()
+
 
 class TestTrainXe:
     def test_checkpoint_and_log(self, world, trained):
@@ -285,6 +296,19 @@ class TestTrainXe:
             assert rc == 0
             outs.append((ck.read_bytes(), log.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("setting", [
+        "phase1.lr0=nan", "phase1.lr0=inf", "phase1.decay_factor=nan", "phase1.stop_loss=nan",
+        "phase1.stop_loss=-inf", "phase2.lr=nan", "phase2.lr=inf", "clip_norm=nan", "clip_norm=inf",
+    ])
+    def test_non_finite_setting_exits_1(self, world, tmp_path, capsys, setting):
+        rc = main(["train-xe", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),
+                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "x.sgck"),
+                   "--log", str(tmp_path / "x.jsonl"), "--set", "phase1.max_epochs=1", "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
 
     def test_seed_flag_overrides_config(self, world, tmp_path, capsys):
         ck = tmp_path / "s.sgck"
@@ -399,10 +423,9 @@ class TestCaption:
         assert rc == 1
 
     def test_non_finite_weight_exits_1(self, world, trained, tmp_path, capsys):
-        params, vocab, seed = load_captioner(trained["xe"])
-        params.decoder.out_proj.weight.data[0, 0] = np.nan
         bad = tmp_path / "nan.sgck"
-        save_captioner(bad, params, vocab, seed)
+        bad.write_bytes(trained["xe"].read_bytes())
+        poke(bad, "decoder.out_proj.weight", 0, np.nan)
         rc = main(["caption", "--checkpoint", str(bad), "--dataset", str(world["dataset"]),
                    "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "c.jsonl")])
         assert rc == 1

@@ -1,30 +1,34 @@
-"""Fused kernels (attention, AoA gate, decoder context, LSTM cell) against
+"""Fused kernels (attention, AoA gate, LSTM cell, decoder cell) against
 their unfused tape forms.
 
 Forward values must be bit-identical to the composite of elementary ops;
 gradients may differ only in summation order (relative 1e-12). The
-stacked attention heads and the decoder's context op must equal their
-reference forms (the per-head loop; the context built from nine
-elementary ops) bit for bit, gradients included. The fused
-log-probability head is checked against log(softmax) and its own
+stacked attention heads must equal the per-head loop bit for bit, and the
+reference decoder context (``oracles.gated_context``) the context built
+from nine elementary ops. The two cells, ``lstm_cell`` and
+``decoder_cell``, must equal the chain of the reference ops they replaced
+bit for bit, gradients included, however their outputs are used. The
+fused log-probability head is checked against log(softmax) and its own
 identity.
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import sgcap.decoder
 from oracles import (
-    composite_aoa, composite_attention, composite_decoder_context, composite_lstm_step,
-    ref_attention_per_head,
+    composite_aoa, composite_attention, composite_decoder_context, composite_lstm_step, gated_context,
+    lstm_gates, lstm_hidden, lstm_memory, ref_attention_per_head, ref_decoder_cell,
 )
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
-    DimensionError, Tape, add, aoa, attention, concat, constant, gated_context, grad_check, linear,
-    log_prob, mul, parameter, reshape, scale, softmax, sum_all, tanh,
+    DimensionError, Tape, _emit_many, add, aoa, attention, concat, constant, decoder_cell, gather_rows,
+    grad_check, key_values, linear, log_prob, lstm_cell, mul, parameter, reshape, scale, softmax, sum_all, tanh,
 )
 from sgcap.captioner import CaptionerConfig, CaptionerParams
-from sgcap.decoder import _path, decode_step, init_state
+from sgcap.decoder import decode_step, init_state
 from sgcap.encoder import encode
 from sgcap.features import BOS, EOS, MAX_TRIPLETS, FeatureBundle
 from sgcap.nn import LstmParams, LstmState, lstm_step
@@ -159,9 +163,17 @@ class TestAoA:
             aoa(x, x, p.w_q_info, p.w_v_info, constant(np.ones(3)), p.w_q_gate, p.w_v_gate, p.b_gate)
 
 
+def _path(att: MultiHeadParams, kv, key_mask, gate: AoAParams) -> tuple:
+    """One path of the reference ``gated_context``; ``kv`` None attends to nothing."""
+    k, v = (None, None) if kv is None else kv
+    return (att.w_q, k, v, att.heads, key_mask, (gate.w_q_info, gate.w_v_info, gate.b_info,
+                                                 gate.w_q_gate, gate.w_v_gate, gate.b_gate))
+
+
 class TestGatedContext:
-    """gated_context against the nine-op composite, over a chain of steps in
-    which each step's h also feeds the next step's h, as in the decoder."""
+    """The reference gated_context against the nine-op composite, over a
+    chain of steps in which each step's h also feeds the next step's h, as
+    in the decoder."""
 
     @staticmethod
     def make(heads, seed):
@@ -236,14 +248,8 @@ class TestGatedContext:
             assert np.array_equal(got_grads[name], want_grads[name]), name
 
     def test_xe_gradients_equal_the_unfused_decoder(self, monkeypatch):
+        """The decoder's fused step against the seven reference ops it replaced."""
         params, bundle = toy_model_and_bundle()
-
-        def composite_paths(h, paths):
-            (wq_s, k_s, v_s, heads, _, gate_s), (wq_r, k_r, v_r, _, mask, gate_r) = paths
-            return composite_decoder_context(
-                h, MultiHeadParams(wq_s, None, None, heads), AoAParams(*gate_s), (k_s, v_s),
-                MultiHeadParams(wq_r, None, None, heads), AoAParams(*gate_r),
-                None if k_r is None else (k_r, v_r), mask)
 
         def grads():
             for _, t in params.named_params():
@@ -254,7 +260,7 @@ class TestGatedContext:
             return loss.data, {name: t.grad.copy() for name, t in params.named_params() if t.grad is not None}
 
         got_loss, got = grads()
-        monkeypatch.setattr(sgcap.decoder, "gated_context", composite_paths)
+        monkeypatch.setattr(sgcap.decoder, "decoder_cell", ref_decoder_cell)
         want_loss, want = grads()
         assert np.array_equal(got_loss, want_loss)
         assert got.keys() == want.keys()
@@ -299,12 +305,249 @@ class TestLstm:
 
         assert_same(fused, composite, leaves, readout)
 
-    def test_step_records_three_ops(self):
+    def test_step_records_one_op(self):
         rng = np.random.default_rng(0)
         p = LstmParams.init(rng, 4, 3)
         with Tape() as tape:
             lstm_step(p, p.zero_state(), parameter(rng.normal(size=4)))
-        assert len(tape) == 3
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_equals_the_three_reference_ops_bit_for_bit(self, steps):
+        """lstm_cell over a chain against lstm_gates, lstm_memory and
+        lstm_hidden: values and the gradients of every leaf and every
+        step's h and m, the last h and m also read by the loss."""
+        rng = np.random.default_rng(steps)
+        p = LstmParams.init(rng, D_TOY, D_TOY)
+        for b in p.weights()[4:]:
+            b.data[:] = rng.normal(size=D_TOY)
+        h0, m0 = parameter(rng.normal(size=D_TOY)), parameter(rng.normal(size=D_TOY))
+        xs = [parameter(rng.normal(size=D_TOY)) for _ in range(steps)]
+        readouts = [constant(rng.normal(size=D_TOY)) for _ in range(2)]
+
+        def reference(x, h, m, cell):
+            gates = lstm_gates(x, h, *cell)
+            m_new = lstm_memory(gates, m)
+            return lstm_hidden(gates, m_new), m_new
+
+        leaves = [h0, m0, *xs, *p.weights()]
+        got = chain_grads(leaves, lambda: lstm_chain(lstm_cell, p, h0, m0, xs, readouts))
+        want = chain_grads(leaves, lambda: lstm_chain(reference, p, h0, m0, xs, readouts))
+        assert_all_equal(got, want)
+
+
+def chain_grads(leaves, build):
+    """Record ``build()`` -> (loss, {name: tensor}) on a fresh tape and run
+    backward; return each named tensor's value and gradient and each
+    leaf's gradient (None where none arrived)."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        loss, named = build()
+    tape.backward(loss)
+    out = {}
+    for name, t in named.items():
+        out[name] = t.data.copy()
+        out[f"{name}.grad"] = None if t.grad is None else t.grad.copy()
+    for i, t in enumerate(leaves):
+        out[f"leaf {i}.grad"] = None if t.grad is None else t.grad.copy()
+        t.grad = None
+    return out
+
+
+def assert_all_equal(got, want):
+    """Equal bit for bit, the signs of zeros included."""
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        assert (got[name] is None) == (w is None), name
+        assert w is None or np.array_equal(got[name], w) and np.array_equal(np.signbit(got[name]), np.signbit(w)), name
+
+
+def lstm_chain(cell_fn, p, h0, m0, xs, readouts):
+    """One cell per x, each step's h and m feeding the next; the loss reads the last h and m."""
+    h, m, named = h0, m0, {}
+    for t, x in enumerate(xs):
+        h, m = cell_fn(x, h, m, p.weights())
+        named.update({f"h{t}": h, f"m{t}": m})
+    return add(sum_all(mul(h, readouts[0])), sum_all(mul(m, readouts[1]))), named
+
+
+# how the loss reads the chain's (h, m, c) outputs, given readouts of
+# width 2d (one per step) and d (two)
+CHAIN_LOSSES = {
+    "every c": lambda outs, rc, rd: reduce(add, [sum_all(mul(c, rc[t])) for t, (_, _, c) in enumerate(outs)]),
+    "last m only": lambda outs, rc, rd: sum_all(mul(outs[-1][1], rd[0])),
+    "last h only": lambda outs, rc, rd: sum_all(mul(outs[-1][0], rd[0])),
+    "last h and m": lambda outs, rc, rd: add(sum_all(mul(outs[-1][0], rd[0])), sum_all(mul(outs[-1][1], rd[1]))),
+    # a zero-advantage SCST loss: every gradient is a signed zero
+    "every c times -0.0": lambda outs, rc, rd: scale(CHAIN_LOSSES["every c"](outs, rc, rd), -0.0),
+    "first h twice and every c": lambda outs, rc, rd: add(
+        CHAIN_LOSSES["every c"](outs, rc, rd),
+        add(sum_all(mul(outs[0][0], rd[0])), sum_all(mul(outs[0][0], rd[1])))),
+}
+
+
+class TestDecoderCell:
+    """decoder_cell against ref_decoder_cell, the seven reference ops it
+    replaced, over a chain of steps fed as the decoder feeds them: each
+    step's h, m and c go into the next step. Values and the gradients of
+    every step's h, m and c, of a_bar, of both K/V caches and of every
+    leaf must be equal bit for bit."""
+
+    @staticmethod
+    def make(heads, seed):
+        rng = np.random.default_rng(seed)
+        d = D_TOY
+        lstm = LstmParams.init(rng, 3 * d, d)
+        att_s, att_r = MultiHeadParams.init(rng, d, heads), MultiHeadParams.init(rng, d, heads)
+        aoa_s, aoa_r = AoAParams.init(rng, d), AoAParams.init(rng, d)
+        for b in (*lstm.weights()[4:], aoa_s.b_info, aoa_s.b_gate, aoa_r.b_info, aoa_r.b_gate):
+            b.data[:] = rng.normal(size=d)
+        tensors = {
+            "table": parameter(rng.normal(size=(12, d))), "summary": parameter(rng.normal(size=2 * d)),
+            "h0": parameter(rng.normal(size=d)), "m0": parameter(rng.normal(size=d)),
+            "mem_s": parameter(rng.normal(size=(5, d))), "mem_r": parameter(rng.normal(size=(20, d))),
+        }
+        return {
+            "lstm": lstm, "att_s": att_s, "att_r": att_r, "aoa_s": aoa_s, "aoa_r": aoa_r, **tensors,
+            "leaves": [*tensors.values(), *(t for p in (lstm, att_s, att_r, aoa_s, aoa_r)
+                                            for _, t in p.named_params("p"))],
+            "tokens": [1, 5, 5, 11, 2, 5, 7],  # a repeated row, scattered once per step
+            "mask": toy_mask(rng, 20, True),
+            "rc": [constant(rng.normal(size=2 * d)) for _ in range(7)],
+            "rd": [constant(rng.normal(size=d)) for _ in range(2)],
+        }
+
+    @staticmethod
+    def chain(cell_fn, w, steps, rel, loss):
+        a_bar = tanh(w["summary"])  # an op output, as the encoder's summary is
+        kv_s = key_values(*w["att_s"].project_memory(w["mem_s"]), w["att_s"].heads)
+        kv_r = None if rel == "absent" else key_values(
+            *w["att_r"].project_memory(w["mem_r"]), w["att_r"].heads, w["mask"] if rel == "masked" else None)
+        paths = ((w["att_s"].w_q, kv_s, w["aoa_s"].weights()), (w["att_r"].w_q, kv_r, w["aoa_r"].weights()))
+        named = {"a_bar": a_bar, "k_s": kv_s.k, "v_s": kv_s.v}
+        if kv_r is not None:
+            named.update(k_r=kv_r.k, v_r=kv_r.v)
+        h, m, c = w["h0"], w["m0"], constant(np.zeros(2 * D_TOY))
+        outs = []
+        for t in range(steps):
+            h, m, c = cell_fn(a_bar, c, w["table"], w["tokens"][t], h, m, w["lstm"].weights(), paths)
+            named.update({f"h{t}": h, f"m{t}": m, f"c{t}": c})
+            outs.append((h, m, c))
+        return CHAIN_LOSSES[loss](outs, w["rc"], w["rd"]), named
+
+    def compare(self, heads, rel, steps, loss):
+        w = self.make(heads, 60 + heads)
+        got = chain_grads(w["leaves"], lambda: self.chain(decoder_cell, w, steps, rel, loss))
+        want = chain_grads(w["leaves"], lambda: self.chain(ref_decoder_cell, w, steps, rel, loss))
+        assert_all_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize("rel", ["masked", "present", "absent"])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_equals_the_reference_ops_bit_for_bit(self, heads, rel, steps):
+        got = self.compare(heads, rel, steps, "every c")
+        assert all(got[f"{name}.grad"] is not None for name in ("a_bar", "k_s", "v_s", f"h{steps - 1}"))
+        assert (got.get("k_r.grad") is not None) == (rel != "absent")
+
+    @pytest.mark.parametrize("loss", ["last m only", "last h only", "last h and m", "first h twice and every c",
+                                      "every c times -0.0"])
+    def test_outputs_unused_or_read_twice(self, loss):
+        """Outputs no flow reaches, one read by two later ops besides the
+        next step, and gradients that are all signed zeros."""
+        got = self.compare(2, "masked", 3, loss)
+        if loss == "last m only":  # no flow reaches the last step's context
+            assert got["c2.grad"] is None and got["c1.grad"] is not None
+
+    def test_steps_record_one_op_each(self):
+        w = self.make(2, 0)
+        with Tape() as tape:
+            self.chain(decoder_cell, w, 7, "masked", "every c")
+        # tanh, per path two K/V projections and their split, 7 cells, then the loss's 7 mul,
+        # 7 sum_all and 6 add
+        assert len(tape) == 1 + 6 + 7 + 20
+
+    def test_checks_its_operands(self):
+        w = self.make(2, 0)
+        att_s, aoa_s = w["att_s"], w["aoa_s"]
+        kv_s = key_values(*att_s.project_memory(w["mem_s"]), 2)
+        a_bar, c0, h0, m0 = w["summary"], constant(np.zeros(2 * D_TOY)), w["h0"], w["m0"]
+
+        def cell(paths, token=1, h=h0, m=m0):
+            return decoder_cell(a_bar, c0, w["table"], token, h, m, w["lstm"].weights(), paths)
+
+        with pytest.raises(ValueError, match="every key masked"):
+            key_values(*w["att_r"].project_memory(w["mem_r"]), 2, np.zeros(20, dtype=bool))
+        with pytest.raises(DimensionError):  # 3 heads do not divide 32
+            key_values(*att_s.project_memory(w["mem_s"]), 3)
+        with pytest.raises(DimensionError):  # key width 16 against query width 32
+            cell([(att_s.w_q, key_values(constant(kv_s.k.data[:, :16]), kv_s.v, 2), aoa_s.weights())])
+        with pytest.raises(DimensionError):  # gate for width 16
+            cell([(att_s.w_q, kv_s, AoAParams.init(np.random.default_rng(0), 16).weights())])
+        with pytest.raises(DimensionError):  # a row, not a vector
+            cell([(att_s.w_q, kv_s, aoa_s.weights())], h=constant(h0.data.reshape(1, -1)))
+        with pytest.raises(DimensionError):  # memory of another width than h
+            cell([(att_s.w_q, kv_s, aoa_s.weights())], m=constant(np.zeros(D_TOY + 1)))
+        with pytest.raises(IndexError):
+            cell([(att_s.w_q, kv_s, aoa_s.weights())], token=12)
+
+
+class TestMultiOutputTape:
+    """The tape's records of ops with several outputs."""
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_an_output_can_be_the_loss(self, which):
+        rng = np.random.default_rng(which)
+        p = LstmParams.init(rng, 3, 1)  # width 1: h and m are scalars
+        x, h0, m0 = parameter(rng.normal(size=3)), parameter(rng.normal(size=1)), parameter(rng.normal(size=1))
+
+        def reference(x, h, m, cell):
+            gates = lstm_gates(x, h, *cell)
+            m_new = lstm_memory(gates, m)
+            return lstm_hidden(gates, m_new), m_new
+
+        leaves = [x, h0, m0, *p.weights()]
+        got, want = (chain_grads(leaves, lambda: (f(x, h0, m0, p.weights())[which], {}))
+                     for f in (lstm_cell, reference))
+        assert_all_equal(got, want)
+
+    def test_an_output_of_another_tape_is_refused(self):
+        rng = np.random.default_rng(0)
+        p = LstmParams.init(rng, 3, 1)
+        with Tape():
+            h, m = lstm_cell(parameter(rng.normal(size=3)), constant(np.zeros(1)), constant(np.zeros(1)),
+                             p.weights())
+        with Tape() as other:
+            sum_all(mul(h, h))
+        with pytest.raises(ValueError, match="not produced on this tape"):
+            other.backward(m)
+
+    def test_factored_parts_of_an_output_settle_before_its_backward(self):
+        """An output used as a linear weight and one used as a gather table
+        take factor pairs; the op's backward must see them summed."""
+        rng = np.random.default_rng(5)
+        x, a = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(5, 3)))
+        r = rng.normal(size=(5, 2))
+
+        def halves_backward(g):  # an absent flow is an absent term
+            return g, (np.concatenate([np.zeros((2, 3)) if gi is None else gi for gi in g]),)
+
+        with Tape() as tape:
+            top, bottom = _emit_many((x.data[:2].copy(), x.data[2:].copy()), (x,), halves_backward)
+            loss = add(sum_all(mul(linear(a, top), constant(r))), sum_all(gather_rows(bottom, [1, 1, 0])))
+        tape.backward(loss)
+        assert np.array_equal(top.grad, r.T @ a.data)
+        assert np.array_equal(bottom.grad, [[1.0] * 3, [2.0] * 3])
+        assert np.array_equal(x.grad, np.concatenate([top.grad, bottom.grad]))
+
+    def test_untaped_outputs_record_nothing(self):
+        rng = np.random.default_rng(0)
+        p = LstmParams.init(rng, 3, 2)
+        with Tape() as tape:
+            h, m = lstm_cell(constant(rng.normal(size=3)), constant(np.zeros(2)), constant(np.zeros(2)),
+                             [constant(t.data) for t in p.weights()])
+        assert len(tape) == 0 and not h.requires_grad and not m.requires_grad
 
 
 class TestLogProb:
@@ -368,14 +611,14 @@ def toy_model_and_bundle():
     return params, FeatureBundle("img", rng.normal(size=(5, 64)), rel, mask)
 
 
-def test_toy_xe_pair_records_at_most_88_ops():
+def test_toy_xe_pair_records_at_most_50_ops():
     params, bundle = toy_model_and_bundle()
     with Tape() as tape:
         xe_loss(params, encode(params.encoder, bundle), [BOS, 4, 5, 6, 7, 8, 9, EOS])  # 7 steps
-    assert len(tape) <= 88
+    assert len(tape) <= 50
 
 
-def test_recorded_toy_decode_step_has_at_most_10_ops():
+def test_recorded_toy_decode_step_has_at_most_4_ops():
     params, bundle = toy_model_and_bundle()
     with Tape() as tape:
         enc = encode(params.encoder, bundle)
@@ -383,4 +626,4 @@ def test_recorded_toy_decode_step_has_at_most_10_ops():
         before = len(tape)
         decode_step(params.decoder, enc, state, BOS)
         step_ops = len(tape) - before
-    assert step_ops <= 10
+    assert step_ops <= 4

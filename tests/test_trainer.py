@@ -88,6 +88,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda x: Phase1Config(lr0=x), lambda x: Phase1Config(decay_factor=x),
+        lambda x: Phase1Config(stop_loss=x), lambda x: Phase2Config(lr=x), lambda x: TrainConfig(clip_norm=x),
+    ], ids=["phase1.lr0", "phase1.decay_factor", "phase1.stop_loss", "phase2.lr", "clip_norm"])
+    def test_non_finite_settings_rejected(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
+
 
 class TestXeLoss:
     def test_uniform_model_gives_t_log_v(self):

@@ -273,7 +273,8 @@ class TestTrainVse:
             train_vse(toy_training_pairs(rng, config, 1), config, rng)
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(batch_size=1),
-                                    dict(lr=0.0), dict(lr=-1.0)])
+                                    dict(lr=0.0), dict(lr=-1.0), dict(lr=float("nan")),
+                                    dict(lr=float("inf"))])
     def test_rejects_bad_loop_arguments(self, kw):
         config = VseConfig(**TINY)
         rng = np.random.default_rng(0)
