@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -44,46 +45,34 @@ class UsageError(Exception):
     """Bad flag combinations and malformed overrides; exits 2."""
 
 
-def _default(cls, name):
-    for f in dataclasses.fields(cls):
-        if f.name == name:
-            return f.default
-    raise KeyError(name)
-
-
 def _opt(conv):
     return lambda s: None if s.strip().lower() in ("", "none") else conv(s)
 
 
+def _keys(cls, prefix: str) -> dict:
+    """Config key ``<prefix><field>`` -> (parser, default) for each field of ``cls``
+    except those the commands derive (widths, vocabulary size, nested phases)."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in ("vocab_size", "spatial_dim", "phase1", "phase2"):
+            continue
+        inner = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+        schema[prefix + f.name] = (_opt(inner[0]) if inner else hints[f.name], f.default)
+    return schema
+
+
 CONFIG_SCHEMA = {
-    "model.d_model": (int, _default(CaptionerConfig, "d_model")),
-    "model.embed_dim": (int, _default(CaptionerConfig, "embed_dim")),
-    "model.heads": (int, _default(CaptionerConfig, "heads")),
-    "model.max_len": (int, _default(CaptionerConfig, "max_len")),
-    "model.triplet_mode": (str, _default(CaptionerConfig, "triplet_mode")),
+    **_keys(CaptionerConfig, "model."),
+    **_keys(VseConfig, "vse."),
+    **_keys(Phase1Config, "phase1."),
+    **_keys(Phase2Config, "phase2."),
+    **_keys(TrainConfig, ""),
+    # settings of the command rather than of a config dataclass
     "vocab.min_count": (int, 5),
-    "vse.embed_dim": (int, _default(VseConfig, "embed_dim")),
-    "vse.hidden_dim": (int, _default(VseConfig, "hidden_dim")),
-    "vse.space_dim": (int, _default(VseConfig, "space_dim")),
-    "vse.margin": (float, _default(VseConfig, "margin")),
     "vse.epochs": (int, 30),
     "vse.lr": (float, 0.01),
     "vse.batch": (int, 8),
-    "phase1.max_epochs": (int, _default(Phase1Config, "max_epochs")),
-    "phase1.patience": (int, _default(Phase1Config, "patience")),
-    "phase1.lr0": (float, _default(Phase1Config, "lr0")),
-    "phase1.decay_every": (int, _default(Phase1Config, "decay_every")),
-    "phase1.decay_factor": (float, _default(Phase1Config, "decay_factor")),
-    "phase1.batch": (int, _default(Phase1Config, "batch")),
-    "phase1.stop_loss": (_opt(float), _default(Phase1Config, "stop_loss")),
-    "phase2.epochs": (int, _default(Phase2Config, "epochs")),
-    "phase2.patience": (int, _default(Phase2Config, "patience")),
-    "phase2.lr": (float, _default(Phase2Config, "lr")),
-    "phase2.batch": (int, _default(Phase2Config, "batch")),
-    "phase2.alpha": (float, _default(Phase2Config, "alpha")),
-    "phase2.max_steps": (_opt(int), _default(Phase2Config, "max_steps")),
-    "seed": (int, _default(TrainConfig, "seed")),
-    "clip_norm": (float, _default(TrainConfig, "clip_norm")),
 }
 
 
@@ -139,46 +128,60 @@ def load_run_config(args) -> RunConfig:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         values[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = str(args.seed)
-    if getattr(args, "alpha", None) is not None:
-        values["phase2.alpha"] = str(args.alpha)
+    for flag, key in (("seed", "seed"), ("alpha", "phase2.alpha")):
+        if getattr(args, flag, None) is not None:
+            values[key] = str(getattr(args, flag))
     return RunConfig(values, source)
 
 
 def _config(cls, cfg: RunConfig, prefix: str, **given):
-    """``cls`` with every field not ``given`` read from config key ``<prefix>.<field>``."""
+    """``cls`` with every field not ``given`` read from config key ``<prefix><field>``."""
     names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
-    return cls(**given, **{name: cfg.get(f"{prefix}.{name}") for name in names})
+    return cls(**given, **{name: cfg.get(prefix + name) for name in names})
 
 
 def train_config_from(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        phase1=_config(Phase1Config, cfg, "phase1"),
-        phase2=_config(Phase2Config, cfg, "phase2"),
-        seed=cfg.get("seed"),
-        clip_norm=cfg.get("clip_norm"),
-    )
+    return _config(TrainConfig, cfg, "", phase1=_config(Phase1Config, cfg, "phase1."),
+                   phase2=_config(Phase2Config, cfg, "phase2."))
 
 
-def _emit(obj) -> None:
+def _emit(obj) -> int:
+    """Print a command's one-line JSON summary; returns the success exit code."""
     print(json.dumps(obj, sort_keys=True))
+    return 0
 
 
-def _checkpoint_triplet_mode(cfg: RunConfig, params: CaptionerParams, path) -> str:
-    """The triplet mode a checkpoint was trained with; a config that names another is a usage error."""
-    mode, asked = params.config.triplet_mode, cfg.get("model.triplet_mode")
-    if cfg.given("model.triplet_mode") and asked != mode:
-        raise UsageError(f"model.triplet_mode={asked!r} conflicts with {path}, trained with {mode!r}")
-    return mode
+def _report(obj, out) -> int:
+    """Print ``obj`` as one JSON line and, given ``out``, write it there indented."""
+    if out:
+        atomic_write_text(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return _emit(obj)
 
 
-def _load_corpus(args, mode: str):
-    """Dataset, word vectors, and the closure that builds an image's features."""
+def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
+    """Dataset and the closure that builds an image's features; given checkpoint ``params``,
+    in its triplet mode (a config naming another is a usage error) and its spatial width."""
+    mode = cfg.get("model.triplet_mode")
+    if params is not None:
+        trained = params.config.triplet_mode
+        if cfg.given("model.triplet_mode") and mode != trained:
+            raise UsageError(f"model.triplet_mode={mode!r} conflicts with {args.checkpoint}, "
+                             f"trained with {trained!r}")
+        mode = trained
     dataset = load_dataset(args.dataset)
     table = load_word_vectors(args.wordvecs)
     lstm = make_triplet_lstm() if mode == "lstm" else None
-    return dataset, lambda rec: load_bundle(rec, table, mode, lstm)
+
+    def bundle_of(rec):
+        bundle = load_bundle(rec, table, mode, lstm)
+        if params is not None and bundle.spatial.shape[1] != params.config.spatial_dim:
+            raise FileFormatError(
+                f"{rec.feature_file}: feature width {bundle.spatial.shape[1]} "
+                f"does not match checkpoint ({params.config.spatial_dim})"
+            )
+        return bundle
+
+    return dataset, bundle_of
 
 
 def _split_records(dataset, name, path):
@@ -192,10 +195,12 @@ def _refs(record) -> list[list[str]]:
     return [tokenize(c) for c in record.captions]
 
 
+def _vocabulary(cfg: RunConfig, records):
+    return build_vocabulary((c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count"))
+
+
 def cmd_make_toy_data(args) -> int:
-    info = make_toy_data(args.n_images, args.vocab_size, args.seed, args.out_dir)
-    _emit(info)
-    return 0
+    return _emit(make_toy_data(args.n_images, args.vocab_size, args.seed, args.out_dir))
 
 
 def cmd_build_vocab(args) -> int:
@@ -205,16 +210,17 @@ def cmd_build_vocab(args) -> int:
         records = dataset.records
     else:
         records = _split_records(dataset, args.split, args.dataset)
-    captions = [c for r in records for c in r.captions]
-    vocab = build_vocabulary(captions, min_count=cfg.get("vocab.min_count"))
+    vocab = _vocabulary(cfg, records)
     vocab.save(args.out)
-    _emit({"out": str(args.out), "tokens": len(vocab), "split": args.split})
-    return 0
+    return _emit({"out": str(args.out), "tokens": len(vocab), "split": args.split})
 
 
 def cmd_featurize(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
+    dataset, bundle_of = _load_corpus(args, cfg)
+    for rec in dataset.records:  # each id names a file directly inside --out-dir
+        if rec.image_id in ("", ".", "..") or any(c in rec.image_id for c in "/\\\0"):
+            raise FileFormatError(f"{args.dataset}: image id {rec.image_id!r} cannot name a feature file")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = 0
@@ -223,24 +229,21 @@ def cmd_featurize(args) -> int:
         active = bundle.relationships[bundle.rel_mask]
         write_sgaf(out_dir / f"{rec.image_id}.rel.sgaf", active)
         rows += int(active.shape[0])
-    _emit({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})
-    return 0
+    return _emit({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})
 
 
 def cmd_train_vse(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
+    dataset, bundle_of = _load_corpus(args, cfg)
     records = _split_records(dataset, "train", args.dataset)
-    vocab = build_vocabulary(
-        (c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count")
-    )
+    vocab = _vocabulary(cfg, records)
     pairs = []
     for rec in records:
         spatial = bundle_of(rec).spatial
         for caption in rec.captions:
             pairs.append((spatial, [vocab.token_to_id(w) for w in tokenize(caption)]))
     seed = cfg.get("seed")
-    config = _config(VseConfig, cfg, "vse", vocab_size=len(vocab), spatial_dim=pairs[0][0].shape[1])
+    config = _config(VseConfig, cfg, "vse.", vocab_size=len(vocab), spatial_dim=pairs[0][0].shape[1])
     params, losses = train_vse(
         pairs, config, np.random.default_rng(seed),
         epochs=cfg.get("vse.epochs"), lr=cfg.get("vse.lr"),
@@ -251,18 +254,28 @@ def cmd_train_vse(args) -> int:
             json.dumps({"epoch": i, "loss": x}) + "\n" for i, x in enumerate(losses)
         ))
     save_vse(args.out, params, vocab, seed)
-    _emit({"out": str(args.out), "pairs": len(pairs), "final_loss": losses[-1]})
-    return 0
+    return _emit({"out": str(args.out), "pairs": len(pairs), "final_loss": losses[-1]})
+
+
+def _save_trained(args, params, vocab, seed, result, **summary) -> int:
+    """Save a trained captioner to ``--out`` and print the run's summary line."""
+    save_captioner(args.out, params, vocab, seed)
+    return _emit({
+        "out": str(args.out),
+        "best_epoch": result.best_epoch,
+        "best_val_cider": result.best_val_cider,
+        "stop_reason": result.stop_reason,
+        "epochs_run": len(result.history),
+        **summary,
+    })
 
 
 def cmd_train_xe(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg.get("model.triplet_mode"))
+    dataset, bundle_of = _load_corpus(args, cfg)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
-    vocab = build_vocabulary(
-        (c for r in train_recs for c in r.captions), min_count=cfg.get("vocab.min_count")
-    )
+    vocab = _vocabulary(cfg, train_recs)
     train_pairs = []
     for rec in train_recs:
         bundle = bundle_of(rec)
@@ -272,7 +285,7 @@ def cmd_train_xe(args) -> int:
     idf = compute_idf([_refs(r) for r in train_recs])
     seed = cfg.get("seed")
     model_config = _config(
-        CaptionerConfig, cfg, "model",
+        CaptionerConfig, cfg, "model.",
         vocab_size=len(vocab), spatial_dim=train_pairs[0][0].spatial.shape[1],
     )
     params = CaptionerParams.init(model_config, np.random.default_rng(seed))
@@ -280,15 +293,7 @@ def cmd_train_xe(args) -> int:
         params, train_pairs, val_items, vocab, train_config_from(cfg), idf,
         log_path=args.log,
     )
-    save_captioner(args.out, params, vocab, seed)
-    _emit({
-        "out": str(args.out),
-        "best_epoch": result.best_epoch,
-        "best_val_cider": result.best_val_cider,
-        "stop_reason": result.stop_reason,
-        "epochs_run": len(result.history),
-    })
-    return 0
+    return _save_trained(args, params, vocab, seed, result)
 
 
 def cmd_train_scst(args) -> int:
@@ -296,8 +301,7 @@ def cmd_train_scst(args) -> int:
     if args.reward == "mmr" and not args.vse:
         raise UsageError("--reward mmr needs --vse <checkpoint>")
     params, vocab, _ = load_captioner(args.checkpoint)
-    mode = _checkpoint_triplet_mode(cfg, params, args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, mode)
+    dataset, bundle_of = _load_corpus(args, cfg, params)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
     vse_params = None
@@ -316,37 +320,21 @@ def cmd_train_scst(args) -> int:
         params, train_items, val_items, vocab, train_config_from(cfg), idf,
         vse=vse_params, reward=args.reward, log_path=args.log,
     )
-    save_captioner(args.out, params, vocab, seed)
-    _emit({
-        "out": str(args.out),
-        "reward": args.reward,
-        "best_epoch": result.best_epoch,
-        "best_val_cider": result.best_val_cider,
-        "stop_reason": result.stop_reason,
-        "epochs_run": len(result.history),
-    })
-    return 0
+    return _save_trained(args, params, vocab, seed, result, reward=args.reward)
 
 
 def cmd_caption(args) -> int:
     cfg = load_run_config(args)
     params, vocab, _ = load_captioner(args.checkpoint)
-    mode = _checkpoint_triplet_mode(cfg, params, args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, mode)
+    dataset, bundle_of = _load_corpus(args, cfg, params)
     records = _split_records(dataset, args.split, args.dataset)
     lines = []
     for rec in records:
-        bundle = bundle_of(rec)
-        if bundle.spatial.shape[1] != params.config.spatial_dim:
-            raise FileFormatError(
-                f"{rec.feature_file}: feature width {bundle.spatial.shape[1]} "
-                f"does not match checkpoint ({params.config.spatial_dim})"
-            )
-        caption = vocab.decode_tokens(generate_greedy(params.decoder, encode(params.encoder, bundle)))
+        enc = encode(params.encoder, bundle_of(rec))
+        caption = vocab.decode_tokens(generate_greedy(params.decoder, enc))
         lines.append(json.dumps({"id": rec.image_id, "caption": caption}, sort_keys=True))
     atomic_write_text(args.out, "".join(s + "\n" for s in lines))
-    _emit({"out": str(args.out), "captions": len(lines), "split": args.split})
-    return 0
+    return _emit({"out": str(args.out), "captions": len(lines), "split": args.split})
 
 
 def cmd_evaluate(args) -> int:
@@ -364,10 +352,7 @@ def cmd_evaluate(args) -> int:
         references.append(_refs(rec))
     report = evaluate_captions(candidates, references)
     report["images"] = len(records)
-    if args.out:
-        atomic_write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _emit(report)
-    return 0
+    return _report(report, args.out)
 
 
 def cmd_grad_audit(args) -> int:
@@ -388,11 +373,7 @@ def cmd_grad_audit(args) -> int:
 
 
 def cmd_coverage_stats(args) -> int:
-    stats = coverage_stats(load_dataset(args.dataset))
-    if args.out:
-        atomic_write_text(args.out, json.dumps(stats, sort_keys=True, indent=2) + "\n")
-    _emit(stats)
-    return 0
+    return _report(coverage_stats(load_dataset(args.dataset)), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,89 +385,60 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config field (repeatable)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--dataset", type=Path, required=True)
+    corpus = argparse.ArgumentParser(add_help=False, parents=[data])  # builds image features
+    corpus.add_argument("--wordvecs", type=Path, required=True)
+    trainer = argparse.ArgumentParser(add_help=False)
+    trainer.add_argument("--out", type=Path, required=True)
+    trainer.add_argument("--seed", type=int)
+    trainer.add_argument("--log", type=Path)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("make-toy-data", parents=[common],
-                       help="generate a synthetic desk-scale dataset")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("make-toy-data", cmd_make_toy_data, "generate a synthetic desk-scale dataset")
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--n-images", type=int, default=20)
     p.add_argument("--vocab-size", type=int, default=27)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_make_toy_data)
 
-    p = sub.add_parser("build-vocab", parents=[common],
-                       help="build and save a vocabulary from captions")
-    p.add_argument("--dataset", type=Path, required=True)
+    p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", data)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--split", default="train", choices=["train", "val", "test", "all"])
-    p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("featurize", parents=[common],
-                       help="precompute relationship feature matrices")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--wordvecs", type=Path, required=True)
+    p = command("featurize", cmd_featurize, "precompute relationship feature matrices", corpus)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train-vse", parents=[common],
-                       help="train the image-caption ranking network")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--wordvecs", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log", type=Path)
-    p.set_defaults(func=cmd_train_vse)
+    command("train-vse", cmd_train_vse, "train the image-caption ranking network", corpus, trainer)
+    command("train-xe", cmd_train_xe, "phase 1: cross-entropy training", corpus, trainer)
 
-    p = sub.add_parser("train-xe", parents=[common],
-                       help="phase 1: cross-entropy training")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--wordvecs", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log", type=Path)
-    p.set_defaults(func=cmd_train_xe)
-
-    p = sub.add_parser("train-scst", parents=[common],
-                       help="phase 2: self-critical fine-tuning")
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--wordvecs", type=Path, required=True)
+    p = command("train-scst", cmd_train_scst, "phase 2: self-critical fine-tuning", corpus, trainer)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--vse", type=Path, help="reward network checkpoint")
-    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--reward", default="mmr", choices=["cider", "mmr"])
     p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log", type=Path)
-    p.set_defaults(func=cmd_train_scst)
 
-    p = sub.add_parser("caption", parents=[common],
-                       help="greedy-decode captions for a split")
+    p = command("caption", cmd_caption, "greedy-decode captions for a split", corpus)
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--dataset", type=Path, required=True)
-    p.add_argument("--wordvecs", type=Path, required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=cmd_caption)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score candidate captions against references")
+    p = command("evaluate", cmd_evaluate, "score candidate captions against references", data)
     p.add_argument("--candidates", type=Path, required=True)
-    p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grad-audit", parents=[common],
-                       help="finite-difference audit of every block")
+    p = command("grad-audit", cmd_grad_audit, "finite-difference audit of every block")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_grad_audit)
 
-    p = sub.add_parser("coverage-stats", parents=[common],
-                       help="triplet-word occurrence in captions, per split")
-    p.add_argument("--dataset", type=Path, required=True)
+    p = command("coverage-stats", cmd_coverage_stats,
+                "triplet-word occurrence in captions, per split", data)
     p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_coverage_stats)
 
     return parser
 

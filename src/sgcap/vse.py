@@ -59,8 +59,8 @@ class VseConfig:
     def __post_init__(self):
         if self.vocab_size < 5:
             raise ValueError("vocabulary must contain the specials plus at least one word")
-        if self.margin < 0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,9 +15,13 @@ from hypothesis import strategies as st
 
 import sgcap
 import sgcap.cli as cli
+from sgcap.captioner import CaptionerConfig
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
+from sgcap.toydata import make_toy_data
+from sgcap.trainer import Phase1Config, Phase2Config, TrainConfig
+from sgcap.vse import VseConfig
 from test_checkpoint import poke
 from test_features import JSON
 
@@ -132,6 +138,43 @@ class TestConfigParsing:
         assert "vse.epochs" in capsys.readouterr().err
 
 
+# every config dataclass field a command reads from a config key, as (key, prefix, field)
+DATACLASS_KEYS = [
+    (prefix + f.name, prefix, f)
+    for prefix, cls in [("model.", CaptionerConfig), ("vse.", VseConfig), ("phase1.", Phase1Config),
+                        ("phase2.", Phase2Config), ("", TrainConfig)]
+    for f in dataclasses.fields(cls)
+    if f.name not in ("vocab_size", "spatial_dim", "phase1", "phase2")
+]
+
+
+def built_configs(*settings):
+    """The config objects the commands build under ``--set`` settings, by key prefix."""
+    cfg = cli.load_run_config(argparse.Namespace(set=list(settings)))
+    train = cli.train_config_from(cfg)
+    return {
+        "model.": cli._config(CaptionerConfig, cfg, "model.", vocab_size=9, spatial_dim=64),
+        "vse.": cli._config(VseConfig, cfg, "vse.", vocab_size=9, spatial_dim=64),
+        "phase1.": train.phase1, "phase2.": train.phase2, "": train,
+    }
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("key,prefix,field", DATACLASS_KEYS, ids=[k for k, _, _ in DATACLASS_KEYS])
+    def test_key_follows_its_dataclass_field(self, key, prefix, field):
+        assert cli.CONFIG_SCHEMA[key][1] == field.default
+        assert getattr(built_configs()[prefix], field.name) == field.default
+        if field.default is None or isinstance(field.default, str):
+            raw, want = {None: ("7", 7), "mean": ("lstm", "lstm")}[field.default]
+        elif isinstance(field.default, int):
+            raw, want = str(field.default * 2 or 1), field.default * 2 or 1
+        else:
+            raw, want = repr(field.default / 2), field.default / 2
+        assert getattr(built_configs(f"{key}={raw}")[prefix], field.name) == want
+        if field.default is None:  # the Optional fields
+            assert getattr(built_configs(f"{key}=none")[prefix], field.name) is None
+
+
 class TestConfigFuzz:
     @given(raw=st.binary(max_size=80) | st.text(max_size=40).map(str.encode))
     @settings(max_examples=300, deadline=None)
@@ -234,6 +277,20 @@ class TestFeaturize:
         assert rc == 1
         assert "nan.txt:3: non-finite value" in capsys.readouterr().err
         assert not list(out_dir.glob("*.sgaf"))
+
+
+    @pytest.mark.parametrize("image_id", ["../../escaped", "sub/dir", "..", ".", "", "a\\b", "nul\0"])
+    def test_unsafe_image_id_exits_1(self, world, tmp_path, capsys, image_id):
+        record = json.loads(world["dataset"].read_text().splitlines()[0])
+        record["id"] = image_id
+        record["feature_file"] = str(world["dataset"].parent / record["feature_file"])
+        dataset = tmp_path / "ds.jsonl"
+        dataset.write_text(json.dumps(record) + "\n")
+        rc = main(["featurize", "--dataset", str(dataset), "--wordvecs", str(world["wordvecs"]),
+                   "--out-dir", str(tmp_path / "a" / "b" / "out")])
+        assert rc == 1
+        assert f"ds.jsonl: image id {image_id!r}" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [dataset]
 
 
 class TestModuleEntry:
@@ -369,6 +426,16 @@ class TestTrainScst:
             "--out", tmp_path / "o.sgck", "--set", "phase2.max_steps=0")])
         assert rc == 1
         assert "max_steps" in capsys.readouterr().err
+        assert not (tmp_path / "o.sgck").exists()
+
+    def test_feature_width_mismatch_names_file(self, world, trained, tmp_path, capsys):
+        make_toy_data(10, 27, 0, tmp_path / "w2", spatial_dim=40)
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", tmp_path / "w2" / "dataset.jsonl",
+            "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"], "--reward", "cider",
+            "--out", tmp_path / "o.sgck")])
+        assert rc == 1
+        assert ".sgaf: feature width 40 does not match checkpoint (64)" in capsys.readouterr().err
         assert not (tmp_path / "o.sgck").exists()
 
     def test_wrong_checkpoint_kind_fails(self, world, trained, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Shared embedding space: branch math, ranking loss, reward, training."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,9 @@ class TestConfig:
             VseConfig(vocab_size=4)
 
     def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            VseConfig(vocab_size=9, margin=-0.1)
+        for margin in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="margin"):
+                VseConfig(vocab_size=9, margin=margin)
 
     def test_dict_round_trip(self):
         config = VseConfig(**TINY)
