@@ -21,12 +21,11 @@ a masked row cannot influence the output bit-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .autodiff import MASK_LOGIT, DimensionError, Tensor, aoa, attention, linear, parameter
-from .nn import init_weight
+from .nn import ParamArrays, init_weight
 
 __all__ = [
     "MASK_LOGIT",
@@ -44,7 +43,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, key_mask=None) -> Tens
 
 
 @dataclass
-class MultiHeadParams:
+class MultiHeadParams(ParamArrays):
     """Shared projections plus the head count; head width is d / heads."""
 
     w_q: Tensor
@@ -71,11 +70,6 @@ class MultiHeadParams:
         """Keys and values of a memory that many queries attend to."""
         return linear(memory, self.w_k), linear(memory, self.w_v)
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.w_q", self.w_q
-        yield f"{prefix}.w_k", self.w_k
-        yield f"{prefix}.w_v", self.w_v
-
 
 def multi_head_attention(
     params: MultiHeadParams, q_in: Tensor, k_in: Tensor, v_in: Tensor, key_mask=None
@@ -90,8 +84,8 @@ def multi_head_attention(
 
 
 @dataclass
-class AoAParams:
-    """Information and gate projections of the gated refinement block."""
+class AoAParams(ParamArrays):
+    """Information and gate projections of the gated refinement block, in aoa's order."""
 
     w_q_info: Tensor
     w_v_info: Tensor
@@ -114,14 +108,6 @@ class AoAParams:
     @property
     def d_model(self) -> int:
         return self.w_q_info.shape[0]
-
-    def weights(self) -> tuple[Tensor, ...]:
-        """(w_q_info, w_v_info, b_info, w_q_gate, w_v_gate, b_gate), aoa's order."""
-        return (self.w_q_info, self.w_v_info, self.b_info, self.w_q_gate, self.w_v_gate, self.b_gate)
-
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_q_info", "w_v_info", "b_info", "w_q_gate", "w_v_gate", "b_gate"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 def aoa_block(params: AoAParams, q: Tensor, v_hat: Tensor) -> Tensor:

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterator
-
 import numpy as np
 
-from .autodiff import Tensor
 from .decoder import DecoderParams
 from .encoder import EncoderParams
 from .features import WORD_VECTOR_DIM
@@ -57,7 +54,3 @@ class CaptionerParams(ParamArrays):
             rng, config.vocab_size, config.d_model, config.embed_dim, config.heads, config.max_len
         )
         return cls(config, encoder, decoder)
-
-    def named_params(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.encoder.named_params("encoder")
-        yield from self.decoder.named_params("decoder")

@@ -1,7 +1,8 @@
 """Command-line surface: data prep, training, decoding, evaluation, audits.
 
 Configuration is a flat ``key=value`` text file ('#' starts a comment).
-Every command accepts ``--config`` plus repeatable ``--set key=value``
+The commands that read one (build-vocab, featurize, the three trainers
+and caption) accept ``--config`` plus repeatable ``--set key=value``
 overrides; a handful of common knobs also have dedicated flags which win
 over both. Exit codes: 0 success, 2 usage error, 1 runtime error. All
 final artifacts are written atomically; training logs stream per epoch.
@@ -381,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sgcap",
         description="Scene-graph image captioning: training, decoding, evaluation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="key=value config file")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, help="key=value config file")
+    config.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config field (repeatable)")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--dataset", type=Path, required=True)
-    corpus = argparse.ArgumentParser(add_help=False, parents=[data])  # builds image features
+    corpus = argparse.ArgumentParser(add_help=False, parents=[config, data])  # builds image features
     corpus.add_argument("--wordvecs", type=Path, required=True)
     trainer = argparse.ArgumentParser(add_help=False)
     trainer.add_argument("--out", type=Path, required=True)
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, summary, *parents):
-        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p = sub.add_parser(name, parents=parents, help=summary)
         p.set_defaults(func=func)
         return p
 
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=27)
     p.add_argument("--seed", type=int, default=0)
 
-    p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", data)
+    p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", config, data)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--split", default="train", choices=["train", "val", "test", "all"])
 

@@ -25,7 +25,7 @@ EOS are rejected anywhere else, and PAD is never fed back in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .autodiff import (
 )
 from .encoder import EncoderOutput
 from .features import BOS, EOS, PAD
-from .nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, lstm_step  # noqa: F401
+from .nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, ParamArrays, lstm_step  # noqa: F401
 
 __all__ = [
     "DecoderParams",
@@ -65,7 +65,9 @@ __all__ = [
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(ParamArrays):
+    prefix = "decoder"
+
     embedding: EmbeddingTable
     lstm: LstmParams
     init_h: LinearLayer
@@ -108,17 +110,6 @@ class DecoderParams:
     def vocab_size(self) -> int:
         return self.embedding.vocab_size
 
-    def named_params(self, prefix: str = "decoder") -> Iterator[tuple[str, Tensor]]:
-        yield from self.embedding.named_params(f"{prefix}.embedding")
-        yield from self.lstm.named_params(f"{prefix}.lstm")
-        yield from self.init_h.named_params(f"{prefix}.init_h")
-        yield from self.init_m.named_params(f"{prefix}.init_m")
-        yield from self.spatial_att.named_params(f"{prefix}.spatial_att")
-        yield from self.spatial_aoa.named_params(f"{prefix}.spatial_aoa")
-        yield from self.rel_att.named_params(f"{prefix}.rel_att")
-        yield from self.rel_aoa.named_params(f"{prefix}.rel_aoa")
-        yield from self.out_proj.named_params(f"{prefix}.out_proj")
-
 
 @dataclass
 class DecoderState:
@@ -129,6 +120,7 @@ class DecoderState:
     t: int
     kv_spatial: KeyValues  # projected keys and values of refined_spatial, split by head
     kv_rel: Optional[KeyValues]  # of refined_rel, key-masked; None without relationships
+    cell: tuple  # decoder_cell's LSTM weights and paths, gathered once per caption
 
 
 @dataclass
@@ -150,8 +142,9 @@ class StepScore:
 def init_state(params: DecoderParams, enc: EncoderOutput) -> DecoderState:
     """h0 and m0 are tanh images of the summary; context starts at zero.
 
-    Each path's keys and values are projected and split by head here,
-    once per caption.
+    Once per caption, here, each path's keys and values are projected and
+    split by head, and the weights of every step's ``decoder_cell`` are
+    gathered.
     """
     h0 = tanh(params.init_h.apply_vec(enc.a_bar))
     m0 = tanh(params.init_m.apply_vec(enc.a_bar))
@@ -160,7 +153,9 @@ def init_state(params: DecoderParams, enc: EncoderOutput) -> DecoderState:
     kv_rel = (key_values(*rel.project_memory(enc.refined_rel), rel.heads, enc.rel_mask)
               if enc.rel_mask.any() else None)
     c0 = constant(np.zeros(2 * params.d_model))
-    return DecoderState(LstmState(h0, m0), c0, 0, kv_spatial, kv_rel)
+    cell = (params.lstm.weights(), ((spatial.w_q, kv_spatial, params.spatial_aoa.weights()),
+                                    (rel.w_q, kv_rel, params.rel_aoa.weights())))
+    return DecoderState(LstmState(h0, m0), c0, 0, kv_spatial, kv_rel, cell)
 
 
 def decode_step(
@@ -187,13 +182,9 @@ def _recur(
         raise ValueError("decode_step fed PAD")
     if not 0 <= token_id < params.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {params.vocab_size}")
-    h, m, c_t = decoder_cell(
-        enc.a_bar, state.c_prev, params.embedding.weight, token_id, state.lstm.h, state.lstm.m,
-        params.lstm.weights(), (
-            (params.spatial_att.w_q, state.kv_spatial, params.spatial_aoa.weights()),
-            (params.rel_att.w_q, state.kv_rel, params.rel_aoa.weights()),
-        ))
-    return DecoderState(LstmState(h, m), c_t, state.t + 1, state.kv_spatial, state.kv_rel)
+    h, m, c_t = decoder_cell(enc.a_bar, state.c_prev, params.embedding.weight, token_id,
+                             state.lstm.h, state.lstm.m, *state.cell)
+    return DecoderState(LstmState(h, m), c_t, state.t + 1, state.kv_spatial, state.kv_rel, state.cell)
 
 
 def _validate_sequence(tokens, vocab_size: int) -> list[int]:

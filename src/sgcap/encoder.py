@@ -14,7 +14,7 @@ The two paths share no parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .autodiff import (
     scale,
 )
 from .features import MAX_TRIPLETS, FeatureBundle
-from .nn import LinearLayer
+from .nn import LinearLayer, ParamArrays
 
 __all__ = [
     "RefinePathParams",
@@ -45,7 +45,7 @@ __all__ = [
 
 
 @dataclass
-class RefinePathParams:
+class RefinePathParams(ParamArrays):
     """One refining layer: self-attention, gated refinement, layer norm."""
 
     att: MultiHeadParams
@@ -62,15 +62,11 @@ class RefinePathParams:
             parameter(np.zeros(d_model)),
         )
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.att.named_params(f"{prefix}.att")
-        yield from self.aoa.named_params(f"{prefix}.aoa")
-        yield f"{prefix}.ln_gain", self.ln_gain
-        yield f"{prefix}.ln_bias", self.ln_bias
-
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ParamArrays):
+    prefix = "encoder"
+
     spatial_proj: LinearLayer
     rel_proj: LinearLayer
     spatial_path: RefinePathParams
@@ -88,12 +84,6 @@ class EncoderParams:
     @property
     def d_model(self) -> int:
         return self.spatial_proj.d_out
-
-    def named_params(self, prefix: str = "encoder") -> Iterator[tuple[str, Tensor]]:
-        yield from self.spatial_proj.named_params(f"{prefix}.spatial_proj")
-        yield from self.rel_proj.named_params(f"{prefix}.rel_proj")
-        yield from self.spatial_path.named_params(f"{prefix}.spatial_path")
-        yield from self.rel_path.named_params(f"{prefix}.rel_path")
 
 
 @dataclass

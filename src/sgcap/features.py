@@ -334,10 +334,7 @@ def embed_triplet(
         return (vs[0] + vs[1] + vs[2]) / 3.0
     if mode == "lstm":
         params = lstm_params if lstm_params is not None else make_triplet_lstm()
-        state = params.zero_state()
-        for v in vs:
-            state = nn.lstm_step(params, state, Tensor(v))
-        return state.h.data.copy()
+        return nn.lstm_run(params, (Tensor(v) for v in vs)).h.data.copy()
     raise ValueError(f"unknown triplet aggregation mode {mode!r}")
 
 
@@ -497,8 +494,9 @@ def coverage_stats(dataset: Dataset) -> dict:
     """How often triplet words actually occur in their image's captions.
 
     Per split: ``total`` counts every (triplet, slot) word instance,
-    ``covered`` those whose word appears among the image's caption
-    tokens, ``rate`` their ratio (0 when the split has no triplet words).
+    ``covered`` those whose word, normalised as ``tokenize`` does,
+    appears among the image's caption tokens, ``rate`` their ratio (0
+    when the split has no triplet words).
     """
     out = {}
     for split in _VALID_SPLITS:
@@ -513,7 +511,7 @@ def coverage_stats(dataset: Dataset) -> dict:
             for t in rec.triplets:
                 for w in t.words():
                     total += 1
-                    if w.lower() in caption_tokens:
+                    if w.lower().translate(_PUNCT_TABLE) in caption_tokens:
                         covered += 1
         out[split] = {
             "total": total,

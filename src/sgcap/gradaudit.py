@@ -95,7 +95,7 @@ def _audit_lstm_step(rng):
         state = lstm_step(params, LstmState(h, m), x)
         return add(sum_all(mul(state.h, w_h)), sum_all(mul(state.m, w_m)))
 
-    return f, [h, m, x] + [t for _, t in params.named_params("lstm")]
+    return f, [h, m, x, *params.weights()]
 
 
 def _audit_scaled_dot_attention(rng):
@@ -122,7 +122,7 @@ def _audit_multi_head_attention(rng):
     def f(*_):
         return sum_all(mul(multi_head_attention(params, q, k, v, key_mask=mask), w))
 
-    return f, [q, k, v] + [t for _, t in params.named_params("att")]
+    return f, [q, k, v, *params.weights()]
 
 
 def _audit_aoa_block(rng):
@@ -134,7 +134,7 @@ def _audit_aoa_block(rng):
     def f(*_):
         return sum_all(mul(aoa_block(params, q, v_hat), w))
 
-    return f, [q, v_hat] + [t for _, t in params.named_params("aoa")]
+    return f, [q, v_hat, *params.weights()]
 
 
 def _audit_refine(rng):
@@ -146,7 +146,7 @@ def _audit_refine(rng):
     def f(*_):
         return sum_all(mul(refine(path, a, key_mask=mask), w))
 
-    return f, [a] + [t for _, t in path.named_params("path")]
+    return f, [a, *path.weights()]
 
 
 def _tiny_captioner(rng):
@@ -161,8 +161,7 @@ def _tiny_captioner(rng):
         rel_mask=np.array([True, False, True, True]),
         a_bar=parameter(rng.normal(size=8)),
     )
-    leaves = [enc.refined_spatial, enc.refined_rel, enc.a_bar]
-    leaves += [t for _, t in params.decoder.named_params("decoder")]
+    leaves = [enc.refined_spatial, enc.refined_rel, enc.a_bar, *params.decoder.weights()]
     return params, enc, leaves
 
 

@@ -8,8 +8,8 @@ zero for biases, except the LSTM forget-gate bias which starts at 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "LstmParams",
     "LstmState",
     "lstm_step",
+    "lstm_run",
     "descend",
 ]
 
@@ -55,7 +56,30 @@ def init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
 
 
 class ParamArrays:
-    """Named-array snapshots of a model; subclasses define ``named_params()``."""
+    """Base of every parameter dataclass; its fields, in order, name its parameters.
+
+    A ``Tensor`` field is the leaf ``<prefix>.<field>`` and a ``ParamArrays``
+    field nests its own under that name; any other field (a ``None`` bias,
+    a head count, a config) names nothing. This order is the checkpoint
+    manifest, so reordering fields changes the checkpoint layout.
+    """
+
+    prefix = ""  # named_params' prefix when none is given
+
+    def named_params(self, prefix: Optional[str] = None) -> Iterator[tuple[str, Tensor]]:
+        prefix = self.prefix if prefix is None else prefix
+        for f in fields(self):
+            value = getattr(self, f.name)
+            name = f"{prefix}.{f.name}" if prefix else f.name
+            if isinstance(value, Tensor):
+                yield name, value
+            elif isinstance(value, ParamArrays):
+                yield from value.named_params(name)
+
+    def weights(self) -> tuple[Tensor, ...]:
+        """Every parameter in manifest order: the training leaves, and the
+        argument order of the fused cell ops (``lstm_cell``, ``aoa``)."""
+        return tuple(t for _, t in self.named_params())
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Name -> owned copy of the current values, in manifest order."""
@@ -82,7 +106,7 @@ class ParamArrays:
 
 
 @dataclass
-class LinearLayer:
+class LinearLayer(ParamArrays):
     """y = W x (+ b). Weight is (out, in); bias optional."""
 
     weight: Tensor
@@ -113,14 +137,9 @@ class LinearLayer:
         """Project every row of (n, d_in) -> (n, d_out)."""
         return linear(x, self.weight, self.bias)
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
-
 
 @dataclass
-class EmbeddingTable:
+class EmbeddingTable(ParamArrays):
     """Token id -> row of a trainable (vocab, width) matrix."""
 
     weight: Tensor
@@ -142,9 +161,6 @@ class EmbeddingTable:
             raise IndexError(f"token id {token_id} outside vocabulary of {self.vocab_size}")
         return gather_rows(self.weight, int(token_id))
 
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-
 
 @dataclass
 class LstmState:
@@ -155,8 +171,8 @@ class LstmState:
 
 
 @dataclass
-class LstmParams:
-    """Standard (non-peephole) LSTM cell: 4 gates over concat(x, h)."""
+class LstmParams(ParamArrays):
+    """Standard (non-peephole) LSTM cell: 4 gates over concat(x, h); fields in lstm_cell's order."""
 
     w_i: Tensor
     w_f: Tensor
@@ -190,14 +206,6 @@ class LstmParams:
         z = np.zeros(self.d_hidden)
         return LstmState(Tensor(z), Tensor(z))
 
-    def weights(self) -> tuple[Tensor, ...]:
-        """(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c), the cell ops' order."""
-        return (self.w_i, self.w_f, self.w_o, self.w_c, self.b_i, self.b_f, self.b_o, self.b_c)
-
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
 
 def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     """One LSTM transition, one tape op.
@@ -206,9 +214,19 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     o = sigma(W_o [x; h] + b_o)      c~ = tanh(W_c [x; h] + b_c)
     m' = f * m + i * c~              h' = o * tanh(m')
     """
-    if x.data.shape != (params.d_in,):
-        raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
-    return LstmState(*lstm_cell(x, state.h, state.m, params.weights()))
+    return lstm_run(params, (x,), state)
+
+
+def lstm_run(params: LstmParams, xs: Iterable[Tensor], state: Optional[LstmState] = None) -> LstmState:
+    """``lstm_step`` over each of ``xs`` in turn, from ``state`` (None: the
+    zero state); the cell's weights are gathered once, not per step."""
+    cell = params.weights()
+    state = params.zero_state() if state is None else state
+    for x in xs:
+        if x.data.shape != (params.d_in,):
+            raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
+        state = LstmState(*lstm_cell(x, state.h, state.m, cell))
+    return state
 
 
 def _clip_gradients(leaves: Sequence[Tensor], clip_norm: float) -> None:

@@ -232,7 +232,7 @@ def scst_step(
         live = [r.loss for r in rollouts if r.advantage != 0.0]
         return scale(functools.reduce(add, live), 1.0 / len(batch)) if live else None
 
-    descend([t for _, t in params.named_params()], batch_loss, lr, clip_norm)
+    descend(params.weights(), batch_loss, lr, clip_norm)
     mean_advantage = float(np.mean([r.advantage for r in rollouts]))
     mean_sampled = float(np.mean([r.sampled_reward for r in rollouts]))
     return mean_advantage, mean_sampled
@@ -344,7 +344,7 @@ def train_xe(
         raise ValueError("phase-1 validation split is empty")
     cfg = config.phase1
     rng = np.random.default_rng(config.seed)
-    leaves = [t for _, t in params.named_params()]
+    leaves = params.weights()
 
     def run_epoch(epoch):
         lr = cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .autodiff import (
     sub,
     sum_all,
 )
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, lstm_step
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, lstm_run
 
 __all__ = [
     "VseConfig",
@@ -88,12 +88,6 @@ class VseParams(ParamArrays):
             caption_proj=LinearLayer.init(rng, config.hidden_dim, config.space_dim),
         )
 
-    def named_params(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.image_proj.named_params("image_proj")
-        yield from self.embedding.named_params("embedding")
-        yield from self.lstm.named_params("lstm")
-        yield from self.caption_proj.named_params("caption_proj")
-
 
 @dataclass
 class EmbeddingPair:
@@ -117,9 +111,7 @@ def embed_caption(params: VseParams, token_ids: Sequence[int]) -> Tensor:
     """Run the caption LSTM over the tokens; project the final hidden state."""
     if len(token_ids) == 0:
         raise ValueError("embed_caption needs at least one token")
-    state = params.lstm.zero_state()
-    for token in token_ids:
-        state = lstm_step(params.lstm, state, params.embedding.lookup(token))
+    state = lstm_run(params.lstm, (params.embedding.lookup(token) for token in token_ids))
     return params.caption_proj.apply_vec(state.h)
 
 
@@ -185,7 +177,7 @@ def train_vse(
         )
     if params is None:
         params = VseParams.init(config, rng)
-    leaves = [t for _, t in params.named_params()]
+    leaves = params.weights()
     losses: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(len(pairs))

@@ -41,6 +41,37 @@ def tiny_vse(seed=0):
     return VseParams.init(config, np.random.default_rng(seed))
 
 
+# The array manifest, in order: each parameter dataclass's fields, dotted.
+CAPTIONER_MANIFEST = [
+    "encoder.spatial_proj.weight", "encoder.spatial_proj.bias",
+    "encoder.rel_proj.weight", "encoder.rel_proj.bias",
+    "encoder.spatial_path.att.w_q", "encoder.spatial_path.att.w_k", "encoder.spatial_path.att.w_v",
+    "encoder.spatial_path.aoa.w_q_info", "encoder.spatial_path.aoa.w_v_info", "encoder.spatial_path.aoa.b_info",
+    "encoder.spatial_path.aoa.w_q_gate", "encoder.spatial_path.aoa.w_v_gate", "encoder.spatial_path.aoa.b_gate",
+    "encoder.spatial_path.ln_gain", "encoder.spatial_path.ln_bias",
+    "encoder.rel_path.att.w_q", "encoder.rel_path.att.w_k", "encoder.rel_path.att.w_v",
+    "encoder.rel_path.aoa.w_q_info", "encoder.rel_path.aoa.w_v_info", "encoder.rel_path.aoa.b_info",
+    "encoder.rel_path.aoa.w_q_gate", "encoder.rel_path.aoa.w_v_gate", "encoder.rel_path.aoa.b_gate",
+    "encoder.rel_path.ln_gain", "encoder.rel_path.ln_bias",
+    "decoder.embedding.weight",
+    "decoder.lstm.w_i", "decoder.lstm.w_f", "decoder.lstm.w_o", "decoder.lstm.w_c",
+    "decoder.lstm.b_i", "decoder.lstm.b_f", "decoder.lstm.b_o", "decoder.lstm.b_c",
+    "decoder.init_h.weight", "decoder.init_h.bias", "decoder.init_m.weight", "decoder.init_m.bias",
+    "decoder.spatial_att.w_q", "decoder.spatial_att.w_k", "decoder.spatial_att.w_v",
+    "decoder.spatial_aoa.w_q_info", "decoder.spatial_aoa.w_v_info", "decoder.spatial_aoa.b_info",
+    "decoder.spatial_aoa.w_q_gate", "decoder.spatial_aoa.w_v_gate", "decoder.spatial_aoa.b_gate",
+    "decoder.rel_att.w_q", "decoder.rel_att.w_k", "decoder.rel_att.w_v",
+    "decoder.rel_aoa.w_q_info", "decoder.rel_aoa.w_v_info", "decoder.rel_aoa.b_info",
+    "decoder.rel_aoa.w_q_gate", "decoder.rel_aoa.w_v_gate", "decoder.rel_aoa.b_gate",
+    "decoder.out_proj.weight",
+]
+VSE_MANIFEST = [
+    "image_proj.weight", "image_proj.bias", "embedding.weight",
+    "lstm.w_i", "lstm.w_f", "lstm.w_o", "lstm.w_c", "lstm.b_i", "lstm.b_f", "lstm.b_o", "lstm.b_c",
+    "caption_proj.weight", "caption_proj.bias",
+]
+
+
 def poke(path, name, flat_index, value):
     """Overwrite one float64 of parameter ``name`` in a saved checkpoint:
     ``save_checkpoint`` itself refuses to write NaN or inf."""
@@ -114,6 +145,18 @@ class TestRoundTrip:
         assert ck.seed == 9
         assert ck.vocab_tokens == VOCAB.tokens
         np.testing.assert_array_equal(ck.arrays["w"], arrays["w"])
+
+
+class TestManifestLayout:
+    """The checkpoint layout is the named-parameter order; it must not move."""
+
+    @pytest.mark.parametrize("build,manifest", [(tiny_captioner, CAPTIONER_MANIFEST), (tiny_vse, VSE_MANIFEST)],
+                             ids=["captioner", "vse"])
+    def test_names_in_order(self, build, manifest):
+        params = build()
+        assert [n for n, _ in params.named_params()] == manifest
+        assert list(params.param_arrays()) == manifest
+        assert params.weights() == tuple(t for _, t in params.named_params())
 
 
 class TestErrors:

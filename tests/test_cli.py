@@ -194,9 +194,17 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
-    def test_unknown_flag_exits_2(self):
+    @pytest.mark.parametrize("argv", [
+        ["make-toy-data", "--out-dir", "x", "--frobnicate"],
+        # commands that read no config take neither --config nor --set
+        ["make-toy-data", "--out-dir", "x", "--set", "bogus=1"],
+        ["evaluate", "--dataset", "d.jsonl", "--candidates", "c.jsonl", "--set", "bogus=1"],
+        ["grad-audit", "--set", "bogus=1"],
+        ["coverage-stats", "--dataset", "d.jsonl", "--set", "bogus=1"],
+    ], ids=["frobnicate", "make-toy-data", "evaluate", "grad-audit", "coverage-stats"])
+    def test_unknown_flag_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["make-toy-data", "--out-dir", "x", "--frobnicate"])
+            main(argv)
         assert exc.value.code == 2
 
     def test_malformed_set_exits_2(self, world, capsys):

@@ -594,3 +594,13 @@ class TestCoverageStats:
         ]
         stats = coverage_stats(Dataset(recs))
         assert stats["train"]["covered"] == 1
+
+    def test_punctuated_triplet_word_matches(self):
+        recs = [
+            ImageRecord(
+                "i", "train", ["A man in a t-shirt."],
+                [RelationshipTriplet("Man", "in", "t-shirt", 1.0)], "f",
+            )
+        ]
+        stats = coverage_stats(Dataset(recs))
+        assert stats["train"] == {"total": 3, "covered": 3, "rate": 1.0}

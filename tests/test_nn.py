@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sgcap.autodiff import DimensionError, Tape, Tensor, constant, grad_check, mul, parameter, sum_all
-from sgcap.nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, lstm_step, xavier_limit
+from sgcap.attention import MultiHeadParams
+from sgcap.encoder import RefinePathParams
+from sgcap.nn import EmbeddingTable, LinearLayer, LstmParams, LstmState, lstm_run, lstm_step, xavier_limit
 
 
 class TestLinear:
@@ -165,3 +167,45 @@ class TestLstmStep:
             return sum_all(mul(s.h, s.h))
 
         assert grad_check(f, leaves) <= 1e-5
+
+
+class TestParamNames:
+    """named_params follows the dataclass fields: tensors are leaves, blocks nest, the rest is skipped."""
+
+    def test_bias_free_linear_yields_only_weight(self):
+        layer = LinearLayer.init(np.random.default_rng(0), 3, 2, bias=False)
+        assert list(layer.named_params("out")) == [("out.weight", layer.weight)]
+        assert layer.weights() == (layer.weight,)
+
+    def test_head_count_is_not_a_parameter(self):
+        att = MultiHeadParams.init(np.random.default_rng(0), 4, 2)
+        assert [n for n, _ in att.named_params("att")] == ["att.w_q", "att.w_k", "att.w_v"]
+
+    def test_nested_blocks_are_dotted(self):
+        path = RefinePathParams.init(np.random.default_rng(0), 4, 2)
+        names = [n for n, _ in path.named_params("p")]
+        assert names[:4] == ["p.att.w_q", "p.att.w_k", "p.att.w_v", "p.aoa.w_q_info"]
+        assert names[-2:] == ["p.ln_gain", "p.ln_bias"]
+        assert [n for n, _ in path.named_params()][0] == "att.w_q"
+
+    def test_lstm_weights_follow_the_cell_order(self):
+        p = LstmParams.init(np.random.default_rng(0), 3, 2)
+        assert p.weights() == (p.w_i, p.w_f, p.w_o, p.w_c, p.b_i, p.b_f, p.b_o, p.b_c)
+
+
+class TestLstmRun:
+    def test_matches_stepwise(self):
+        rng = np.random.default_rng(5)
+        p = LstmParams.init(rng, 3, 4)
+        xs = [constant(rng.normal(size=3)) for _ in range(4)]
+        state = p.zero_state()
+        for x in xs:
+            state = lstm_step(p, state, x)
+        run = lstm_run(p, xs)
+        assert run.h.data.tobytes() == state.h.data.tobytes()
+        assert run.m.data.tobytes() == state.m.data.tobytes()
+
+    def test_rejects_wrong_width(self):
+        p = LstmParams.init(np.random.default_rng(0), 3, 4)
+        with pytest.raises(DimensionError):
+            lstm_run(p, [constant(np.zeros(3)), constant(np.zeros(5))])
