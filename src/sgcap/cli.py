@@ -23,6 +23,7 @@ from .decoder import generate_greedy
 from .encoder import encode
 from .features import (
     FileFormatError,
+    build_relationship_matrix,
     build_vocabulary,
     coverage_stats,
     load_bundle,
@@ -34,7 +35,7 @@ from .features import (
     tokenize,
     write_sgaf,
 )
-from .gradaudit import TOLERANCE, run_audit
+from .gradaudit import run_audit
 from .ioutil import atomic_write_text
 from .metrics import compute_idf, evaluate_captions
 from .toydata import make_toy_data
@@ -146,17 +147,13 @@ def train_config_from(cfg: RunConfig) -> TrainConfig:
                    phase2=_config(Phase2Config, cfg, "phase2."))
 
 
-def _emit(obj) -> int:
-    """Print a command's one-line JSON summary; returns the success exit code."""
-    print(json.dumps(obj, sort_keys=True))
-    return 0
-
-
-def _report(obj, out) -> int:
-    """Print ``obj`` as one JSON line and, given ``out``, write it there indented."""
+def _report(obj, out=None) -> int:
+    """Print ``obj`` as the command's one-line JSON summary and, given ``out``,
+    write it there indented; returns the success exit code."""
     if out:
         atomic_write_text(out, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return _emit(obj)
+    print(json.dumps(obj, sort_keys=True))
+    return 0
 
 
 def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
@@ -201,7 +198,7 @@ def _vocabulary(cfg: RunConfig, records):
 
 
 def cmd_make_toy_data(args) -> int:
-    return _emit(make_toy_data(args.n_images, args.vocab_size, args.seed, args.out_dir))
+    return _report(make_toy_data(args.n_images, args.vocab_size, args.seed, args.out_dir))
 
 
 def cmd_build_vocab(args) -> int:
@@ -213,24 +210,26 @@ def cmd_build_vocab(args) -> int:
         records = _split_records(dataset, args.split, args.dataset)
     vocab = _vocabulary(cfg, records)
     vocab.save(args.out)
-    return _emit({"out": str(args.out), "tokens": len(vocab), "split": args.split})
+    return _report({"out": str(args.out), "tokens": len(vocab), "split": args.split})
 
 
 def cmd_featurize(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    mode = cfg.get("model.triplet_mode")
+    dataset = load_dataset(args.dataset)
+    table = load_word_vectors(args.wordvecs)
+    lstm = make_triplet_lstm() if mode == "lstm" else None
     for rec in dataset.records:  # each id names a file directly inside --out-dir
         if rec.image_id in ("", ".", "..") or any(c in rec.image_id for c in "/\\\0"):
             raise FileFormatError(f"{args.dataset}: image id {rec.image_id!r} cannot name a feature file")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = 0
-    for rec in dataset.records:
-        bundle = bundle_of(rec)
-        active = bundle.relationships[bundle.rel_mask]
-        write_sgaf(out_dir / f"{rec.image_id}.rel.sgaf", active)
-        rows += int(active.shape[0])
-    return _emit({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})
+    for rec in dataset.records:  # relationship rows only: the spatial files go unread
+        rel, mask = build_relationship_matrix(rec.triplets, table, mode=mode, lstm_params=lstm)
+        write_sgaf(out_dir / f"{rec.image_id}.rel.sgaf", rel[mask])
+        rows += int(mask.sum())
+    return _report({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})
 
 
 def cmd_train_vse(args) -> int:
@@ -248,20 +247,16 @@ def cmd_train_vse(args) -> int:
     params, losses = train_vse(
         pairs, config, np.random.default_rng(seed),
         epochs=cfg.get("vse.epochs"), lr=cfg.get("vse.lr"),
-        batch_size=cfg.get("vse.batch"),
+        batch_size=cfg.get("vse.batch"), log_path=args.log,
     )
-    if args.log:
-        atomic_write_text(args.log, "".join(
-            json.dumps({"epoch": i, "loss": x}) + "\n" for i, x in enumerate(losses)
-        ))
     save_vse(args.out, params, vocab, seed)
-    return _emit({"out": str(args.out), "pairs": len(pairs), "final_loss": losses[-1]})
+    return _report({"out": str(args.out), "pairs": len(pairs), "final_loss": losses[-1]})
 
 
 def _save_trained(args, params, vocab, seed, result, **summary) -> int:
     """Save a trained captioner to ``--out`` and print the run's summary line."""
     save_captioner(args.out, params, vocab, seed)
-    return _emit({
+    return _report({
         "out": str(args.out),
         "best_epoch": result.best_epoch,
         "best_val_cider": result.best_val_cider,
@@ -335,7 +330,7 @@ def cmd_caption(args) -> int:
         caption = vocab.decode_tokens(generate_greedy(params.decoder, enc))
         lines.append(json.dumps({"id": rec.image_id, "caption": caption}, sort_keys=True))
     atomic_write_text(args.out, "".join(s + "\n" for s in lines))
-    return _emit({"out": str(args.out), "captions": len(lines), "split": args.split})
+    return _report({"out": str(args.out), "captions": len(lines), "split": args.split})
 
 
 def cmd_evaluate(args) -> int:
@@ -357,17 +352,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grad_audit(args) -> int:
-    seeds = (args.seed, args.seed + 1, args.seed + 2)
-    reports = run_audit(seeds=seeds)
+    reports = run_audit(seeds=(args.seed, args.seed + 1, args.seed + 2))
     for r in reports:
         print(f"{r.block:24s} max_rel_err={r.max_rel_err:.3e} "
               f"{'PASS' if r.passed else 'FAIL'}")
-    if args.out:
-        atomic_write_text(args.out, json.dumps(
-            {r.block: r.max_rel_err for r in reports}, sort_keys=True, indent=2
-        ) + "\n")
+    _report({r.block: r.max_rel_err for r in reports}, args.out)
     if all(r.passed for r in reports):
-        print(f"all blocks within {TOLERANCE:g} over seeds {seeds}")
         return 0
     print("gradient audit FAILED", file=sys.stderr)
     return 1

@@ -158,7 +158,7 @@ def build_vocabulary(captions: Iterable[str], min_count: int = 5) -> Vocabulary:
 
 
 class WordVectorTable:
-    """word -> fixed 300-d vector; unknown words map to the zero vector."""
+    """word -> fixed 300-d vector; a word with no table token maps to zero."""
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         for w, v in vectors.items():
@@ -175,9 +175,13 @@ class WordVectorTable:
         return word in self._vectors
 
     def get(self, word: str) -> np.ndarray:
-        """Vector for the word; zeros when out of table."""
+        """Vector for the word as written, else the mean vector of its ``tokenize``
+        tokens in the table ("Box." -> "box"); zeros when none is."""
         v = self._vectors.get(word)
-        return v.copy() if v is not None else np.zeros(WORD_VECTOR_DIM)
+        if v is not None:
+            return v.copy()
+        found = [self._vectors[t] for t in tokenize(word) if t in self._vectors]
+        return np.mean(found, axis=0) if found else np.zeros(WORD_VECTOR_DIM)
 
 
 def load_word_vectors(path) -> WordVectorTable:
@@ -327,7 +331,7 @@ def embed_triplet(
 
     mean: (v_s + v_p + v_o) / 3.  lstm: final hidden state of a 300-d
     LSTM run over the three word vectors in subject, predicate, object
-    order. Out-of-table words contribute the zero vector.
+    order. Words are looked up as ``WordVectorTable.get`` does.
     """
     vs = [table.get(w) for w in triplet.words()]
     if mode == "mean":
@@ -494,8 +498,8 @@ def coverage_stats(dataset: Dataset) -> dict:
     """How often triplet words actually occur in their image's captions.
 
     Per split: ``total`` counts every (triplet, slot) word instance,
-    ``covered`` those whose word, normalised as ``tokenize`` does,
-    appears among the image's caption tokens, ``rate`` their ratio (0
+    ``covered`` those whose ``tokenize`` tokens (at least one) all
+    appear among the image's caption tokens, ``rate`` their ratio (0
     when the split has no triplet words).
     """
     out = {}
@@ -511,7 +515,8 @@ def coverage_stats(dataset: Dataset) -> dict:
             for t in rec.triplets:
                 for w in t.words():
                     total += 1
-                    if w.lower().translate(_PUNCT_TABLE) in caption_tokens:
+                    parts = tokenize(w)
+                    if parts and caption_tokens.issuperset(parts):
                         covered += 1
         out[split] = {
             "total": total,

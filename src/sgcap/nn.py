@@ -34,6 +34,7 @@ __all__ = [
     "LstmState",
     "lstm_step",
     "lstm_run",
+    "epoch_batches",
     "descend",
 ]
 
@@ -246,6 +247,12 @@ def _sgd_step(leaves: Sequence[Tensor], lr: float) -> None:
     for t in leaves:
         if t.grad is not None:
             t.data -= lr * t.grad
+
+
+def epoch_batches(rng: np.random.Generator, count: int, batch: int) -> list[np.ndarray]:
+    """``rng.permutation(count)`` cut into batches of ``batch``, the last maybe shorter."""
+    order = rng.permutation(count)
+    return [order[i:i + batch] for i in range(0, count, batch)]
 
 
 def descend(

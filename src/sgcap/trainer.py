@@ -15,7 +15,6 @@ parameters, and stop early after ``patience`` epochs without improvement.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,8 +28,9 @@ from .captioner import CaptionerParams
 from .decoder import _forced_log_probs, generate_greedy, sample_sequence
 from .encoder import EncoderOutput, encode
 from .features import BOS, EOS, PAD, FeatureBundle, Vocabulary
+from .ioutil import run_log
 from .metrics import IdfTable, cider, cider_d
-from .nn import _clip_gradients, _sgd_step, descend  # noqa: F401  (re-exported for test oracles)
+from .nn import _clip_gradients, _sgd_step, descend, epoch_batches  # noqa: F401  (re-exported for test oracles)
 from .vse import VseParams, embed_caption, embed_image, vision_reward
 
 __all__ = [
@@ -256,18 +256,6 @@ def validation_cider(
     return total / len(items)
 
 
-def _append_log(log_path: Optional[Path], record: dict) -> None:
-    if log_path is None:
-        return
-    with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
-
-
-def _epoch_batches(rng: np.random.Generator, count: int, batch: int) -> list[np.ndarray]:
-    order = rng.permutation(count)
-    return [order[i:i + batch] for i in range(0, count, batch)]
-
-
 def _fit(
     params: CaptionerParams,
     run_epoch: Callable[[int], tuple[dict, float, Optional[str]]],
@@ -283,11 +271,12 @@ def _fit(
 
     ``run_epoch(epoch)`` trains one epoch and returns its training figure
     (one key -> value), its learning rate and its own stop reason or None.
-    Each epoch is validated, logged and checked against the best so far.
-    A "stop_loss" stop keeps the current parameters and wins over patience,
-    which wins over any other phase stop. A ``FloatingPointError`` restores
-    the best parameters before it propagates.
+    Each epoch is validated, logged to a log that starts empty, and checked
+    against the best so far. A "stop_loss" stop keeps the current parameters
+    and wins over patience, which wins over any other phase stop. A
+    ``FloatingPointError`` restores the best parameters before it propagates.
     """
+    log = run_log(log_path)
     history: list[dict] = []
     best_val = -math.inf
     best_epoch = -1
@@ -306,7 +295,7 @@ def _fit(
         val = validation_cider(params, val_items, vocab, idf)
         record = {"epoch": epoch, **figure, "val_cider": val, "lr": lr}
         history.append(record)
-        _append_log(log_path, record)
+        log(record)
         # the point of the loss threshold is the overfit itself, so the
         # current parameters win over the best-on-validation snapshot
         if val > best_val or stop == "stop_loss":
@@ -349,7 +338,7 @@ def train_xe(
     def run_epoch(epoch):
         lr = cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
         epoch_loss = 0.0
-        for batch in _epoch_batches(rng, len(train_pairs), cfg.batch):
+        for batch in epoch_batches(rng, len(train_pairs), cfg.batch):
             def batch_loss():
                 parts = [xe_loss(params, encode(params.encoder, bundle), tokens)
                          for bundle, tokens in (train_pairs[k] for k in batch)]
@@ -406,7 +395,7 @@ def train_scst(
         nonlocal steps_left
         epoch_reward = 0.0
         epoch_count = 0
-        for batch_idx in _epoch_batches(rng, len(train_items), cfg.batch):
+        for batch_idx in epoch_batches(rng, len(train_items), cfg.batch):
             if steps_left == 0:
                 break
             batch = [train_items[k] for k in batch_idx]

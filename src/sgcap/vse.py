@@ -31,7 +31,8 @@ from .autodiff import (
     sub,
     sum_all,
 )
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, lstm_run
+from .ioutil import run_log
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, epoch_batches, lstm_run
 
 __all__ = [
     "VseConfig",
@@ -161,12 +162,13 @@ def train_vse(
     lr: float = 0.01,
     batch_size: int = 8,
     params: Optional[VseParams] = None,
+    log_path=None,
 ) -> tuple[VseParams, list[float]]:
     """Gradient descent on the hinge loss over (spatial features, token ids) pairs.
 
-    Returns the trained parameters and the per-epoch mean loss per pair.
-    Batches are reshuffled every epoch with ``rng``; a trailing batch of
-    size 1 is folded into its predecessor since ranking needs negatives.
+    Returns the trained parameters and the per-epoch mean loss per pair, also
+    logged to ``log_path``. Batches are reshuffled every epoch with ``rng``; a
+    trailing batch of size 1 joins its predecessor, since ranking needs negatives.
     """
     if len(pairs) < 2:
         raise ValueError("training needs at least two image-caption pairs")
@@ -178,13 +180,12 @@ def train_vse(
     if params is None:
         params = VseParams.init(config, rng)
     leaves = params.weights()
+    log = run_log(log_path)
     losses: list[float] = []
     for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
-        batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+        batches = epoch_batches(rng, len(pairs), batch_size)
         if len(batches) > 1 and len(batches[-1]) < 2:
-            batches[-2] = np.concatenate([batches[-2], batches[-1]])
-            batches.pop()
+            batches[-2:] = [np.concatenate(batches[-2:])]
         epoch_loss = 0.0
         for batch in batches:
             def batch_loss():
@@ -200,4 +201,5 @@ def train_vse(
             except FloatingPointError as exc:
                 raise FloatingPointError(f"hinge loss diverged at epoch {epoch}: {exc}") from None
         losses.append(epoch_loss / len(pairs))
+        log({"epoch": epoch, "loss": losses[-1]})
     return params, losses

@@ -19,6 +19,7 @@ from sgcap.captioner import CaptionerConfig
 from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
+from sgcap.gradaudit import BlockReport
 from sgcap.toydata import make_toy_data
 from sgcap.trainer import Phase1Config, Phase2Config, TrainConfig
 from sgcap.vse import VseConfig
@@ -299,6 +300,17 @@ class TestFeaturize:
         assert rc == 1
         assert f"ds.jsonl: image id {image_id!r}" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [dataset]
+
+    def test_reads_no_spatial_file(self, tmp_path, capsys):
+        info = make_toy_data(4, 27, 0, tmp_path / "toy")
+        outs = []
+        for name in ("all", "one_missing"):
+            rc, _ = run(capsys, "featurize", "--dataset", info["dataset"],
+                        "--wordvecs", info["wordvecs"], "--out-dir", tmp_path / name)
+            assert rc == 0
+            outs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+            next(Path(info["feature_dir"]).glob("*.sgaf")).unlink()
+        assert outs[0] == outs[1]
 
 
 class TestModuleEntry:
@@ -614,6 +626,34 @@ class TestGradAudit:
         assert len(report) == 10
         assert all(v <= 1e-5 for v in report.values())
         assert text.count("PASS") == 10
+
+    @pytest.mark.parametrize("worst, rc_want", [(2e-6, 0), (3e-4, 1)])
+    def test_summary_line_equals_out_file(self, monkeypatch, tmp_path, capsys, worst, rc_want):
+        reports = [BlockReport("linear", 1e-9, (0, 1, 2), 1e-5),
+                   BlockReport("softmax", worst, (0, 1, 2), 1e-5)]
+        monkeypatch.setattr(cli, "run_audit", lambda seeds: reports)
+        out = tmp_path / "audit.json"
+        rc = main(["grad-audit", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == rc_want
+        assert len(lines) == 3 and lines[1].endswith("PASS" if rc_want == 0 else "FAIL")
+        assert json.loads(lines[-1]) == json.loads(out.read_text()) == {"linear": 1e-9, "softmax": worst}
+
+
+class TestRunLogs:
+    @pytest.mark.parametrize("command", ["train-vse", "train-xe", "train-scst"])
+    def test_rerun_into_same_paths_matches_fresh_run(self, world, trained, tmp_path, capsys, command):
+        extra = ["--checkpoint", trained["xe"], "--reward", "cider"] if command == "train-scst" else []
+        outs = []
+        for run_dir, runs in (("fresh", 1), ("rerun", 2)):
+            (tmp_path / run_dir).mkdir()
+            ck, log = tmp_path / run_dir / "out.sgck", tmp_path / run_dir / "log.jsonl"
+            for _ in range(runs):
+                rc, _ = run(capsys, command, "--config", world["cfg"], "--dataset", world["dataset"],
+                            "--wordvecs", world["wordvecs"], *extra, "--out", ck, "--log", log)
+                assert rc == 0
+            outs.append((ck.read_bytes(), log.read_bytes()))
+        assert outs[0] == outs[1]
 
 
 class TestAtomicOutputs:

@@ -355,6 +355,23 @@ class TestTripletEmbedding:
         b = embed_triplet(RelationshipTriplet("horse", "riding", "man", 1.0), table, "lstm", params)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode", ["mean", "lstm"])
+    def test_word_looked_up_by_its_tokens(self, mode):
+        # a word not in the table as written gets the mean vector of its
+        # tokenize tokens that are; every other word keeps its own vector
+        table = _toy_table(["box", "on", "traffic", "light"])
+        exact = WordVectorTable({
+            "box": table.get("box"), "on": table.get("on"),
+            "traffic light": (table.get("traffic") + table.get("light")) / 2,
+        })
+        got = embed_triplet(RelationshipTriplet("Box", "on", "box.", 1.0), table, mode)
+        want = embed_triplet(RelationshipTriplet("box", "on", "box", 1.0), exact, mode)
+        np.testing.assert_array_equal(got, want)
+        got = embed_triplet(RelationshipTriplet("traffic light", "on", "Box", 1.0), table, mode)
+        want = embed_triplet(RelationshipTriplet("traffic light", "on", "box", 1.0), exact, mode)
+        np.testing.assert_array_equal(got, want)
+        assert np.any(got != embed_triplet(RelationshipTriplet("x", "on", "box", 1.0), table, mode))
+
     def test_unknown_mode(self):
         table = _toy_table(["a"])
         with pytest.raises(ValueError):
@@ -604,3 +621,14 @@ class TestCoverageStats:
         ]
         stats = coverage_stats(Dataset(recs))
         assert stats["train"] == {"total": 3, "covered": 3, "rate": 1.0}
+
+    def test_multi_word_triplet_word_matches(self):
+        recs = [
+            ImageRecord(
+                "i", "train", ["A traffic light on a pole."],
+                [RelationshipTriplet("traffic light", "on", "pole", 1.0),
+                 RelationshipTriplet("traffic sign", "on", "", 1.0)], "f",
+            )
+        ]
+        stats = coverage_stats(Dataset(recs))
+        assert stats["train"] == {"total": 6, "covered": 4, "rate": 4 / 6}

@@ -477,6 +477,14 @@ class TestTrainXe:
         assert len(lines) == len(result.history)
         assert [json.loads(s) for s in lines] == result.history
 
+    def test_rerun_into_same_log_replaces_it(self, tmp_path):
+        log = tmp_path / "train.jsonl"
+        for _ in range(2):
+            vocab, params, bundles, refs, idf, vse, pairs, items = tiny_world()
+            result = train_xe(params, pairs, items, vocab, short_config(), idf,
+                              log_path=log)
+        assert [json.loads(s) for s in log.read_text().splitlines()] == result.history
+
     def test_loss_decreases_on_tiny_set(self):
         vocab, params, bundles, refs, idf, vse, pairs, items = tiny_world()
         config = short_config(max_epochs=10, patience=10, lr0=0.1)
@@ -542,6 +550,18 @@ class TestTrainScst:
         assert set(runs[0][0][0]) == {"epoch", "mean_reward", "val_cider", "lr"}
         for name in runs[0][1]:
             assert np.array_equal(runs[0][1][name], runs[1][1][name])
+
+    def test_rerun_into_same_log_replaces_it(self, tmp_path):
+        log = tmp_path / "scst.jsonl"
+        log.write_text("stale\n")
+        texts = []
+        for _ in range(2):
+            vocab, params, bundles, refs, idf, vse, pairs, items = tiny_world()
+            result = train_scst(params, items, items, vocab, scst_config(), idf, vse,
+                                log_path=log)
+            texts.append(log.read_text())
+        assert texts[0] == texts[1]
+        assert [json.loads(s) for s in texts[1].splitlines()] == result.history
 
     def test_max_steps_caps_iterations(self):
         vocab, params, bundles, refs, idf, vse, pairs, items = tiny_world()

@@ -1,12 +1,14 @@
 """Shared embedding space: branch math, ranking loss, reward, training."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import sgcap.vse as vse
 from oracles import brute_hinge, brute_lstm_step
-from sgcap.autodiff import Tape, Tensor, constant, grad_check, parameter
+from sgcap.autodiff import Tape, Tensor, constant, grad_check, parameter, scale
 from sgcap.vse import (
     EmbeddingPair,
     VseConfig,
@@ -314,6 +316,36 @@ class TestTrainVse:
         assert l1 == l2
         for (_, a), (_, b) in zip(p1.named_params(), p2.named_params()):
             assert np.array_equal(a.data, b.data)
+
+    def test_log_holds_one_line_per_epoch_of_this_run(self, tmp_path):
+        config = VseConfig(**TINY)
+        pairs = toy_training_pairs(np.random.default_rng(3), config, 6)
+        log = tmp_path / "vse.jsonl"
+        log.write_text("stale\n")
+        for _ in range(2):  # a rerun into the same path replaces, not appends
+            _, losses = train_vse(pairs, config, np.random.default_rng(42), epochs=3,
+                                  batch_size=3, log_path=log)
+        want = "".join(json.dumps({"epoch": i, "loss": x}) + "\n" for i, x in enumerate(losses))
+        assert log.read_text() == want
+
+    def test_divergence_keeps_logged_epochs(self, tmp_path, monkeypatch):
+        # 6 pairs in batches of 3 is two steps an epoch; the loss turns NaN
+        # at the fifth step, inside epoch 2
+        config = VseConfig(**TINY)
+        pairs = toy_training_pairs(np.random.default_rng(3), config, 6)
+        calls = []
+
+        def nan_from_fifth(embedded, margin):
+            calls.append(None)
+            loss = hinge_loss(embedded, margin)
+            return scale(loss, math.nan) if len(calls) >= 5 else loss
+
+        monkeypatch.setattr(vse, "hinge_loss", nan_from_fifth)
+        log = tmp_path / "vse.jsonl"
+        with pytest.raises(FloatingPointError, match="epoch 2"):
+            train_vse(pairs, config, np.random.default_rng(42), epochs=4, batch_size=3,
+                      log_path=log)
+        assert [json.loads(s)["epoch"] for s in log.read_text().splitlines()] == [0, 1]
 
 
 class TestParamPlumbing:
