@@ -12,8 +12,11 @@ of both paths are projected, checked and split by head once per caption,
 in ``init_state``, and carried in the decoder state. A recorded step is
 thus 4 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
 sum, the token's embedding row, the LSTM input, the LSTM cell and the
-context vector of both paths) and the output head (3); teacher forcing
-runs the head once per caption.
+context vector of both paths) and the output head (3). Greedy and
+sampled captions run through one rollout loop, ``_rollout``, and differ
+only in how a step picks its token. Teacher forcing keeps its own loop:
+its targets are known up front, so it runs the output head once per
+caption, over the stack of the steps' context vectors.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -24,8 +27,9 @@ EOS are rejected anywhere else, and PAD is never fed back in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -180,8 +184,6 @@ def _recur(
     token_id = int(token_id)
     if token_id == PAD:
         raise ValueError("decode_step fed PAD")
-    if not 0 <= token_id < params.vocab_size:
-        raise IndexError(f"token id {token_id} outside vocabulary of {params.vocab_size}")
     h, m, c_t = decoder_cell(enc.a_bar, state.c_prev, params.embedding.weight, token_id,
                              state.lstm.h, state.lstm.m, *state.cell)
     return DecoderState(LstmState(h, m), c_t, state.t + 1, state.kv_spatial, state.kv_rel, state.cell)
@@ -236,50 +238,46 @@ def _forced_log_probs(params: DecoderParams, enc: EncoderOutput, gt_tokens) -> t
     return logits, log_prob(logits, targets), targets
 
 
-def generate_greedy(params: DecoderParams, enc: EncoderOutput, max_len: Optional[int] = None) -> list[int]:
-    """Argmax rollout; ties resolve to the lowest index.
-
-    Returns emitted tokens (EOS included when emitted), at most max_len.
-    """
-    budget = params.max_len if max_len is None else int(max_len)
+def _rollout(params: DecoderParams, enc: EncoderOutput, max_len: Optional[int],
+             pick: Callable[[Tensor, Tensor], int]) -> list[int]:
+    """Free-running decode from BOS, feeding back the token ``pick(logits, probs)`` chooses
+    at each step; stops after an emitted EOS or PAD, or at max_len (``params.max_len`` if None)."""
     state = init_state(params, enc)
     out: list[int] = []
     token = BOS
-    for _ in range(budget):
-        _, probs, state = decode_step(params, enc, state, token)
-        token = int(np.argmax(probs.data))
+    for _ in range(params.max_len if max_len is None else int(max_len)):
+        logits, probs, state = decode_step(params, enc, state, token)
+        token = pick(logits, probs)
         out.append(token)
         if token in (EOS, PAD):
             break
     return out
 
 
-def sample_sequence(
-    params: DecoderParams,
-    enc: EncoderOutput,
-    rng: np.random.Generator,
-    max_len: Optional[int] = None,
-) -> tuple[list[int], Optional[Tensor], list[StepScore]]:
+def generate_greedy(params: DecoderParams, enc: EncoderOutput, max_len: Optional[int] = None) -> list[int]:
+    """Argmax rollout; ties resolve to the lowest index.
+
+    Returns emitted tokens (EOS included when emitted), at most max_len.
+    """
+    return _rollout(params, enc, max_len, lambda logits, probs: int(np.argmax(probs.data)))
+
+
+def sample_sequence(params: DecoderParams, enc: EncoderOutput, rng: np.random.Generator,
+                    max_len: Optional[int] = None) -> tuple[list[int], Optional[Tensor], list[StepScore]]:
     """Multinomial rollout from each step's distribution.
 
-    Returns (tokens, total log-prob tensor, per-step scores). Re-scoring
-    the returned tokens with teacher_forced_logprobs reproduces the total
-    within 1e-12: its batched output head rounds differently.
+    Returns (tokens, total log-prob tensor, per-step scores); the total is
+    None for a zero budget. Re-scoring the returned tokens with
+    teacher_forced_logprobs reproduces the total within 1e-12: its batched
+    output head rounds differently.
     """
-    budget = params.max_len if max_len is None else int(max_len)
-    state = init_state(params, enc)
-    out: list[int] = []
     steps: list[StepScore] = []
-    total: Optional[Tensor] = None
-    token = BOS
-    for _ in range(budget):
-        logits, probs, state = decode_step(params, enc, state, token)
+
+    def pick(logits: Tensor, probs: Tensor) -> int:
         choice = int(rng.choice(params.vocab_size, p=probs.data))
-        lp = log_prob(logits, choice)
-        steps.append(StepScore(logits, probs, lp, choice))
-        total = lp if total is None else add(total, lp)
-        out.append(choice)
-        token = choice
-        if choice in (EOS, PAD):
-            break
+        steps.append(StepScore(logits, probs, log_prob(logits, choice), choice))
+        return choice
+
+    out = _rollout(params, enc, max_len, pick)
+    total = functools.reduce(add, [s.log_prob for s in steps]) if steps else None
     return out, total, steps

@@ -189,14 +189,15 @@ def scst_rollout(
     gradient at each step's logits is advantage * (probs - onehot(token)).
     Must run inside a Tape for the loss to be differentiable. The greedy
     baseline and both rewards are constants of the loss, so none of them
-    is recorded.
+    is recorded. reward_fn must be a pure function of its arguments: a
+    greedy caption equal to the sampled one reuses the sampled reward.
     """
     enc = encode(params.encoder, bundle)
     sampled, total_lp, steps = sample_sequence(params.decoder, enc, rng)
     with no_grad():
         greedy = generate_greedy(params.decoder, enc)
         r_s = reward_fn(sampled, bundle, refs)
-        r_b = reward_fn(greedy, bundle, refs)
+        r_b = r_s if greedy == sampled else reward_fn(greedy, bundle, refs)
     advantage = r_s - r_b
     return ScstRollout(
         loss=scale(total_lp, -advantage),

@@ -61,6 +61,14 @@ class TestDecodeStep:
         with pytest.raises(IndexError):
             decode_step(params.decoder, enc, state, 9)
 
+    def test_rejects_negative_token(self):
+        # the decoder cell is the one range check: -1 must not wrap to the last row
+        _, params, bundle = tiny_setup(vocab_size=9)
+        enc = encode(params.encoder, bundle)
+        state = init_state(params.decoder, enc)
+        with pytest.raises(IndexError):
+            decode_step(params.decoder, enc, state, -1)
+
     def test_does_not_mutate_input_state(self):
         _, params, bundle = tiny_setup()
         enc = encode(params.encoder, bundle)
@@ -227,6 +235,17 @@ class TestSampling:
         tokens, _, steps = sample_sequence(params.decoder, enc, np.random.default_rng(7), max_len=4)
         assert len(tokens) <= 4
         assert len(steps) == len(tokens)
+
+
+class TestRolloutLoop:
+    def test_zero_budget_emits_nothing_and_draws_nothing(self):
+        _, params, bundle = tiny_setup()
+        enc = encode(params.encoder, bundle)
+        rng = np.random.default_rng(11)
+        before = rng.bit_generator.state
+        assert generate_greedy(params.decoder, enc, max_len=0) == []
+        assert sample_sequence(params.decoder, enc, rng, max_len=0) == ([], None, [])
+        assert rng.bit_generator.state == before
 
 
 class TestDecoderGradients:

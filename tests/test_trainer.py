@@ -273,6 +273,43 @@ class TestScstRollout:
         assert a.advantage == b.advantage
 
 
+def counting_reward(calls):
+    """token_sum_reward that records each caption it scores."""
+    def reward(tokens, bundle, refs):
+        calls.append(list(tokens))
+        return token_sum_reward(tokens, bundle, refs)
+    return reward
+
+
+class TestScstRewardCalls:
+    def test_caption_equal_to_greedy_is_scored_once(self):
+        vocab, params, bundles, refs, *_ = tiny_world()
+        enc = encode(params.encoder, bundles[0])
+        # aim the EOS row at the first step's context: EOS gets logit 100 and
+        # every other token 0, so both rollouts emit [EOS]
+        _, _, after = decode_step(params.decoder, enc, init_state(params.decoder, enc), BOS)
+        c_t = after.c_prev.data
+        params.decoder.out_proj.weight.data[:] = 0.0
+        params.decoder.out_proj.weight.data[EOS] = 100.0 * c_t / (c_t @ c_t)
+        calls = []
+        with Tape():
+            rollout = scst_rollout(params, bundles[0], refs[0], counting_reward(calls),
+                                   np.random.default_rng(0))
+        assert rollout.sampled == rollout.greedy == [EOS]
+        assert calls == [[EOS]]
+        assert rollout.advantage == 0.0
+        assert rollout.sampled_reward == token_sum_reward([EOS], bundles[0], refs[0])
+
+    def test_distinct_captions_are_each_scored_once(self):
+        vocab, params, bundles, refs, *_ = tiny_world(2)
+        calls = []
+        with Tape():
+            rollout = scst_rollout(params, bundles[0], refs[0], counting_reward(calls),
+                                   np.random.default_rng(7))
+        assert rollout.sampled != rollout.greedy
+        assert calls == [rollout.sampled, rollout.greedy]
+
+
 def full_loss_scst_step(params, batch, reward_fn, lr, rng, clip_norm=5.0):
     """scst_step with every rollout in the loss, zero advantages included."""
     leaves = [t for _, t in params.named_params()]
