@@ -193,6 +193,14 @@ def _refs(record) -> list[list[str]]:
     return [tokenize(c) for c in record.captions]
 
 
+def _scored_refs(records, path) -> list[list[list[str]]]:
+    """Reference captions of records whose candidates get scored; every image needs one."""
+    for rec in records:
+        if not rec.captions:
+            raise FileFormatError(f"{path}: image {rec.image_id!r} has no reference captions")
+    return [_refs(r) for r in records]
+
+
 def _vocabulary(cfg: RunConfig, records):
     return build_vocabulary((c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count"))
 
@@ -271,13 +279,14 @@ def cmd_train_xe(args) -> int:
     dataset, bundle_of = _load_corpus(args, cfg)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
+    val_refs = _scored_refs(val_recs, args.dataset)
     vocab = _vocabulary(cfg, train_recs)
     train_pairs = []
     for rec in train_recs:
         bundle = bundle_of(rec)
         for caption in rec.captions:
             train_pairs.append((bundle, vocab.encode_caption(caption)))
-    val_items = [(bundle_of(r), _refs(r)) for r in val_recs]
+    val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
     idf = compute_idf([_refs(r) for r in train_recs])
     seed = cfg.get("seed")
     model_config = _config(
@@ -300,6 +309,8 @@ def cmd_train_scst(args) -> int:
     dataset, bundle_of = _load_corpus(args, cfg, params)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
+    train_refs = _scored_refs(train_recs, args.dataset)
+    val_refs = _scored_refs(val_recs, args.dataset)
     vse_params = None
     if args.vse:
         vse_params, vse_vocab, _ = load_vse(args.vse)
@@ -308,9 +319,9 @@ def cmd_train_scst(args) -> int:
                 f"{args.vse}: vocabulary differs from {args.checkpoint}; "
                 "both checkpoints must share one token list"
             )
-    train_items = [(bundle_of(r), _refs(r)) for r in train_recs]
-    val_items = [(bundle_of(r), _refs(r)) for r in val_recs]
-    idf = compute_idf([_refs(r) for r in train_recs])
+    train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
+    val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
+    idf = compute_idf(train_refs)
     seed = cfg.get("seed")
     result = train_scst(
         params, train_items, val_items, vocab, train_config_from(cfg), idf,
@@ -336,16 +347,16 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
     records = _split_records(dataset, args.split, args.dataset)
+    references = _scored_refs(records, args.dataset)
     path = Path(args.candidates)
     a_string = (lambda x: isinstance(x, str), "a string")
     by_id = {obj["id"]: obj["caption"]
              for obj in read_jsonl(path, {"id": a_string, "caption": a_string})}
-    candidates, references = [], []
+    candidates = []
     for rec in records:
         if rec.image_id not in by_id:
             raise FileFormatError(f"{path}: field id: no caption for image {rec.image_id!r}")
         candidates.append(tokenize(by_id[rec.image_id]))
-        references.append(_refs(rec))
     report = evaluate_captions(candidates, references)
     report["images"] = len(records)
     return _report(report, args.out)

@@ -4,8 +4,16 @@ All functions take pre-tokenized captions (lists of token strings); see
 ``features.tokenize`` for the canonical tokenizer. Candidate-level scores
 are pure functions of their inputs, so repeated evaluation is bit-stable.
 Every n-gram statistic comes from one table per caption (``_grams``), so
-``evaluate_captions`` counts each caption once and weighs each reference
-once for both CIDEr variants; float sums run in Counter insertion order.
+``evaluate_captions`` counts each caption once, weighs each reference once
+and scores both CIDEr variants in one pass (``_consensus``).
+
+Sum order: a float sum over a caption's grams runs in the caption's
+first-occurrence order, the insertion order of its count table, so the
+scores equal a straight per-metric computation bit for bit. The consensus
+dot products add only the grams the candidate shares with a reference: a
+gram the reference lacks would add +0.0, which leaves a sum of terms >= 0
+unchanged. Integer sums (BLEU's matched and total counts) are exact in any
+order.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import mul
 from typing import NamedTuple, Sequence
 
 Tokens = Sequence[str]
@@ -29,32 +39,57 @@ def ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(zip(*[tokens[k:] for k in range(n)]))
 
 
-# a caption's length and its n-gram Counters of orders 1..n_max
+# a caption's length and its n-gram counts of orders 1..n_max, one dict per
+# order in first-occurrence order; a caption of length L has max(L - n + 1, 0)
+# grams of order n, all distinct when the dict holds that many
 _Grams = NamedTuple("_Grams", [("length", int), ("counts", list)])
 
 
 def _grams(tokens: Tokens, n_max: int) -> _Grams:
-    return _Grams(len(tokens), [ngram_counts(tokens, n) for n in range(1, n_max + 1)])
+    shifted = [tokens[k:] for k in range(n_max)]
+    counts = []
+    for n in range(1, n_max + 1):
+        grams = list(zip(*shifted[:n]))
+        # most grams of a caption occur once; count only when one repeats
+        distinct = dict.fromkeys(grams, 1)
+        counts.append(distinct if len(distinct) == len(grams) else Counter(grams))
+    return _Grams(len(tokens), counts)
 
 
-def _bleu(cands: Sequence[_Grams], refs: Sequence[Sequence[_Grams]], n_max: int) -> list[float]:
+# one image's reference captions and the set of every gram any of them holds
+_RefSet = NamedTuple("_RefSet", [("grams", list), ("seen", set)])
+
+
+def _ref_set(references: Sequence[Tokens], n_max: int) -> _RefSet:
+    grams = [_grams(r, n_max) for r in references]
+    # grams of different orders are tuples of different lengths
+    return _RefSet(grams, set().union(*(counts for g in grams for counts in g.counts)))
+
+
+def _bleu(cands: Sequence[_Grams], refs: Sequence[_RefSet], n_max: int) -> list[float]:
     if not cands:
         raise ValueError("bleu needs at least one candidate")
     if len(cands) != len(refs):
         raise ValueError(f"{len(cands)} candidates but {len(refs)} reference sets")
     matched, total = [0] * n_max, [0] * n_max
     cand_len_sum = ref_len_sum = 0
-    for cand, cand_refs in zip(cands, refs):
-        if not cand_refs:
+    for cand, ref_set in zip(cands, refs):
+        if not ref_set.grams:
             raise ValueError("every candidate needs at least one reference")
         cand_len_sum += cand.length
         # the closest reference length; ties in closeness resolve to the shorter
-        ref_len_sum += min((abs(r.length - cand.length), r.length) for r in cand_refs)[1]
+        ref_len_sum += min((abs(r.length - cand.length), r.length) for r in ref_set.grams)[1]
         for n, counts in enumerate(cand.counts):
-            ref_counts = [r.counts[n] for r in cand_refs]
-            # clipped count: a gram matches at most as often as in any one reference
-            matched[n] += sum(min(k, max(rc[g] for rc in ref_counts)) for g, k in counts.items())
-            total[n] += sum(counts.values())
+            count = sum(counts.values())
+            total[n] += count
+            # clipped count: a gram matches at most as often as in any one
+            # reference; a gram that occurs once matches iff some reference has it
+            if len(counts) == count:
+                matched[n] += len(ref_set.seen.intersection(counts))
+            else:
+                ref_counts = [r.counts[n] for r in ref_set.grams]
+                matched[n] += sum(min(k, max(rc.get(g, 0) for rc in ref_counts))
+                                  for g, k in counts.items() if g in ref_set.seen)
     if cand_len_sum == 0:
         return [0.0] * n_max
     brevity = math.exp(1.0 - ref_len_sum / cand_len_sum) if cand_len_sum < ref_len_sum else 1.0
@@ -79,7 +114,7 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
     candidate length c falls short of the total closest-reference length r.
     """
     cands = [_grams(c, n_max) for c in candidates]
-    return _bleu(cands, [[_grams(r, n_max) for r in refs] for refs in references], n_max)
+    return _bleu(cands, [_ref_set(refs, n_max) for refs in references], n_max)
 
 
 def _lcs_length(a: Tokens, b: Tokens) -> int:
@@ -139,16 +174,15 @@ class IdfTable:
         return self.weights.get(gram, self.unseen_weight)
 
 
-def _idf(reference_corpus: Sequence[Sequence[_Grams]]) -> IdfTable:
+def _idf(reference_corpus: Sequence[_RefSet]) -> IdfTable:
     if not reference_corpus:
         raise ValueError("cannot compute idf over an empty corpus")
-    doc_freq: Counter = Counter()
-    for refs in reference_corpus:
-        # grams of different orders are tuples of different lengths
-        doc_freq.update(set().union(*(counts for ref in refs for counts in ref.counts)))
+    doc_freq = Counter(chain.from_iterable(refs.seen for refs in reference_corpus))
     n_images = len(reference_corpus)
-    weights = {gram: math.log(n_images / df) for gram, df in doc_freq.items()}
-    return IdfTable(weights=weights, image_count=n_images)
+    # one logarithm per distinct document frequency
+    logs = {df: math.log(n_images / df) for df in set(doc_freq.values())}
+    return IdfTable(weights=dict(zip(doc_freq, map(logs.__getitem__, doc_freq.values()))),
+                    image_count=n_images)
 
 
 def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
@@ -158,7 +192,7 @@ def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
     An n-gram's df is the number of images in which any reference
     contains it, regardless of multiplicity.
     """
-    return _idf([[_grams(r, n_max) for r in refs] for refs in reference_corpus])
+    return _idf([_ref_set(refs, n_max) for refs in reference_corpus])
 
 
 # a caption's length and, per order, its tf-idf vector and that vector's norm
@@ -168,33 +202,46 @@ _Weighted = NamedTuple("_Weighted", [("length", int), ("orders", list)])
 def _weighted(grams: _Grams, idf: IdfTable) -> _Weighted:
     weights, unseen = idf.weights, idf.unseen_weight
     orders = []
-    for counts in grams.counts:
-        vec = {g: k * weights.get(g, unseen) for g, k in counts.items()}
-        orders.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+    for n, counts in enumerate(grams.counts):
+        values = map(weights.get, counts, repeat(unseen))
+        if len(counts) < grams.length - n:  # some gram repeats; 1 * w is w
+            values = map(mul, counts.values(), values)
+        values = list(values)
+        orders.append((dict(zip(counts, values)), math.sqrt(sum(map(mul, values, values)))))
     return _Weighted(grams.length, orders)
 
 
-def _consensus(cand: _Weighted, refs: Sequence[_Weighted], clipped: bool) -> float:
-    per_order = []
+def _consensus(cand: _Weighted, refs: Sequence[_Weighted]) -> tuple[float, float]:
+    """The plain and the clipped (CIDEr-D) score of one candidate, in one pass.
+
+    Per (reference, order) the pass looks each candidate gram up in the
+    reference's tf-idf vector once and keeps the grams it holds. That is
+    exact: every tf-idf value is >= 0, so a gram the reference lacks would
+    add +0.0 to both dot products, and a sum of terms >= 0 does not change
+    when a +0.0 is added to it. Both dot products sum their terms in the
+    candidate's gram order.
+    """
+    # CIDEr-D's length penalty, one per reference
+    penalties = [math.exp(-((cand.length - ref.length) ** 2) / (2.0 * CIDER_SIGMA ** 2)) for ref in refs]
+    plain, clipped = [], []
     for n, (cand_vec, cand_norm) in enumerate(cand.orders):
-        acc = 0.0
-        for ref in refs:
+        acc_plain = acc_clipped = 0.0
+        for ref, penalty in zip(refs, penalties):
             ref_vec, ref_norm = ref.orders[n]
             if cand_norm == 0.0 or ref_norm == 0.0:
                 continue
-            if not clipped:
-                dot = sum(v * ref_vec.get(g, 0.0) for g, v in cand_vec.items())
-                acc += dot / (cand_norm * ref_norm)
-            else:
-                # clipping happens in idf-weighted space; shared idf per
-                # gram makes that identical to clipping the raw counts
-                dot = sum(min(v, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
-                          for g, v in cand_vec.items())
-                delta = cand.length - ref.length
-                penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA ** 2))
-                acc += penalty * dot / (cand_norm * ref_norm)
-        per_order.append(acc / len(refs))
-    return 10.0 * sum(per_order) / len(per_order)
+            shared = list(filter(ref_vec.__contains__, cand_vec))
+            if not shared:
+                continue
+            v = list(map(cand_vec.__getitem__, shared))
+            w = list(map(ref_vec.__getitem__, shared))
+            acc_plain += sum(map(mul, v, w)) / (cand_norm * ref_norm)
+            # clipping happens in idf-weighted space; shared idf per gram
+            # makes that identical to clipping the raw counts
+            acc_clipped += penalty * sum(map(mul, map(min, v, w), w)) / (cand_norm * ref_norm)
+        plain.append(acc_plain / len(refs))
+        clipped.append(acc_clipped / len(refs))
+    return 10.0 * sum(plain) / len(plain), 10.0 * sum(clipped) / len(clipped)
 
 
 def cider(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
@@ -212,7 +259,8 @@ def cider(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
     if not references:
         raise ValueError("cider needs at least one reference")
     refs = [_weighted(_grams(r, n_max), idf) for r in references]
-    return _consensus(_weighted(_grams(candidate, n_max), idf), refs, clipped=variant == "d")
+    plain, clipped = _consensus(_weighted(_grams(candidate, n_max), idf), refs)
+    return clipped if variant == "d" else plain
 
 
 def cider_d(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
@@ -228,16 +276,15 @@ def evaluate_captions(candidates: Sequence[Tokens], references: Sequence[Sequenc
     table is supplied one is computed from ``references`` themselves.
     """
     cand_grams = [_grams(c, DEFAULT_NGRAM_MAX) for c in candidates]
-    ref_grams = [[_grams(r, DEFAULT_NGRAM_MAX) for r in refs] for refs in references]
+    ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
     if idf is None:
-        idf = _idf(ref_grams)
-    bleu_scores = _bleu(cand_grams, ref_grams, DEFAULT_NGRAM_MAX)
+        idf = _idf(ref_sets)
+    bleu_scores = _bleu(cand_grams, ref_sets, DEFAULT_NGRAM_MAX)
     n = len(candidates)
     report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
     report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
-    # one tf-idf vector per caption and order serves both variants
-    weighted = [(_weighted(c, idf), [_weighted(r, idf) for r in rs])
-                for c, rs in zip(cand_grams, ref_grams)]
-    report["cider"] = sum(_consensus(c, rs, clipped=False) for c, rs in weighted) / n
-    report["ciderD"] = sum(_consensus(c, rs, clipped=True) for c, rs in weighted) / n
+    scores = [_consensus(_weighted(c, idf), [_weighted(r, idf) for r in rs.grams])
+              for c, rs in zip(cand_grams, ref_sets)]
+    report["cider"] = sum(plain for plain, _ in scores) / n
+    report["ciderD"] = sum(clipped for _, clipped in scores) / n
     return report

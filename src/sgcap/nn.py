@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -56,6 +57,11 @@ def init_weight(rng: np.random.Generator, fan_out: int, fan_in: int) -> Tensor:
     return Tensor._wrap(w, requires_grad=True)
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 class ParamArrays:
     """Base of every parameter dataclass; its fields, in order, name its parameters.
 
@@ -69,9 +75,9 @@ class ParamArrays:
 
     def named_params(self, prefix: Optional[str] = None) -> Iterator[tuple[str, Tensor]]:
         prefix = self.prefix if prefix is None else prefix
-        for f in fields(self):
-            value = getattr(self, f.name)
-            name = f"{prefix}.{f.name}" if prefix else f.name
+        for field in _field_names(type(self)):
+            value = getattr(self, field)
+            name = f"{prefix}.{field}" if prefix else field
             if isinstance(value, Tensor):
                 yield name, value
             elif isinstance(value, ParamArrays):

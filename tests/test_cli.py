@@ -112,6 +112,18 @@ def bundle_modes(monkeypatch):
     return modes
 
 
+def without_references(world, tmp_path, split):
+    """The toy dataset with the first ``split`` image's captions removed; (path, that image's id)."""
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+    for r in records:  # an absolute feature file keeps the rewritten dataset's features
+        r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+    bare = next(r for r in records if r["split"] == split)
+    bare["captions"] = []
+    path = tmp_path / "bare.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path, bare["id"]
+
+
 class TestConfigParsing:
     def test_comments_and_spacing(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -387,6 +399,16 @@ class TestTrainXe:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
 
+    def test_validation_image_without_references_exits_1(self, world, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "val")
+        rc = main([str(a) for a in (
+            "train-xe", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--out", tmp_path / "x.sgck", "--log", tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
+        # no epoch ran
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
+
     def test_seed_flag_overrides_config(self, world, tmp_path, capsys):
         ck = tmp_path / "s.sgck"
         rc, _ = run(capsys, "train-xe", "--config", world["cfg"],
@@ -457,6 +479,16 @@ class TestTrainScst:
         assert rc == 1
         assert ".sgaf: feature width 40 does not match checkpoint (64)" in capsys.readouterr().err
         assert not (tmp_path / "o.sgck").exists()
+
+    def test_training_image_without_references_exits_1(self, world, trained, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "train")
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--checkpoint", trained["xe"], "--reward", "cider",
+            "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
     def test_wrong_checkpoint_kind_fails(self, world, trained, tmp_path, capsys):
         rc, _ = run(capsys, "train-scst", "--config", world["cfg"],
@@ -548,6 +580,15 @@ class TestEvaluate:
                          "--dataset", world["dataset"], "--split", "test")
         assert rc == 0
         assert report["rougeL"] == (len(records) - 1) / len(records)
+
+    def test_image_without_references_exits_1(self, world, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "test")
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text("".join(json.dumps({"id": r.image_id, "caption": "a cat"}) + "\n"
+                                for r in load_dataset(dataset).split("test")))
+        rc = main(["evaluate", "--candidates", str(caps), "--dataset", str(dataset), "--split", "test"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
 
     def test_missing_image_fails(self, world, tmp_path, capsys):
         caps = tmp_path / "caps.jsonl"

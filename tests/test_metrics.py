@@ -398,3 +398,63 @@ class TestAgainstReferenceForms:
     @settings(max_examples=200, deadline=None)
     def test_lcs_equals_dynamic_programming_table(self, a, b):
         assert _lcs_length(a, b) == ref_lcs_length(a, b)
+
+
+def zipf_corpus(seed, n_images=300, n_refs=5, n_words=2000):
+    """Captions of 0-16 words drawn Zipfian from ``n_words`` words; every image's first
+    reference opens with "every", so that gram has df = N and idf weight 0."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    p = 1.0 / np.arange(1, n_words + 1)
+    p /= p.sum()
+
+    def caption():
+        return [words[j] for j in rng.choice(n_words, size=rng.integers(0, 17), p=p)]
+
+    cands = [caption() for _ in range(n_images)]
+    refs = [[["every", *caption()]] + [caption() for _ in range(n_refs - 1)] for _ in range(n_images)]
+    cands[0] = []
+    cands[1] = ["never", "seen", "here"]  # shares no gram with any reference
+    cands[2] = ["every", *cands[2]]  # the weight-0 gram feeds the sums
+    return cands, refs
+
+
+class TestZipfCorpusExact:
+    """A seeded corpus at evaluation scale equals the reference forms bit for bit.
+
+    The Hypothesis cases above draw from 4-6 words, so almost every
+    candidate gram is in its references; here most higher-order grams are
+    not, and the consensus passes skip them.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        cands, refs = zipf_corpus(seed=16)
+        # repeated grams take the counted paths, distinct ones the shortcuts
+        assert any(len(set(c)) < len(c) for c in cands)
+        assert any(len(set(c)) == len(c) > 1 for c in cands)
+        return cands, refs
+
+    def test_idf_and_corpus_scores(self, corpus):
+        cands, refs = corpus
+        weights, n_images = ref_compute_idf(refs)
+        assert weights[("every",)] == 0.0
+        assert compute_idf(refs) == IdfTable(weights, n_images)
+        assert bleu(cands, refs) == ref_bleu(cands, refs)
+        assert evaluate_captions(cands, refs) == ref_evaluate_captions(cands, refs)
+        # an idf table from other images: most grams fall back to the unseen weight
+        other = zipf_corpus(seed=17, n_images=40)[1]
+        got = evaluate_captions(cands, refs, compute_idf(other))
+        assert got == ref_evaluate_captions(cands, refs, ref_compute_idf(other))
+
+    def test_each_candidate(self, corpus):
+        cands, refs = corpus
+        idf = compute_idf(refs)
+        ref_idf = ref_compute_idf(refs)
+        for cand, cand_refs in zip(cands, refs):
+            plain = ref_cider(cand, cand_refs, ref_idf)
+            clipped = ref_cider(cand, cand_refs, ref_idf, "d")
+            assert cider(cand, cand_refs, idf) == plain
+            assert cider(cand, cand_refs, idf, "d") == clipped
+            assert cider_d(cand, cand_refs, idf) == clipped
+        assert cider(cands[0], refs[0], idf) == cider_d(cands[1], refs[1], idf) == 0.0
