@@ -27,7 +27,10 @@ transition ``lstm_cell`` -> (h, m), and ``decoder_cell`` -> (h, m, c),
 the whole recurrence of a decoder step (its LSTM input, the LSTM, and
 the query projections, attention and gates of both attention paths).
 They share their array kernels: the stacked attention heads, the AoA
-gate and the LSTM cell, each with its backward.
+gate and the LSTM cell, each with its backward. Two ops run many rows
+as if each ran alone, bit for bit: ``linear_each``, one ``linear`` per
+row, and ``lstm_sequences``, the LSTM over a batch of token sequences,
+whose cell kernel takes the rows still running at each step.
 
 Design rules, enforced here rather than assumed:
 
@@ -61,6 +64,7 @@ __all__ = [
     "mul",
     "scale",
     "linear",
+    "linear_each",
     "reshape",
     "concat",
     "gather_rows",
@@ -79,6 +83,7 @@ __all__ = [
     "KeyValues",
     "key_values",
     "lstm_cell",
+    "lstm_sequences",
     "decoder_cell",
     "grad_check",
 ]
@@ -406,6 +411,36 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     y += b.data
     return _emit(y, (x, w, b),
                  lambda g: (g @ wd if x.requires_grad else None, _Outer(g, xd), g.sum(axis=0)))
+
+
+def linear_each(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``linear`` of each row of x on its own, as one op: the values and
+    gradients of one ``linear`` per row, the rows recorded in order.
+
+    Each row's products are its own (``_each_row``). The weight's factor
+    pair lists the rows last to first, and the bias adds their parts in
+    that order, as the tape settles and adds the parts of the per-row ops.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+        raise DimensionError(f"linear mismatch: {tuple(xd.shape)} @ {tuple(wd.shape)}^T")
+    if b is not None and b.data.shape != (wd.shape[0],):
+        raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
+    y = (_each_row(xd) @ wd.T).reshape(xd.shape[0], -1)
+
+    def backward_fn(g):
+        last_first = g[::-1]
+        dx = (_each_row(g) @ wd).reshape(xd.shape) if x.requires_grad else None
+        parts = (dx, _Outer(last_first.copy(), xd[::-1].copy()))
+        if b is None:
+            return parts
+        # each row's part is its own sum over one row, which turns -0.0 into 0.0, as + 0.0 does here
+        return parts + (np.add.accumulate(last_first, axis=0)[-1] + 0.0,)
+
+    if b is None:
+        return _emit(y, (x, w), backward_fn)
+    y += b.data
+    return _emit(y, (x, w, b), backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -837,36 +872,51 @@ def _context_bwd(g: np.ndarray, qd: np.ndarray, saved) -> tuple:
     return gq.reshape(-1), grads
 
 
-def _lstm_fwd(row: np.ndarray, md: np.ndarray, cell: Sequence[Tensor]):
-    """The LSTM cell on the row [x; h] and the memory md, with ``cell`` the
-    weights (w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c):
+def _each_row(a: np.ndarray) -> np.ndarray:
+    """The rows of a (..., b, n) as matmul's left operand for one one-row
+    product per row: stacked (..., b, 1, n), which numpy runs as the BLAS
+    call a row alone gets (one general product over all rows differs in
+    the last bits), or a itself when b is 1."""
+    return a if a.shape[-2] == 1 else a[..., None, :]
+
+
+def _lstm_fwd(rows: np.ndarray, md: np.ndarray, cell: Sequence[Tensor]):
+    """The LSTM cell on each row [x; h] of ``rows`` (b, width) and its
+    memory: the rows of ``md`` (b, d), or for one row a vector (d,), with
+    ``cell`` the weights (w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c):
 
     gate z = sigmoid([x; h] W_z^T + b_z) for i, f and o, tanh for c~
     m' = f * m + i * c~          h' = o * tanh(m')
 
-    Returns h', m' and what _lstm_bwd needs.
+    Each row's products are its own (``_each_row``), so no row's values
+    depend on the others'. Returns h' and m', shaped as md, and what
+    _lstm_bwd needs.
     """
-    d, width = md.shape[0], row.shape[1]
-    if md.ndim != 1 or [t.data.shape for t in cell] != [(d, width)] * 4 + [(d,)] * 4:
+    (b, width), d = rows.shape, md.shape[-1]
+    if md.shape != ((d,) if md.ndim == 1 and b == 1 else (b, d)) or \
+            [t.data.shape for t in cell] != [(d, width)] * 4 + [(d,)] * 4:
         raise DimensionError(f"lstm weights must map width {width} to the memory's {md.shape}")
-    y = np.concatenate([row @ w.data.T for w in cell[:4]])  # the gates as rows [i; f; o; c~]
-    y += np.concatenate([b.data for b in cell[4:]]).reshape(4, d)
+    each = _each_row(rows)
+    y = np.concatenate([each @ w.data.T for w in cell[:4]]).reshape((4,) + md.shape)  # the gates [i; f; o; c~]
+    y += np.concatenate([bias.data for bias in cell[4:]]).reshape((4,) + (1,) * (md.ndim - 1) + (d,))
     y[:3] = _sigmoid(y[:3])
     np.tanh(y[3], out=y[3])
     i, f, o, c = y
     m_new = f * md + i * c
     t = np.tanh(m_new)
-    return o * t, m_new, (row, md, y, t)
+    return o * t, m_new, (rows, md, y, t)
 
 
 def _lstm_bwd(gh, gm, cell: Sequence[Tensor], saved) -> tuple:
     """The LSTM cell's gradients from those of h' and m' (None where no
-    flow reached one): m''s whole gradient (its flow, then h''s term),
-    the row's, the memory's, then the four weights' factor pairs and the
-    four biases'. Each term is formed as the unfused gate, memory and
-    hidden-state ops form it, and added in their order.
+    flow reached one): m''s whole gradient (its flow, then h''s term), the
+    rows' (shaped as the memory, to the rows' width), the memory's, and
+    the gates' pre-activations' (4, *md.shape), which give the weights'
+    factor pairs and the biases' parts. Each term is formed as the
+    unfused gate, memory and hidden-state ops form it, and added in their
+    order.
     """
-    row, md, y, t = saved
+    _, md, y, t = saved
     i, f, o, c = y
     dpre = np.zeros(y.shape)  # the gates' gradient, then in place their pre-activations'
     if gh is not None:
@@ -881,9 +931,14 @@ def _lstm_bwd(gh, gm, cell: Sequence[Tensor], saved) -> tuple:
     dpre[:3] *= y[:3]
     dpre[:3] *= 1.0 - y[:3]
     dpre[3] *= 1.0 - y[3] * y[3]
-    drow = sum(dpre[z:z + 1] @ cell[z].data for z in (3, 2, 1, 0))  # the unfused order
-    dcell = tuple(_Outer(dpre[z:z + 1], row) for z in range(4)) + tuple(dpre)
-    return gm, drow[0], gm * f, dcell
+    each = _each_row(dpre.reshape(4, -1, md.shape[-1]))
+    drow = sum(each[z] @ cell[z].data for z in (3, 2, 1, 0))  # the unfused order
+    return gm, drow.reshape(md.shape[:-1] + (-1,)), gm * f, dpre
+
+
+def _lstm_row_parts(dpre: np.ndarray, row: np.ndarray) -> tuple:
+    """One row's weight factor pairs and bias gradients, from _lstm_bwd."""
+    return tuple(_Outer(dpre[z:z + 1], row) for z in range(4)) + tuple(dpre)
 
 
 def lstm_cell(x: Tensor, h: Tensor, m: Tensor, cell: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
@@ -897,10 +952,80 @@ def lstm_cell(x: Tensor, h: Tensor, m: Tensor, cell: Sequence[Tensor]) -> tuple[
 
     def backward_fn(g):
         gh, gm = g
-        gm, drow, dm, dcell = _lstm_bwd(gh, gm, cell, saved)
-        return (gh, gm), (drow[:split], drow[split:], dm) + dcell
+        gm, drow, dm, dpre = _lstm_bwd(gh, gm, cell, saved)
+        return (gh, gm), (drow[:split], drow[split:], dm) + _lstm_row_parts(dpre, saved[0])
 
     return _emit_many((h_new, m_new), (x, h, m) + tuple(cell), backward_fn)
+
+
+def lstm_sequences(table: Tensor, sequences: Sequence[Sequence[int]], cell: Sequence[Tensor]) -> Tensor:
+    """The LSTM over each token sequence, from the zero state, as one op:
+    row s of the output (len(sequences), d) is the last hidden state of
+    sequence s, whose step t reads the row table[sequences[s][t]].
+    ``cell`` is (w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c).
+
+    All sequences advance together: step t runs one batched cell
+    (``_lstm_fwd``) over the rows still running, and a finished row keeps
+    its final state. Values and gradients equal those of ``gather_rows``
+    and ``lstm_cell`` run token by token, one sequence after another:
+    every row's products are its own, and the backward hands the table
+    one scatter and each weight one factor pair whose rows are listed as
+    that tape lists its parts (sequences last to first, each one's steps
+    last to first), and sums each bias's parts in that order.
+    """
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    if lengths.size == 0 or lengths.min() < 1:
+        raise DimensionError("lstm_sequences needs at least one sequence, and a token in each")
+    td = table.data
+    if td.ndim != 2:
+        raise DimensionError(f"lstm_sequences expects a table matrix, got shape {tuple(td.shape)}")
+    order = np.argsort(-lengths, kind="stable")  # longest first: the rows still running are a prefix
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    tokens = np.zeros((lengths.max(), lengths.size), dtype=np.int64)  # [step, row]
+    for r, seq in enumerate(order):
+        tokens[:lengths[seq], r] = sequences[seq]
+    if tokens.min() < 0 or tokens.max() >= td.shape[0]:
+        raise IndexError(f"token outside a table of shape {tuple(td.shape)}")
+    running = np.count_nonzero(lengths > np.arange(tokens.shape[0])[:, None], axis=1)  # rows at each step
+    width, d = td.shape[1], cell[4].data.shape[0]
+    rows = np.zeros(tokens.shape + (width + d,))  # each step's rows [x; h], h of the zero state at step 0
+    rows[:, :, :width] = td[tokens]
+    m, last, saved = np.zeros((lengths.size, d)), np.empty((lengths.size, d)), []
+    for t, n in enumerate(running):
+        h, m, cell_saved = _lstm_fwd(rows[t, :n], m[:n], cell)
+        going = running[t + 1] if t + 1 < running.size else 0
+        if going:
+            rows[t + 1, :going, width:] = h[:going]
+        last[going:n] = h[going:]  # the rows that end at this step
+        saved.append(cell_saved)
+
+    def backward_fn(g):
+        g = g[order]
+        gh = gm = None
+        dpre, dx = [], []
+        for t in reversed(range(running.size)):
+            n, going = running[t], 0 if gh is None else gh.shape[0]
+            if going < n:  # rows that end at this step: the output's flow, and none into m' (-0.0 + x is x)
+                gh = g[going:n] if gh is None else np.concatenate([gh, g[going:n]])
+                no_flow = np.full((n - going, d), -0.0)
+                gm = no_flow if gm is None else np.concatenate([gm, no_flow])
+            _, drow, gm, dpre_t = _lstm_bwd(gh, gm, cell, saved[t])
+            gh = drow[:, width:]
+            dpre.append(dpre_t)
+            dx.append(drow[:, :width])
+        # the (step, row) of each cell in the order of the per-token tape's
+        # parts: sequences last to first, each one's steps last to first
+        reverse = lengths[::-1]
+        row = np.repeat(rank[::-1], reverse)
+        step = np.repeat(np.cumsum(reverse), reverse) - 1 - np.arange(reverse.sum())
+        at = (np.cumsum(running[::-1])[::-1] - running)[step] + row  # where in the lists above, last step first
+        dpre = np.concatenate(dpre, axis=1)[:, at]
+        x = rows[step, row]
+        scatter = _Scatter(tokens[step, row], np.concatenate(dx)[at])
+        return (scatter, *(_Outer(dpre[z], x) for z in range(4)), *np.add.accumulate(dpre, axis=1)[:, -1])
+
+    return _emit(last[rank], (table, *cell), backward_fn)
 
 
 def decoder_cell(a_bar: Tensor, c_prev: Tensor, table: Tensor, token: int, h: Tensor, m: Tensor,
@@ -939,10 +1064,10 @@ def decoder_cell(a_bar: Tensor, c_prev: Tensor, table: Tensor, token: int, h: Te
         if gc is not None:
             dh, dcontext = _context_bwd(gc, qd, context_saved)
             gh = dh if gh is None else gh + dh
-        gm, drow, dm, dcell = _lstm_bwd(gh, gm, cell, lstm_saved)
+        gm, drow, dm, dpre = _lstm_bwd(gh, gm, cell, lstm_saved)
         du = drow[width:split]
         return (gh, gm, gc), (du, du, _Scatter(indices, drow[:width].reshape(1, width)), drow[split:], dm,
-                              *dcell, *dcontext)
+                              *_lstm_row_parts(dpre, lstm_saved[0]), *dcontext)
 
     inputs = (a_bar, c_prev, table, h, m, *cell, *_context_inputs(paths))
     return _emit_many((h_new, m_new, c_new), inputs, backward_fn)

@@ -28,6 +28,7 @@ from .features import (
     coverage_stats,
     load_bundle,
     load_dataset,
+    load_sgaf,
     load_word_vectors,
     make_triplet_lstm,
     read_jsonl,
@@ -242,12 +243,12 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_vse(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
+    dataset = load_dataset(args.dataset)
     records = _split_records(dataset, "train", args.dataset)
     vocab = _vocabulary(cfg, records)
     pairs = []
-    for rec in records:
-        spatial = bundle_of(rec).spatial
+    for rec in records:  # the ranking network reads spatial maps and tokens, never a word vector
+        spatial = load_sgaf(rec.feature_file)
         for caption in rec.captions:
             pairs.append((spatial, [vocab.token_to_id(w) for w in tokenize(caption)]))
     seed = cfg.get("seed")
@@ -415,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("featurize", cmd_featurize, "precompute relationship feature matrices", corpus)
     p.add_argument("--out-dir", type=Path, required=True)
 
-    command("train-vse", cmd_train_vse, "train the image-caption ranking network", corpus, trainer)
+    p = command("train-vse", cmd_train_vse, "train the image-caption ranking network", config, data, trainer)
+    p.add_argument("--wordvecs", type=Path, help="accepted like the other trainers' flag, never read")
     command("train-xe", cmd_train_xe, "phase 1: cross-entropy training", corpus, trainer)
 
     p = command("train-scst", cmd_train_scst, "phase 2: self-critical fine-tuning", corpus, trainer)

@@ -18,6 +18,7 @@ graph tensors at encode time.
 from __future__ import annotations
 
 import json
+import re
 import string
 import struct
 from dataclasses import dataclass, field
@@ -66,7 +67,7 @@ MAX_TRIPLETS = 20
 _SGAF_MAGIC = b"SGAF"
 _SGAF_VERSION = 1
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
 class FileFormatError(ValueError):
@@ -75,7 +76,7 @@ class FileFormatError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip ASCII punctuation, split on whitespace."""
-    return text.lower().translate(_PUNCT_TABLE).split()
+    return _PUNCT.sub("", text.lower()).split()
 
 
 class Vocabulary:

@@ -20,6 +20,7 @@ from .autodiff import (
     Tensor,
     gather_rows,
     linear,
+    linear_each,
     lstm_cell,
     parameter,
     reshape,
@@ -143,6 +144,11 @@ class LinearLayer(ParamArrays):
     def apply_rows(self, x: Tensor) -> Tensor:
         """Project every row of (n, d_in) -> (n, d_out)."""
         return linear(x, self.weight, self.bias)
+
+    def apply_each(self, x: Tensor) -> Tensor:
+        """Project every row of (n, d_in) -> (n, d_out) as ``apply_vec``
+        projects it alone, bit for bit, in one op."""
+        return linear_each(x, self.weight, self.bias)
 
 
 @dataclass

@@ -6,6 +6,13 @@ hinge ranking loss over in-batch negatives, then stays frozen: the cosine
 between the two embeddings of a generated caption and its image is the
 vision reward. Its parameters are deliberately disjoint from the
 captioner's so the reward cannot drift with the policy being scored.
+
+A training batch is embedded in a fixed number of tape ops, whatever its
+size and caption lengths: one projection of all its pooled images, one
+LSTM op over all its captions (``autodiff.lstm_sequences``) and one
+projection of their final states, with values and gradients bit for bit
+those of embedding each pair on its own. The network reads spatial
+features and token ids only, so training it needs no word vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from .autodiff import (
     concat,
     constant,
     linear,
+    lstm_sequences,
     mean_rows,
     mul,
     relu,
@@ -32,7 +40,7 @@ from .autodiff import (
     sum_all,
 )
 from .ioutil import run_log
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, epoch_batches, lstm_run
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, epoch_batches
 
 __all__ = [
     "VseConfig",
@@ -92,7 +100,8 @@ class VseParams(ParamArrays):
 
 @dataclass
 class EmbeddingPair:
-    """One image-caption pair mapped into the shared space."""
+    """One image-caption pair mapped into the shared space, or a batch of
+    them as the rows of two (B, d) matrices."""
 
     i_e: Tensor
     w_e: Tensor
@@ -108,28 +117,36 @@ def embed_image(params: VseParams, spatial: Tensor) -> Tensor:
     return params.image_proj.apply_vec(mean_rows(spatial))
 
 
+def _embed_captions(params: VseParams, captions: Sequence[Sequence[int]]) -> Tensor:
+    """Each caption's final LSTM state, projected: (len(captions), space_dim)."""
+    rows = lstm_sequences(params.embedding.weight, captions, params.lstm.weights())
+    return params.caption_proj.apply_each(rows)
+
+
 def embed_caption(params: VseParams, token_ids: Sequence[int]) -> Tensor:
     """Run the caption LSTM over the tokens; project the final hidden state."""
     if len(token_ids) == 0:
         raise ValueError("embed_caption needs at least one token")
-    state = lstm_run(params.lstm, (params.embedding.lookup(token) for token in token_ids))
-    return params.caption_proj.apply_vec(state.h)
+    return reshape(_embed_captions(params, [token_ids]), (params.caption_proj.d_out,))
 
 
-def hinge_loss(pairs: Sequence[EmbeddingPair], margin: float = DEFAULT_MARGIN) -> Tensor:
+def hinge_loss(pairs: Union[EmbeddingPair, Sequence[EmbeddingPair]], margin: float = DEFAULT_MARGIN) -> Tensor:
     """Bidirectional ranking loss over a batch, negatives = all other members.
 
-    With S[i, j] = i_e[i] . w_e[j] and d = diag(S):
+    ``pairs`` is a list of pairs, or one pair whose embeddings are the
+    batch's rows. With S[i, j] = i_e[i] . w_e[j] and d = diag(S):
         sum_{i != j} max(0, margin - d[i] + S[i, j])    wrong caption for image i
       + sum_{i != j} max(0, margin - d[j] + S[i, j])    wrong image for caption j
     """
-    b = len(pairs)
+    rows = pairs if isinstance(pairs, EmbeddingPair) else None
+    b = len(pairs) if rows is None else rows.i_e.data.shape[0]
     if b < 2:
         raise ValueError(f"hinge loss needs a batch of >= 2 pairs, got {b}")
-    d = pairs[0].i_e.data.shape[0]
-    images = concat([reshape(p.i_e, (1, d)) for p in pairs], axis=0)
-    captions = concat([reshape(p.w_e, (1, d)) for p in pairs], axis=0)
-    sim = linear(images, captions)
+    if rows is None:
+        d = pairs[0].i_e.data.shape[0]
+        rows = EmbeddingPair(concat([reshape(p.i_e, (1, d)) for p in pairs], axis=0),
+                             concat([reshape(p.w_e, (1, d)) for p in pairs], axis=0))
+    sim = linear(rows.i_e, rows.w_e)
     eye = constant(np.eye(b))
     column = reshape(row_sums(mul(sim, eye)), (b, 1))
     ones = constant(np.ones((b, 1)))
@@ -152,6 +169,14 @@ def vision_reward(w_e, i_e) -> float:
         warnings.warn("zero-norm embedding: vision reward defined as 0")
         return 0.0
     return float(w @ i) / (wn * in_)
+
+
+def _batch_loss(params: VseParams, pooled: np.ndarray, captions: Sequence[Sequence[int]], margin: float) -> Tensor:
+    """The hinge loss of a batch, given its images' pooled rows (B, spatial_dim)
+    and its captions' token ids, every branch run on all B rows at once."""
+    embedded = EmbeddingPair(i_e=params.image_proj.apply_each(constant(pooled)),
+                             w_e=_embed_captions(params, captions))
+    return hinge_loss(embedded, margin=margin)
 
 
 def train_vse(
@@ -179,6 +204,7 @@ def train_vse(
         )
     if params is None:
         params = VseParams.init(config, rng)
+    pooled = np.stack([mean_rows(constant(spatial)).data for spatial, _ in pairs])  # once, not per epoch
     leaves = params.weights()
     log = run_log(log_path)
     losses: list[float] = []
@@ -188,16 +214,9 @@ def train_vse(
             batches[-2:] = [np.concatenate(batches[-2:])]
         epoch_loss = 0.0
         for batch in batches:
-            def batch_loss():
-                embedded = [
-                    EmbeddingPair(i_e=embed_image(params, constant(pairs[k][0])),
-                                  w_e=embed_caption(params, pairs[k][1]))
-                    for k in batch
-                ]
-                return hinge_loss(embedded, margin=config.margin)
-
+            captions = [pairs[k][1] for k in batch]
             try:
-                epoch_loss += descend(leaves, batch_loss, lr)
+                epoch_loss += descend(leaves, lambda: _batch_loss(params, pooled[batch], captions, config.margin), lr)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"hinge loss diverged at epoch {epoch}: {exc}") from None
         losses.append(epoch_loss / len(pairs))

@@ -5,6 +5,7 @@ where practical, deliberately not sharing code with the library, so the
 two routes can disagree.
 """
 
+import string
 from pathlib import Path
 from typing import Sequence
 
@@ -731,3 +732,56 @@ def ref_load_word_vectors(path) -> WordVectorTable:
                 raise FileFormatError(f"{path}:{lineno}: non-numeric value ({exc})") from None
             vectors[parts[0]] = vec
     return WordVectorTable(vectors)
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: the str.translate form the library's one regex pass
+# replaced. The two must agree with == on any text.
+
+
+def ref_tokenize(text: str) -> list[str]:
+    return text.lower().translate(str.maketrans("", "", string.punctuation)).split()
+
+
+# ---------------------------------------------------------------------------
+# The ranking network's per-pair path, kept as the reference form of its
+# row-batched one: a table lookup and an LSTM cell per token (lstm_run),
+# one-vector projections (apply_vec), and the hinge loss over a list of
+# EmbeddingPair. train_vse's loss, gradients and trained parameters must
+# equal these bit for bit.
+
+
+def ref_embed_caption(params, token_ids) -> Tensor:
+    from sgcap.nn import lstm_run
+
+    state = lstm_run(params.lstm, (params.embedding.lookup(t) for t in token_ids))
+    return params.caption_proj.apply_vec(state.h)
+
+
+def ref_vse_batch_loss(params, pairs, margin) -> Tensor:
+    """The hinge loss of (spatial map, token ids) pairs, embedded one pair at a time."""
+    from sgcap.autodiff import constant
+    from sgcap.vse import EmbeddingPair, embed_image, hinge_loss
+
+    embedded = [EmbeddingPair(i_e=embed_image(params, constant(spatial)), w_e=ref_embed_caption(params, tokens))
+                for spatial, tokens in pairs]
+    return hinge_loss(embedded, margin=margin)
+
+
+def ref_train_vse(pairs, config, rng, epochs, lr, batch_size):
+    """train_vse's loop over ref_vse_batch_loss: the same batches, one SGD step each."""
+    from sgcap.nn import descend, epoch_batches
+    from sgcap.vse import VseParams
+
+    params = VseParams.init(config, rng)
+    losses = []
+    for _ in range(epochs):
+        batches = epoch_batches(rng, len(pairs), batch_size)
+        if len(batches) > 1 and len(batches[-1]) < 2:
+            batches[-2:] = [np.concatenate(batches[-2:])]
+        total = 0.0
+        for batch in batches:
+            total += descend(params.weights(), lambda: ref_vse_batch_loss(params, [pairs[k] for k in batch],
+                                                                          config.margin), lr)
+        losses.append(total / len(pairs))
+    return params, losses

@@ -344,6 +344,21 @@ class TestTrainVse:
         records = [json.loads(s) for s in lines]
         assert records[-1]["loss"] < records[0]["loss"]
 
+    def test_word_vectors_are_never_read(self, world, trained, tmp_path, capsys):
+        """A missing --wordvecs file, or none given, trains the checkpoint and
+        log that the real file gives."""
+        runs = {"real": ["--wordvecs", world["wordvecs"]],
+                "missing": ["--wordvecs", tmp_path / "nonexistent.txt"], "none": []}
+        outs = {}
+        for name, flag in runs.items():
+            ck, log = tmp_path / f"{name}.sgck", tmp_path / f"{name}.jsonl"
+            rc, _ = run(capsys, "train-vse", "--config", world["cfg"], "--dataset", world["dataset"], *flag,
+                        "--out", ck, "--log", log)
+            assert rc == 0, name
+            outs[name] = (ck.read_bytes(), log.read_bytes())
+        assert outs["missing"] == outs["real"] == outs["none"]
+        assert outs["real"] == (trained["vse"].read_bytes(), trained["vse_log"].read_bytes())
+
     @pytest.mark.parametrize("setting", ["vse.epochs=0", "vse.batch=0", "vse.lr=-1"])
     def test_bad_loop_setting_exits_1(self, world, tmp_path, capsys, setting):
         rc = main(["train-vse", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),

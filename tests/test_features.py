@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_load_word_vectors
+from oracles import ref_load_word_vectors, ref_tokenize
 from sgcap.features import (
     BOS,
     EOS,
@@ -43,6 +43,16 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("   ") == []
+
+    # separators str.split() splits on (\x1c-\x1f, \x85, U+3000), letters whose
+    # lowercase changes length (İ, ß), and punctuation outside ASCII, which stays
+    @given(st.text(st.one_of(
+        st.characters(),
+        st.sampled_from(list("\x1c\x1d\x1e\x1f\x85\u3000\u0130\u00df\u201c\u2014\u00bf\uff01.,;'\"!?-")),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_on_any_text(self, text):
+        assert tokenize(text) == ref_tokenize(text)
 
 
 class TestVocabulary:

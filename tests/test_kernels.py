@@ -7,7 +7,10 @@ stacked attention heads must equal the per-head loop bit for bit, and the
 reference decoder context (``oracles.gated_context``) the context built
 from nine elementary ops. The two cells, ``lstm_cell`` and
 ``decoder_cell``, must equal the chain of the reference ops they replaced
-bit for bit, gradients included, however their outputs are used. The
+bit for bit, gradients included, however their outputs are used; so must
+the row-batched ops, ``lstm_sequences`` the per-token ``gather_rows`` and
+``lstm_cell`` chain of each sequence, and ``linear_each`` one ``linear``
+per row. The
 fused log-probability head is checked against log(softmax) and its own
 identity.
 """
@@ -25,7 +28,8 @@ from oracles import (
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
     DimensionError, Tape, _emit_many, add, aoa, attention, concat, constant, decoder_cell, gather_rows,
-    grad_check, key_values, linear, log_prob, lstm_cell, mul, parameter, reshape, scale, softmax, sum_all, tanh,
+    grad_check, key_values, linear, linear_each, log_prob, lstm_cell, lstm_sequences, mul, parameter, reshape, scale,
+    softmax, sum_all, tanh,
 )
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import decode_step, init_state
@@ -334,6 +338,111 @@ class TestLstm:
         got = chain_grads(leaves, lambda: lstm_chain(lstm_cell, p, h0, m0, xs, readouts))
         want = chain_grads(leaves, lambda: lstm_chain(reference, p, h0, m0, xs, readouts))
         assert_all_equal(got, want)
+
+
+# token sequences of a batch: lengths with ties, all equal, one token,
+# and tokens repeated across and within sequences
+SEQUENCES = {
+    "one": [[5]],
+    "ties": [[4, 7, 5], [6], [8, 8, 2], [1, 3]],
+    "equal": [[1, 2, 3, 4], [5, 6, 7, 8], [8, 7, 6, 5]],
+    "1-9 repeats": [[3] * n for n in (2, 9, 1, 4, 4, 7)] + [[2, 3, 2, 3, 2]],
+}
+
+
+def sequences_reference(table, sequences, cell):
+    """Each sequence through gather_rows and lstm_cell, token by token from the
+    zero state, one after another; the last hidden states stacked as rows."""
+    d = cell[4].data.shape[0]
+    rows = []
+    for seq in sequences:
+        h, m = constant(np.zeros(d)), constant(np.zeros(d))
+        for token in seq:
+            h, m = lstm_cell(gather_rows(table, token), h, m, cell)
+        rows.append(reshape(h, (1, d)))
+    return concat(rows, axis=0)
+
+
+class TestLstmSequences:
+    @pytest.mark.parametrize("sign", [1.0, -0.0])
+    @pytest.mark.parametrize("case", sorted(SEQUENCES))
+    def test_equals_per_token_cells_bit_for_bit(self, case, sign):
+        rng = np.random.default_rng(len(case))
+        p = LstmParams.init(rng, 6, 5)
+        for b in p.weights()[4:]:
+            b.data[:] = rng.normal(size=5)
+        table = parameter(rng.normal(size=(9, 6)))
+        sequences = SEQUENCES[case]
+        readout = constant(rng.normal(size=(len(sequences), 5)))
+
+        def build(fn):
+            out = fn(table, sequences, p.weights())
+            return scale(sum_all(mul(out, readout)), sign), {"out": out}
+
+        leaves = [table, *p.weights()]
+        assert_all_equal(chain_grads(leaves, lambda: build(lstm_sequences)),
+                         chain_grads(leaves, lambda: build(sequences_reference)))
+
+    def test_records_one_op(self):
+        rng = np.random.default_rng(0)
+        p = LstmParams.init(rng, 4, 3)
+        with Tape() as tape:
+            out = lstm_sequences(parameter(rng.normal(size=(9, 4))), SEQUENCES["1-9 repeats"], p.weights())
+        assert len(tape) == 1 and out.shape == (7, 3)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(1)
+        p = LstmParams.init(rng, 3, 2)
+        table = parameter(rng.normal(size=(5, 3)))
+        readout = constant(rng.normal(size=(3, 2)))
+
+        def f(table, *cell):
+            return sum_all(mul(lstm_sequences(table, [[1, 4], [2], [4, 4, 0]], cell), readout))
+
+        assert grad_check(f, [table, *p.weights()]) <= 1e-5  # the gradient audit's bound
+
+    def test_checks_its_operands(self):
+        rng = np.random.default_rng(0)
+        p = LstmParams.init(rng, 4, 3)
+        table = parameter(rng.normal(size=(9, 4)))
+        for sequences in ([], [[1], []]):
+            with pytest.raises(DimensionError):
+                lstm_sequences(table, sequences, p.weights())
+        for token in (9, -1):
+            with pytest.raises(IndexError):
+                lstm_sequences(table, [[1, 2], [token]], p.weights())
+        with pytest.raises(DimensionError):
+            lstm_sequences(parameter(rng.normal(size=(9, 5))), [[1]], p.weights())
+
+
+class TestLinearEach:
+    @pytest.mark.parametrize("sign", [1.0, -0.0])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_equals_one_linear_per_row_bit_for_bit(self, n, bias, sign):
+        rng = np.random.default_rng(n)
+        x, w = parameter(rng.normal(size=(n, 7))), parameter(rng.normal(size=(5, 7)))
+        b = parameter(rng.normal(size=5)) if bias else None
+        readout = constant(rng.normal(size=(n, 5)))
+
+        def per_row(x, w, b):
+            return concat([linear(reshape(gather_rows(x, [i]), (1, 7)), w, b) for i in range(n)], axis=0)
+
+        def build(fn):
+            out = fn(x, w, b)
+            return scale(sum_all(mul(out, readout)), sign), {"out": out}
+
+        leaves = [x, w] + ([b] if bias else [])
+        assert_all_equal(chain_grads(leaves, lambda: build(linear_each)),
+                         chain_grads(leaves, lambda: build(per_row)))
+
+    def test_checks_its_operands(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DimensionError):
+            linear_each(constant(rng.normal(size=(2, 3))), parameter(rng.normal(size=(4, 2))))
+        with pytest.raises(DimensionError):
+            linear_each(constant(rng.normal(size=(2, 3))), parameter(rng.normal(size=(4, 3))),
+                        parameter(np.zeros(3)))
 
 
 def chain_grads(leaves, build):

@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import sgcap.nn as nn
 import sgcap.vse as vse
-from oracles import brute_hinge, brute_lstm_step
-from sgcap.autodiff import Tape, Tensor, constant, grad_check, parameter, scale
+from oracles import brute_hinge, brute_lstm_step, ref_embed_caption, ref_train_vse, ref_vse_batch_loss
+from sgcap.autodiff import (
+    Tape, Tensor, _active_tape, constant, gather_rows, grad_check, mean_rows, mul, parameter, reshape, scale,
+    sum_all,
+)
 from sgcap.vse import (
     EmbeddingPair,
     VseConfig,
@@ -26,6 +30,24 @@ TINY = dict(vocab_size=9, spatial_dim=6, embed_dim=5, hidden_dim=5, space_dim=4)
 def tiny_params(seed=0, **overrides):
     config = VseConfig(**{**TINY, **overrides})
     return VseParams.init(config, np.random.default_rng(seed)), config
+
+
+def leaf_grads(params, build):
+    """The loss ``build()`` records and the gradient of every leaf, in manifest order."""
+    return leaf_grads_of(params.weights(), build)
+
+
+def leaf_grads_of(leaves, build):
+    """The loss ``build()`` records and the gradients of ``leaves``."""
+    for t in leaves:
+        t.zero_grad()
+    with Tape() as tape:
+        loss = build()
+    tape.backward(loss)
+    grads = [None if t.grad is None else t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return loss.item(), grads
 
 
 class TestConfig:
@@ -164,6 +186,21 @@ class TestHingeLoss:
             return hinge_loss(pairs, margin=0.2)
 
         assert grad_check(f, leaves) <= 1e-5
+
+    @pytest.mark.parametrize("b", [2, 5])
+    def test_batch_as_rows_equals_list_of_pairs(self, b):
+        rng = np.random.default_rng(b)
+        images, captions = parameter(rng.normal(size=(b, 4))), parameter(rng.normal(size=(b, 4)))
+        got = leaf_grads_of([images, captions], lambda: hinge_loss(EmbeddingPair(images, captions)))
+        want = leaf_grads_of([images, captions], lambda: hinge_loss(
+            [EmbeddingPair(reshape(gather_rows(images, [k]), (4,)), reshape(gather_rows(captions, [k]), (4,)))
+             for k in range(b)]))
+        assert got[0] == want[0]
+        assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]))
+
+    def test_batch_as_rows_of_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            hinge_loss(EmbeddingPair(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3)))))
 
     def test_zero_loss_means_zero_gradients(self):
         eye = np.eye(3)
@@ -346,6 +383,88 @@ class TestTrainVse:
             train_vse(pairs, config, np.random.default_rng(42), epochs=4, batch_size=3,
                       log_path=log)
         assert [json.loads(s)["epoch"] for s in log.read_text().splitlines()] == [0, 1]
+
+
+def varied_pairs(rng, config, lengths, vocab=None):
+    """(spatial map, token ids) pairs with the given caption lengths, maps of 1-4
+    rows; ``vocab`` narrows the tokens so that they repeat within a batch."""
+    high = config.vocab_size if vocab is None else 4 + vocab
+    return [(rng.normal(size=(int(rng.integers(1, 5)), config.spatial_dim)),
+             [int(t) for t in rng.integers(4, high, size=n)]) for n in lengths]
+
+
+# caption lengths of a batch: 1-9 with ties, all equal, one token each,
+# and B = 9, which a trailing pair merges into from a batch of 8
+BATCH_LENGTHS = {
+    "b2": [3, 1],
+    "b3 ties": [5, 2, 5],
+    "b8 1-9": [1, 9, 4, 4, 7, 2, 9, 6],
+    "b8 equal": [6] * 8,
+    "b9 merged": [2, 8, 3, 3, 9, 1, 5, 7, 4],
+    "b3 one token": [1, 1, 1],
+}
+
+
+class TestRowBatchedEqualsPerPair:
+    """train_vse embeds a batch in row-batched ops; the per-pair path in
+    oracles.py is its reference form, which it must equal bit for bit."""
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    @pytest.mark.parametrize("case", sorted(BATCH_LENGTHS))
+    def test_loss_and_every_gradient(self, case, repeats):
+        params, config = tiny_params(len(case), hidden_dim=7)
+        rng = np.random.default_rng([len(case), int(repeats)])
+        pairs = varied_pairs(rng, config, BATCH_LENGTHS[case], vocab=2 if repeats else None)
+        pooled = np.stack([mean_rows(constant(s)).data for s, _ in pairs])
+        got = leaf_grads(params, lambda: vse._batch_loss(params, pooled, [t for _, t in pairs], 0.2))
+        want = leaf_grads(params, lambda: ref_vse_batch_loss(params, pairs, 0.2))
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("tokens", [[4], [4, 7, 5], [6, 6, 6, 6, 6, 6, 6, 6, 6]])
+    def test_one_caption_equals_reference(self, tokens):
+        params, config = tiny_params(5)
+        readout = constant(np.random.default_rng(0).normal(size=config.space_dim))
+        got = leaf_grads(params, lambda: sum_all(mul(embed_caption(params, tokens), readout)))
+        want = leaf_grads(params, lambda: sum_all(mul(ref_embed_caption(params, tokens), readout)))
+        assert np.array_equal(embed_caption(params, tokens).data, ref_embed_caption(params, tokens).data)
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            assert (g is None) == (w is None) and (g is None or np.array_equal(g, w))
+
+    @pytest.mark.parametrize("n_pairs, batch_size", [(9, 8), (7, 3), (6, 2)])
+    def test_trained_parameters_equal_reference_loop(self, n_pairs, batch_size):
+        config = VseConfig(**{**TINY, "hidden_dim": 6})
+        rng = np.random.default_rng(n_pairs)
+        pairs = varied_pairs(rng, config, rng.integers(1, 10, size=n_pairs), vocab=3)
+        params, losses = train_vse(pairs, config, np.random.default_rng(4), epochs=3, lr=0.05,
+                                   batch_size=batch_size)
+        ref_params, ref_losses = ref_train_vse(pairs, config, np.random.default_rng(4), epochs=3, lr=0.05,
+                                               batch_size=batch_size)
+        assert losses == ref_losses
+        for (name, a), (_, b) in zip(params.named_params(), ref_params.named_params()):
+            assert np.array_equal(a.data, b.data), name
+
+    @pytest.mark.parametrize("case", sorted(BATCH_LENGTHS))
+    def test_a_batch_records_20_tape_ops(self, case, monkeypatch):
+        # fixed whatever the batch size and caption lengths: 1 op for the
+        # images, 2 for the captions, 17 for the hinge loss
+        config = VseConfig(**TINY)
+        lengths = BATCH_LENGTHS[case]
+        pairs = varied_pairs(np.random.default_rng(0), config, lengths)
+        sizes = []
+
+        def counting_descend(leaves, build_loss, lr):
+            def build():
+                loss = build_loss()
+                sizes.append(len(_active_tape()))
+                return loss
+            return nn.descend(leaves, build, lr)
+
+        monkeypatch.setattr(vse, "descend", counting_descend)
+        train_vse(pairs, config, np.random.default_rng(1), epochs=2, batch_size=min(8, len(lengths)))
+        assert sizes == [20, 20]
 
 
 class TestParamPlumbing:
