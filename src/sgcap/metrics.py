@@ -7,19 +7,32 @@ Every n-gram statistic comes from one table per caption (``_grams``), so
 ``evaluate_captions`` counts each caption once, weighs each reference once
 and scores both CIDEr variants in one pass (``_consensus``).
 
+No tf-idf vector is built: per order, a caption keeps its count table,
+whether a gram repeats and the vector's norm, and the consensus pass
+computes a shared gram's value when it needs it, as count * idf weight, or
+the weight alone where no gram of that order repeats (1 * w is w).
+
 Sum order: a float sum over a caption's grams runs in the caption's
 first-occurrence order, the insertion order of its count table, so the
 scores equal a straight per-metric computation bit for bit. The consensus
 dot products add only the grams the candidate shares with a reference: a
 gram the reference lacks would add +0.0, which leaves a sum of terms >= 0
 unchanged. Integer sums (BLEU's matched and total counts) are exact in any
-order.
+order. No float sum iterates a set, so scores do not depend on the hash seed.
+
+``evaluate_captions`` and ``compute_idf`` pause the cyclic garbage
+collector (``_collector_paused``). Their tens of thousands of n-gram tuples
+would otherwise trigger collector passes over every object the caller
+holds, and those passes find nothing: scoring builds only acyclic tuples,
+dicts, sets and lists of strings and numbers, which reference counting frees.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -37,6 +50,23 @@ def ngram_counts(tokens: Tokens, n: int) -> Counter:
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
     return Counter(zip(*[tokens[k:] for k in range(n)]))
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; restore the caller's setting on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # a caption's length and its n-gram counts of orders 1..n_max, one dict per
@@ -113,6 +143,7 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
     weights, and the brevity penalty exp(1 - r/c) applies when the total
     candidate length c falls short of the total closest-reference length r.
     """
+    _check_n_max(n_max)
     cands = [_grams(c, n_max) for c in candidates]
     return _bleu(cands, [_ref_set(refs, n_max) for refs in references], n_max)
 
@@ -192,10 +223,13 @@ def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
     An n-gram's df is the number of images in which any reference
     contains it, regardless of multiplicity.
     """
-    return _idf([_ref_set(refs, n_max) for refs in reference_corpus])
+    _check_n_max(n_max)
+    with _collector_paused():
+        return _idf([_ref_set(refs, n_max) for refs in reference_corpus])
 
 
-# a caption's length and, per order, its tf-idf vector and that vector's norm
+# a caption's length and, per order, its count table, whether any gram of
+# that order repeats, and the norm of its tf-idf vector
 _Weighted = NamedTuple("_Weighted", [("length", int), ("orders", list)])
 
 
@@ -204,37 +238,43 @@ def _weighted(grams: _Grams, idf: IdfTable) -> _Weighted:
     orders = []
     for n, counts in enumerate(grams.counts):
         values = map(weights.get, counts, repeat(unseen))
-        if len(counts) < grams.length - n:  # some gram repeats; 1 * w is w
+        repeats = len(counts) < grams.length - n
+        if repeats:  # else every count is 1, and 1 * w is w
             values = map(mul, counts.values(), values)
         values = list(values)
-        orders.append((dict(zip(counts, values)), math.sqrt(sum(map(mul, values, values)))))
+        orders.append((counts, repeats, math.sqrt(sum(map(mul, values, values)))))
     return _Weighted(grams.length, orders)
 
 
-def _consensus(cand: _Weighted, refs: Sequence[_Weighted]) -> tuple[float, float]:
+def _consensus(cand: _Grams, ref_set: _RefSet, idf: IdfTable) -> tuple[float, float]:
     """The plain and the clipped (CIDEr-D) score of one candidate, in one pass.
 
-    Per (reference, order) the pass looks each candidate gram up in the
-    reference's tf-idf vector once and keeps the grams it holds. That is
-    exact: every tf-idf value is >= 0, so a gram the reference lacks would
-    add +0.0 to both dot products, and a sum of terms >= 0 does not change
-    when a +0.0 is added to it. Both dot products sum their terms in the
-    candidate's gram order.
+    Per order the pass keeps the candidate grams that some reference holds
+    (``ref_set.seen``), in candidate order; per reference it keeps those the
+    reference holds and computes both tf-idf values of each from its idf
+    weight and counts. That is exact: every tf-idf value is >= 0, so a gram
+    the reference lacks would add +0.0 to both dot products, and a sum of
+    terms >= 0 does not change when a +0.0 is added to it. Both dot products
+    sum their terms in the candidate's gram order.
     """
+    weights, unseen = idf.weights, idf.unseen_weight
+    cand = _weighted(cand, idf)
+    refs = [_weighted(r, idf) for r in ref_set.grams]
     # CIDEr-D's length penalty, one per reference
     penalties = [math.exp(-((cand.length - ref.length) ** 2) / (2.0 * CIDER_SIGMA ** 2)) for ref in refs]
     plain, clipped = [], []
-    for n, (cand_vec, cand_norm) in enumerate(cand.orders):
+    for n, (cand_counts, cand_repeats, cand_norm) in enumerate(cand.orders):
         acc_plain = acc_clipped = 0.0
+        held = list(filter(ref_set.seen.__contains__, cand_counts)) if cand_norm else []
         for ref, penalty in zip(refs, penalties):
-            ref_vec, ref_norm = ref.orders[n]
-            if cand_norm == 0.0 or ref_norm == 0.0:
-                continue
-            shared = list(filter(ref_vec.__contains__, cand_vec))
+            ref_counts, ref_repeats, ref_norm = ref.orders[n]
+            shared = list(filter(ref_counts.__contains__, held)) if ref_norm else []
             if not shared:
                 continue
-            v = list(map(cand_vec.__getitem__, shared))
-            w = list(map(ref_vec.__getitem__, shared))
+            w = list(map(weights.get, shared, repeat(unseen)))
+            v = list(map(mul, map(cand_counts.__getitem__, shared), w)) if cand_repeats else w
+            if ref_repeats:
+                w = list(map(mul, map(ref_counts.__getitem__, shared), w))
             acc_plain += sum(map(mul, v, w)) / (cand_norm * ref_norm)
             # clipping happens in idf-weighted space; shared idf per gram
             # makes that identical to clipping the raw counts
@@ -258,8 +298,8 @@ def cider(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
         raise ValueError(f"unknown variant {variant!r}, expected 'plain' or 'd'")
     if not references:
         raise ValueError("cider needs at least one reference")
-    refs = [_weighted(_grams(r, n_max), idf) for r in references]
-    plain, clipped = _consensus(_weighted(_grams(candidate, n_max), idf), refs)
+    _check_n_max(n_max)
+    plain, clipped = _consensus(_grams(candidate, n_max), _ref_set(references, n_max), idf)
     return clipped if variant == "d" else plain
 
 
@@ -275,16 +315,16 @@ def evaluate_captions(candidates: Sequence[Tokens], references: Sequence[Sequenc
     ROUGE-L and the consensus scores average per-image values. When no idf
     table is supplied one is computed from ``references`` themselves.
     """
-    cand_grams = [_grams(c, DEFAULT_NGRAM_MAX) for c in candidates]
-    ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
-    if idf is None:
-        idf = _idf(ref_sets)
-    bleu_scores = _bleu(cand_grams, ref_sets, DEFAULT_NGRAM_MAX)
-    n = len(candidates)
-    report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
-    report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
-    scores = [_consensus(_weighted(c, idf), [_weighted(r, idf) for r in rs.grams])
-              for c, rs in zip(cand_grams, ref_sets)]
-    report["cider"] = sum(plain for plain, _ in scores) / n
-    report["ciderD"] = sum(clipped for _, clipped in scores) / n
-    return report
+    with _collector_paused():
+        cand_grams = [_grams(c, DEFAULT_NGRAM_MAX) for c in candidates]
+        ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
+        if idf is None:
+            idf = _idf(ref_sets)
+        bleu_scores = _bleu(cand_grams, ref_sets, DEFAULT_NGRAM_MAX)
+        n = len(candidates)
+        report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
+        report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
+        scores = [_consensus(c, rs, idf) for c, rs in zip(cand_grams, ref_sets)]
+        report["cider"] = sum(plain for plain, _ in scores) / n
+        report["ciderD"] = sum(clipped for _, clipped in scores) / n
+        return report

@@ -334,6 +334,38 @@ class TestModuleEntry:
         assert done.stdout.startswith("usage: sgcap")
 
 
+class TestHashSeedIndependence:
+    def test_evaluate_report_is_byte_identical_across_hash_seeds(self, tmp_path):
+        """Metrics iterate sets of n-grams, whose order follows PYTHONHASHSEED;
+        no score may depend on it."""
+        env = dict(os.environ, PYTHONPATH=str(Path(sgcap.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "sgcap", "make-toy-data", "--out-dir",
+                               str(tmp_path / "toy"), "--n-images", "60", "--seed", "5"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        dataset = tmp_path / "toy" / "dataset.jsonl"
+        # the largest split, so the idf weights take many values
+        records = load_dataset(dataset).split("train")
+        assert len(records) > 40
+        # each candidate joins its image's captions to the next image's, so it
+        # shares many grams, of many weights, with its references
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text("".join(
+            json.dumps({"id": r.image_id, "caption": " ".join(r.captions + nxt.captions)}) + "\n"
+            for r, nxt in zip(records, records[1:] + records[:1])))
+        reports = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"report{seed}.json"
+            done = subprocess.run([sys.executable, "-m", "sgcap", "evaluate", "--candidates", str(caps),
+                                   "--dataset", str(dataset), "--split", "train", "--out", str(out)],
+                                  env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["cider"] > 0.0
+
+
 class TestTrainVse:
     def test_checkpoint_and_log(self, world, trained):
         params, vocab, seed = load_vse(trained["vse"])

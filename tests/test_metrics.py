@@ -1,5 +1,6 @@
 """Metrics: hand-computed cases, oracle agreement, and invariants."""
 
+import gc
 import math
 from functools import lru_cache
 
@@ -458,3 +459,130 @@ class TestZipfCorpusExact:
             assert cider(cand, cand_refs, idf, "d") == clipped
             assert cider_d(cand, cand_refs, idf) == clipped
         assert cider(cands[0], refs[0], idf) == cider_d(cands[1], refs[1], idf) == 0.0
+
+
+class TestRejectsNgramOrderBelowOne:
+    """Every metric that takes ``n_max`` rejects an order below 1 by name."""
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_bleu(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            bleu([["a"]], [[["a"]]], n_max)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_compute_idf(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            compute_idf([[["a"]], [["b"]]], n_max)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    @pytest.mark.parametrize("variant", ["plain", "d"])
+    def test_cider(self, n_max, variant):
+        table = compute_idf([[["a"]], [["b"]]])
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            cider(["a"], [["a"]], table, variant, n_max)
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_cider_d(self, n_max):
+        table = compute_idf([[["a"]], [["b"]]])
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            cider_d(["a"], [["a"]], table, n_max)
+
+
+class TestCollectorState:
+    """Bulk scoring pauses the cyclic collector and leaves its state as found."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    CALLS = {
+        "evaluate": lambda: evaluate_captions([["a", "b"]], [[["a", "b"], ["b"]]]),
+        "evaluate-idf": lambda: evaluate_captions([["a"]], [[["a"]]], compute_idf([[["b"]]])),
+        "idf": lambda: compute_idf([[["a", "b"]], [["b"]]]),
+    }
+    FAILING = {
+        "evaluate-count-mismatch": lambda: evaluate_captions([["a"], ["b"]], [[["a"]]]),
+        "evaluate-no-references": lambda: evaluate_captions([["a"]], [[]]),
+        "idf-empty-corpus": lambda: compute_idf([]),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS), ids=list(CALLS))
+    def test_state_kept(self, collector, call):
+        self.CALLS[call]()
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("call", list(FAILING), ids=list(FAILING))
+    def test_state_kept_when_raising(self, collector, call):
+        with pytest.raises(ValueError):
+            self.FAILING[call]()
+        assert gc.isenabled() is collector
+
+    def test_paused_while_scoring(self, collector, monkeypatch):
+        import sgcap.metrics as metrics
+
+        seen = []
+        real = metrics._bleu
+        monkeypatch.setattr(metrics, "_bleu", lambda *a: seen.append(gc.isenabled()) or real(*a))
+        evaluate_captions([["a"]], [[["a"]]])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+
+class TestLazyReferenceValues:
+    """A shared gram's reference value comes from its count and idf weight on
+    demand; each case below pins one branch of that against the reference forms."""
+
+    # image 0: "a b a b c" repeats its unigrams and bigrams but no trigram,
+    # and appears twice; every image holds "every", so its weight is 0.0;
+    # image 2's candidate shares no gram with its references; image 3's is empty
+    CANDS = ["a b a b a c every", "every x y x", "q r s", "", "c b a every d"]
+    REFS = [
+        ["a b a b c", "a b c d every", "a b a b c"],
+        ["every x y z", "every y x"],
+        ["every a b", "every c"],
+        ["every a", "b every"],
+        ["every d c b a", "a b every"],
+    ]
+
+    @pytest.fixture
+    def corpus(self):
+        cands = [c.split() for c in self.CANDS]
+        refs = [[r.split() for r in rs] for rs in self.REFS]
+        return cands, refs
+
+    def check(self, cands, refs, idf, ref_idf):
+        for cand, cand_refs in zip(cands, refs):
+            for variant in ("plain", "d"):
+                assert cider(cand, cand_refs, idf, variant) == ref_cider(cand, cand_refs, ref_idf, variant)
+            assert cider_d(cand, cand_refs, idf) == ref_cider(cand, cand_refs, ref_idf, "d")
+        assert evaluate_captions(cands, refs, idf) == ref_evaluate_captions(cands, refs, ref_idf)
+
+    def test_corpus_idf(self, corpus):
+        cands, refs = corpus
+        idf, ref_idf = compute_idf(refs), ref_compute_idf(refs)
+        assert idf.weight(("every",)) == 0.0
+        assert evaluate_captions(cands, refs) == ref_evaluate_captions(cands, refs)
+        self.check(cands, refs, idf, ref_idf)
+        assert cider(cands[2], refs[2], idf) == cider_d(cands[3], refs[3], idf) == 0.0
+        assert cider(cands[0], refs[0], idf) > 0.0
+
+    def test_idf_from_other_images(self, corpus):
+        # most grams here are unseen in the idf corpus and weigh log(N)
+        cands, refs = corpus
+        other = [[r.split() for r in rs] for rs in (["a b", "x y"], ["every q"], ["c d"])]
+        idf, ref_idf = compute_idf(other), ref_compute_idf(other)
+        assert ("a", "b", "a") not in idf.weights
+        self.check(cands, refs, idf, ref_idf)
+
+    def test_many_shared_grams_sum_in_candidate_order(self):
+        # dozens of shared grams, each with its own weight, so a sum taken in
+        # any other order than the candidate's is very likely to round differently
+        rng = np.random.default_rng(18)
+        words = [f"w{i}" for i in range(40)]
+        refs = [[[words[j] for j in rng.integers(0, 40, size=24)] for _ in range(5)] for _ in range(30)]
+        cands = [[words[j] for j in rng.integers(0, 40, size=20)] for _ in range(30)]
+        idf, ref_idf = compute_idf(refs), ref_compute_idf(refs)
+        self.check(cands, refs, idf, ref_idf)
