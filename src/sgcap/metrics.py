@@ -3,14 +3,19 @@
 All functions take pre-tokenized captions (lists of token strings); see
 ``features.tokenize`` for the canonical tokenizer. Candidate-level scores
 are pure functions of their inputs, so repeated evaluation is bit-stable.
-Every n-gram statistic comes from one table per caption (``_grams``), so
-``evaluate_captions`` counts each caption once, weighs each reference once
-and scores both CIDEr variants in one pass (``_consensus``).
+Every n-gram statistic comes from one count table per caption and order
+(``_Caption.counts``), built at most once per call, so ``evaluate_captions``
+counts each caption once and scores both CIDEr variants in one pass
+(``_consensus``).
 
-No tf-idf vector is built: per order, a caption keeps its count table,
-whether a gram repeats and the vector's norm, and the consensus pass
-computes a shared gram's value when it needs it, as count * idf weight, or
-the weight alone where no gram of that order repeats (1 * w is w).
+Reference statistics are built on demand, and no tf-idf vector is built.
+Each image keeps the set of every gram its references hold; idf and BLEU's
+unclipped matches read only that set. A reference's count table of an order
+is built when the consensus pass finds a candidate gram of that order in
+the set, or when BLEU's clipping meets a repeated one, and a tf-idf norm
+only for an order that shares a gram. A shared gram's value is computed
+when the consensus pass needs it, as count * idf weight, or the weight
+alone where no gram of that order repeats (1 * w is w).
 
 Sum order: a float sum over a caption's grams runs in the caption's
 first-occurrence order, the insertion order of its count table, so the
@@ -69,34 +74,45 @@ def _collector_paused():
             gc.enable()
 
 
-# a caption's length and its n-gram counts of orders 1..n_max, one dict per
-# order in first-occurrence order; a caption of length L has max(L - n + 1, 0)
-# grams of order n, all distinct when the dict holds that many
-_Grams = NamedTuple("_Grams", [("length", int), ("counts", list)])
+class _Caption:
+    """A caption's length and its count table per order, each built the
+    first time a score reads it and then kept."""
+
+    __slots__ = ("shifted", "length", "tables")
+
+    def __init__(self, tokens: Tokens, n_max: int):
+        self.shifted = [tokens[k:] for k in range(n_max)]
+        self.length = len(tokens)
+        self.tables = [None] * n_max
+
+    def counts(self, n: int) -> dict:
+        """The count table of order n + 1, in first-occurrence order. The
+        caption has max(length - n, 0) grams of that order, all distinct
+        when the table holds that many."""
+        table = self.tables[n]
+        if table is None:
+            # most grams of a caption occur once; count only when one repeats
+            table = dict.fromkeys(zip(*self.shifted[:n + 1]), 1)
+            if len(table) < self.length - n:
+                table = Counter(zip(*self.shifted[:n + 1]))
+            self.tables[n] = table
+        return table
 
 
-def _grams(tokens: Tokens, n_max: int) -> _Grams:
-    shifted = [tokens[k:] for k in range(n_max)]
-    counts = []
-    for n in range(1, n_max + 1):
-        grams = list(zip(*shifted[:n]))
-        # most grams of a caption occur once; count only when one repeats
-        distinct = dict.fromkeys(grams, 1)
-        counts.append(distinct if len(distinct) == len(grams) else Counter(grams))
-    return _Grams(len(tokens), counts)
-
-
-# one image's reference captions and the set of every gram any of them holds
-_RefSet = NamedTuple("_RefSet", [("grams", list), ("seen", set)])
+# one image's references and the set of every gram any of them holds
+_RefSet = NamedTuple("_RefSet", [("refs", list), ("seen", set)])
 
 
 def _ref_set(references: Sequence[Tokens], n_max: int) -> _RefSet:
-    grams = [_grams(r, n_max) for r in references]
-    # grams of different orders are tuples of different lengths
-    return _RefSet(grams, set().union(*(counts for g in grams for counts in g.counts)))
+    refs = [_Caption(r, n_max) for r in references]
+    seen = set()
+    for ref in refs:
+        # grams of different orders are tuples of different lengths
+        seen.update(*[zip(*ref.shifted[:n]) for n in range(1, n_max + 1)])
+    return _RefSet(refs, seen)
 
 
-def _bleu(cands: Sequence[_Grams], refs: Sequence[_RefSet], n_max: int) -> list[float]:
+def _bleu(cands: Sequence[_Caption], refs: Sequence[_RefSet], n_max: int) -> list[float]:
     if not cands:
         raise ValueError("bleu needs at least one candidate")
     if len(cands) != len(refs):
@@ -104,12 +120,13 @@ def _bleu(cands: Sequence[_Grams], refs: Sequence[_RefSet], n_max: int) -> list[
     matched, total = [0] * n_max, [0] * n_max
     cand_len_sum = ref_len_sum = 0
     for cand, ref_set in zip(cands, refs):
-        if not ref_set.grams:
+        if not ref_set.refs:
             raise ValueError("every candidate needs at least one reference")
         cand_len_sum += cand.length
         # the closest reference length; ties in closeness resolve to the shorter
-        ref_len_sum += min((abs(r.length - cand.length), r.length) for r in ref_set.grams)[1]
-        for n, counts in enumerate(cand.counts):
+        ref_len_sum += min((abs(r.length - cand.length), r.length) for r in ref_set.refs)[1]
+        for n in range(n_max):
+            counts = cand.counts(n)
             count = sum(counts.values())
             total[n] += count
             # clipped count: a gram matches at most as often as in any one
@@ -117,9 +134,11 @@ def _bleu(cands: Sequence[_Grams], refs: Sequence[_RefSet], n_max: int) -> list[
             if len(counts) == count:
                 matched[n] += len(ref_set.seen.intersection(counts))
             else:
-                ref_counts = [r.counts[n] for r in ref_set.grams]
-                matched[n] += sum(min(k, max(rc.get(g, 0) for rc in ref_counts))
-                                  for g, k in counts.items() if g in ref_set.seen)
+                # the references' tables of this order, only if some gram is shared
+                held = list(filter(ref_set.seen.__contains__, counts))
+                ref_counts = [r.counts(n) for r in ref_set.refs] if held else []
+                matched[n] += sum(min(counts[g], max(rc.get(g, 0) for rc in ref_counts))
+                                  for g in held)
     if cand_len_sum == 0:
         return [0.0] * n_max
     brevity = math.exp(1.0 - ref_len_sum / cand_len_sum) if cand_len_sum < ref_len_sum else 1.0
@@ -144,7 +163,7 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
     candidate length c falls short of the total closest-reference length r.
     """
     _check_n_max(n_max)
-    cands = [_grams(c, n_max) for c in candidates]
+    cands = [_Caption(c, n_max) for c in candidates]
     return _bleu(cands, [_ref_set(refs, n_max) for refs in references], n_max)
 
 
@@ -210,10 +229,13 @@ def _idf(reference_corpus: Sequence[_RefSet]) -> IdfTable:
         raise ValueError("cannot compute idf over an empty corpus")
     doc_freq = Counter(chain.from_iterable(refs.seen for refs in reference_corpus))
     n_images = len(reference_corpus)
-    # one logarithm per distinct document frequency
-    logs = {df: math.log(n_images / df) for df in set(doc_freq.values())}
-    return IdfTable(weights=dict(zip(doc_freq, map(logs.__getitem__, doc_freq.values()))),
-                    image_count=n_images)
+    # most grams occur in one image: give every gram that weight, then
+    # overwrite the weights of the others
+    weights = dict.fromkeys(doc_freq, math.log(n_images / 1))
+    for gram, df in doc_freq.items():
+        if df > 1:
+            weights[gram] = math.log(n_images / df)
+    return IdfTable(weights=weights, image_count=n_images)
 
 
 def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
@@ -228,25 +250,18 @@ def compute_idf(reference_corpus: Sequence[Sequence[Tokens]],
         return _idf([_ref_set(refs, n_max) for refs in reference_corpus])
 
 
-# a caption's length and, per order, its count table, whether any gram of
-# that order repeats, and the norm of its tf-idf vector
-_Weighted = NamedTuple("_Weighted", [("length", int), ("orders", list)])
+def _norm(caption: _Caption, n: int, idf: IdfTable) -> float:
+    """The norm of a caption's tf-idf vector of order n + 1; the values are
+    summed in the order of its count table."""
+    counts = caption.counts(n)
+    values = map(idf.weights.get, counts, repeat(idf.unseen_weight))
+    if len(counts) < caption.length - n:  # a gram repeats; else every count is 1, and 1 * w is w
+        values = map(mul, counts.values(), values)
+    values = list(values)
+    return math.sqrt(sum(map(mul, values, values)))
 
 
-def _weighted(grams: _Grams, idf: IdfTable) -> _Weighted:
-    weights, unseen = idf.weights, idf.unseen_weight
-    orders = []
-    for n, counts in enumerate(grams.counts):
-        values = map(weights.get, counts, repeat(unseen))
-        repeats = len(counts) < grams.length - n
-        if repeats:  # else every count is 1, and 1 * w is w
-            values = map(mul, counts.values(), values)
-        values = list(values)
-        orders.append((counts, repeats, math.sqrt(sum(map(mul, values, values)))))
-    return _Weighted(grams.length, orders)
-
-
-def _consensus(cand: _Grams, ref_set: _RefSet, idf: IdfTable) -> tuple[float, float]:
+def _consensus(cand: _Caption, ref_set: _RefSet, idf: IdfTable) -> tuple[float, float]:
     """The plain and the clipped (CIDEr-D) score of one candidate, in one pass.
 
     Per order the pass keeps the candidate grams that some reference holds
@@ -255,30 +270,38 @@ def _consensus(cand: _Grams, ref_set: _RefSet, idf: IdfTable) -> tuple[float, fl
     weight and counts. That is exact: every tf-idf value is >= 0, so a gram
     the reference lacks would add +0.0 to both dot products, and a sum of
     terms >= 0 does not change when a +0.0 is added to it. Both dot products
-    sum their terms in the candidate's gram order.
+    sum their terms in the candidate's gram order. A norm, and a reference's
+    count table, is computed only for an order that shares a gram; an order
+    whose candidate or reference norm is 0 adds nothing.
     """
     weights, unseen = idf.weights, idf.unseen_weight
-    cand = _weighted(cand, idf)
-    refs = [_weighted(r, idf) for r in ref_set.grams]
+    refs = ref_set.refs
     # CIDEr-D's length penalty, one per reference
     penalties = [math.exp(-((cand.length - ref.length) ** 2) / (2.0 * CIDER_SIGMA ** 2)) for ref in refs]
     plain, clipped = [], []
-    for n, (cand_counts, cand_repeats, cand_norm) in enumerate(cand.orders):
+    for n in range(len(cand.tables)):
+        cand_counts = cand.counts(n)
         acc_plain = acc_clipped = 0.0
-        held = list(filter(ref_set.seen.__contains__, cand_counts)) if cand_norm else []
-        for ref, penalty in zip(refs, penalties):
-            ref_counts, ref_repeats, ref_norm = ref.orders[n]
-            shared = list(filter(ref_counts.__contains__, held)) if ref_norm else []
-            if not shared:
-                continue
-            w = list(map(weights.get, shared, repeat(unseen)))
-            v = list(map(mul, map(cand_counts.__getitem__, shared), w)) if cand_repeats else w
-            if ref_repeats:
-                w = list(map(mul, map(ref_counts.__getitem__, shared), w))
-            acc_plain += sum(map(mul, v, w)) / (cand_norm * ref_norm)
-            # clipping happens in idf-weighted space; shared idf per gram
-            # makes that identical to clipping the raw counts
-            acc_clipped += penalty * sum(map(mul, map(min, v, w), w)) / (cand_norm * ref_norm)
+        held = list(filter(ref_set.seen.__contains__, cand_counts))
+        cand_norm = _norm(cand, n, idf) if held else 0.0
+        cand_repeats = len(cand_counts) < cand.length - n
+        if cand_norm:
+            for ref, penalty in zip(refs, penalties):
+                ref_counts = ref.counts(n)
+                shared = list(filter(ref_counts.__contains__, held))
+                if not shared:
+                    continue
+                ref_norm = _norm(ref, n, idf)
+                if not ref_norm:
+                    continue
+                w = list(map(weights.get, shared, repeat(unseen)))
+                v = list(map(mul, map(cand_counts.__getitem__, shared), w)) if cand_repeats else w
+                if len(ref_counts) < ref.length - n:
+                    w = list(map(mul, map(ref_counts.__getitem__, shared), w))
+                acc_plain += sum(map(mul, v, w)) / (cand_norm * ref_norm)
+                # clipping happens in idf-weighted space; shared idf per gram
+                # makes that identical to clipping the raw counts
+                acc_clipped += penalty * sum(map(mul, map(min, v, w), w)) / (cand_norm * ref_norm)
         plain.append(acc_plain / len(refs))
         clipped.append(acc_clipped / len(refs))
     return 10.0 * sum(plain) / len(plain), 10.0 * sum(clipped) / len(clipped)
@@ -299,7 +322,7 @@ def cider(candidate: Tokens, references: Sequence[Tokens], idf: IdfTable,
     if not references:
         raise ValueError("cider needs at least one reference")
     _check_n_max(n_max)
-    plain, clipped = _consensus(_grams(candidate, n_max), _ref_set(references, n_max), idf)
+    plain, clipped = _consensus(_Caption(candidate, n_max), _ref_set(references, n_max), idf)
     return clipped if variant == "d" else plain
 
 
@@ -316,15 +339,15 @@ def evaluate_captions(candidates: Sequence[Tokens], references: Sequence[Sequenc
     table is supplied one is computed from ``references`` themselves.
     """
     with _collector_paused():
-        cand_grams = [_grams(c, DEFAULT_NGRAM_MAX) for c in candidates]
+        cands = [_Caption(c, DEFAULT_NGRAM_MAX) for c in candidates]
         ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
         if idf is None:
             idf = _idf(ref_sets)
-        bleu_scores = _bleu(cand_grams, ref_sets, DEFAULT_NGRAM_MAX)
+        bleu_scores = _bleu(cands, ref_sets, DEFAULT_NGRAM_MAX)
         n = len(candidates)
         report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
         report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
-        scores = [_consensus(c, rs, idf) for c, rs in zip(cand_grams, ref_sets)]
+        scores = [_consensus(c, rs, idf) for c, rs in zip(cands, ref_sets)]
         report["cider"] = sum(plain for plain, _ in scores) / n
         report["ciderD"] = sum(clipped for _, clipped in scores) / n
         return report

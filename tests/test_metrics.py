@@ -21,7 +21,11 @@ from oracles import (
 )
 from sgcap.metrics import (
     IdfTable,
+    _bleu,
+    _Caption,
+    _consensus,
     _lcs_length,
+    _ref_set,
     bleu,
     cider,
     cider_d,
@@ -586,3 +590,71 @@ class TestLazyReferenceValues:
         cands = [[words[j] for j in rng.integers(0, 40, size=20)] for _ in range(30)]
         idf, ref_idf = compute_idf(refs), ref_compute_idf(refs)
         self.check(cands, refs, idf, ref_idf)
+
+
+class TestOnDemandReferenceTables:
+    """A reference's count table of an order is built only when a score reads
+    it, and a norm only for an order that shares a gram; each case pins one
+    such branch and compares every score with the reference forms."""
+
+    # every image holds the reference "every day", so "every", "day" and
+    # "every day" weigh 0 and that reference's order-1 and order-2 norms are 0
+    CANDS = [
+        "a b a b",  # repeats "a b": BLEU's clipping builds the order-2 tables
+        "every day a",  # shares only weight-0 grams with "every day"
+        "every day every",  # its unigrams all weigh 0, so its order-1 norm is 0
+        "a b c d",  # shares "a b" with the first reference only
+    ]
+    REFS = [
+        ["a b a b c", "every day", "b a"],
+        ["every day", "a q"],
+        ["every day", "every b"],
+        ["a b x", "every day", "c y", "d z"],
+    ]
+
+    @staticmethod
+    def split(cands, refs):
+        return [c.split() for c in cands], [[r.split() for r in rs] for rs in refs]
+
+    @staticmethod
+    def check(cands, refs, n_max):
+        assert bleu(cands, refs, n_max) == ref_bleu(cands, refs, n_max)
+        weights, n_images = ref_compute_idf(refs, n_max)
+        idf = compute_idf(refs, n_max)
+        assert idf == IdfTable(weights, n_images)
+        for cand, cand_refs in zip(cands, refs):
+            for variant in ("plain", "d"):
+                want = ref_cider(cand, cand_refs, (weights, n_images), variant, n_max)
+                assert cider(cand, cand_refs, idf, variant, n_max) == want
+            assert cider_d(cand, cand_refs, idf, n_max) == want
+        if n_max == 4:
+            assert evaluate_captions(cands, refs) == ref_evaluate_captions(cands, refs)
+            assert evaluate_captions(cands, refs, idf) == ref_evaluate_captions(cands, refs, (weights, n_images))
+
+    @pytest.mark.parametrize("n_max", [1, 4, 5])
+    def test_against_reference_forms(self, n_max):
+        self.check(*self.split(self.CANDS, self.REFS), n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 5])
+    def test_other_corpora_at_orders_1_and_5(self, n_max):
+        self.check(*self.split(TestLazyReferenceValues.CANDS, TestLazyReferenceValues.REFS), n_max)
+        cands, refs = zipf_corpus(seed=19, n_images=60)
+        self.check(cands, refs, n_max)
+
+    def test_bleu_clipping_builds_the_table_consensus_reads(self):
+        cands, refs = self.split(self.CANDS, self.REFS)
+        cand, ref_set = _Caption(cands[0], 4), _ref_set(refs[0], 4)
+        _bleu([cand], [ref_set], 4)
+        # unigrams and "a b" repeat in the candidate; its trigrams and 4-gram do not
+        assert [[t is not None for t in r.tables] for r in ref_set.refs] == [[True, True, False, False]] * 3
+        idf = compute_idf(refs)
+        want = tuple(ref_cider(cands[0], refs[0], ref_compute_idf(refs), v) for v in ("plain", "d"))
+        assert _consensus(cand, ref_set, idf) == want
+
+    def test_tables_only_for_orders_that_share_a_gram(self):
+        cands, refs = self.split(self.CANDS, self.REFS)
+        idf = compute_idf(refs)
+        cand, ref_set = _Caption(cands[3], 4), _ref_set(refs[3], 4)
+        _consensus(cand, ref_set, idf)
+        # "a b" is the one shared bigram; no trigram is shared
+        assert [[t is not None for t in r.tables] for r in ref_set.refs] == [[True, True, False, False]] * 4
