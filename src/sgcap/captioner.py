@@ -7,7 +7,7 @@ import numpy as np
 
 from .decoder import DecoderParams
 from .encoder import EncoderParams
-from .features import WORD_VECTOR_DIM
+from .features import WORD_VECTOR_DIM, check_triplet_mode
 from .nn import ParamArrays
 
 __all__ = ["CaptionerConfig", "CaptionerParams"]
@@ -21,7 +21,7 @@ class CaptionerConfig:
     heads: int = 8
     spatial_dim: int = 2048
     max_len: int = 20
-    triplet_mode: str = "mean"  # how relationship rows were aggregated
+    triplet_mode: str = "mean"  # how relationship rows were aggregated, one of TRIPLET_MODES
 
     def __post_init__(self):
         if min(self.d_model, self.embed_dim, self.heads, self.spatial_dim, self.max_len) < 1:
@@ -30,6 +30,7 @@ class CaptionerConfig:
             raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
         if self.vocab_size < 5:
             raise ValueError("vocabulary must contain the specials plus at least one word")
+        check_triplet_mode(self.triplet_mode)
 
     def to_dict(self) -> dict:
         return asdict(self)

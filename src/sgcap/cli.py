@@ -25,12 +25,12 @@ from .features import (
     FileFormatError,
     build_relationship_matrix,
     build_vocabulary,
+    check_triplet_mode,
     coverage_stats,
     load_bundle,
     load_dataset,
     load_sgaf,
     load_word_vectors,
-    make_triplet_lstm,
     read_jsonl,
     text_lines,
     tokenize,
@@ -160,7 +160,7 @@ def _report(obj, out=None) -> int:
 def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
     """Dataset and the closure that builds an image's features; given checkpoint ``params``,
     in its triplet mode (a config naming another is a usage error) and its spatial width."""
-    mode = cfg.get("model.triplet_mode")
+    mode = check_triplet_mode(cfg.get("model.triplet_mode"))  # before the corpus is read
     if params is not None:
         trained = params.config.triplet_mode
         if cfg.given("model.triplet_mode") and mode != trained:
@@ -169,10 +169,9 @@ def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
         mode = trained
     dataset = load_dataset(args.dataset)
     table = load_word_vectors(args.wordvecs)
-    lstm = make_triplet_lstm() if mode == "lstm" else None
 
     def bundle_of(rec):
-        bundle = load_bundle(rec, table, mode, lstm)
+        bundle = load_bundle(rec, table, mode, None)
         if params is not None and bundle.spatial.shape[1] != params.config.spatial_dim:
             raise FileFormatError(
                 f"{rec.feature_file}: feature width {bundle.spatial.shape[1]} "
@@ -224,10 +223,9 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = load_run_config(args)
-    mode = cfg.get("model.triplet_mode")
+    mode = check_triplet_mode(cfg.get("model.triplet_mode"))  # before --out-dir is made
     dataset = load_dataset(args.dataset)
     table = load_word_vectors(args.wordvecs)
-    lstm = make_triplet_lstm() if mode == "lstm" else None
     for rec in dataset.records:  # each id names a file directly inside --out-dir
         if rec.image_id in ("", ".", "..") or any(c in rec.image_id for c in "/\\\0"):
             raise FileFormatError(f"{args.dataset}: image id {rec.image_id!r} cannot name a feature file")
@@ -235,7 +233,7 @@ def cmd_featurize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = 0
     for rec in dataset.records:  # relationship rows only: the spatial files go unread
-        rel, mask = build_relationship_matrix(rec.triplets, table, mode=mode, lstm_params=lstm)
+        rel, mask = build_relationship_matrix(rec.triplets, table, mode=mode)
         write_sgaf(out_dir / f"{rec.image_id}.rel.sgaf", rel[mask])
         rows += int(mask.sum())
     return _report({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})

@@ -14,9 +14,10 @@ thus 4 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
 sum, the token's embedding row, the LSTM input, the LSTM cell and the
 context vector of both paths) and the output head (3). Greedy and
 sampled captions run through one rollout loop, ``_rollout``, and differ
-only in how a step picks its token. Teacher forcing keeps its own loop:
-its targets are known up front, so it runs the output head once per
-caption, over the stack of the steps' context vectors.
+only in how a step picks its token. Teacher forcing keeps its own loop,
+which runs the output head once, over the stacked context vectors.
+Forced and sampled captions are scored alike: one ``log_prob`` over the
+stacked (T, vocab) logits, then one ``sum_all``, the only score taped.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -27,7 +28,6 @@ EOS are rejected anywhere else, and PAD is never fed back in.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,7 +40,6 @@ from .attention import AoAParams, MultiHeadParams, aoa_block, multi_head_attenti
 from .autodiff import (
     KeyValues,
     Tensor,
-    add,
     concat,
     constant,
     decoder_cell,
@@ -131,10 +130,9 @@ class DecoderState:
 class StepScore:
     """Per-step artifacts kept for loss construction and audits.
 
-    A sampled step's ``logits`` and ``log_prob`` are the tape outputs the
-    loss is built from. Teacher-forced steps carry untracked rows of one
-    logits matrix, computed once per caption, and their log-probs as
-    untracked scalars; only the caption total is on the tape.
+    A step's ``log_prob`` is an untracked scalar: only the caption total is
+    on the tape. A sampled step's ``logits`` are its decode step's tape output;
+    a teacher-forced step's, an untracked row of the caption's logits matrix.
     """
 
     logits: Tensor
@@ -216,11 +214,12 @@ def teacher_forced_logprobs(
     logits, lps, targets = _forced_log_probs(params, enc, gt_tokens)
     with no_grad():
         probs = softmax(logits, axis=-1)
-    steps = [
-        StepScore(constant(logits.data[t]), constant(probs.data[t]), constant(lps.data[t]), target)
-        for t, target in enumerate(targets)
-    ]
-    return sum_all(lps), steps
+    return _scored(lps, [(constant(lg), constant(pr)) for lg, pr in zip(logits.data, probs.data)], targets)
+
+
+def _scored(lps: Tensor, rows: list, targets: list[int]) -> tuple[Tensor, list[StepScore]]:
+    """The caption total of the step log-probs ``lps``, and a StepScore per (logits, probs) row."""
+    return sum_all(lps), [StepScore(lg, pr, constant(lp), t) for (lg, pr), lp, t in zip(rows, lps.data, targets)]
 
 
 def _forced_log_probs(params: DecoderParams, enc: EncoderOutput, gt_tokens) -> tuple[Tensor, Tensor, list[int]]:
@@ -271,13 +270,14 @@ def sample_sequence(params: DecoderParams, enc: EncoderOutput, rng: np.random.Ge
     teacher_forced_logprobs reproduces the total within 1e-12: its batched
     output head rounds differently.
     """
-    steps: list[StepScore] = []
+    rows: list[tuple[Tensor, Tensor]] = []
 
     def pick(logits: Tensor, probs: Tensor) -> int:
-        choice = int(rng.choice(params.vocab_size, p=probs.data))
-        steps.append(StepScore(logits, probs, log_prob(logits, choice), choice))
-        return choice
+        rows.append((logits, probs))
+        return int(rng.choice(params.vocab_size, p=probs.data))
 
     out = _rollout(params, enc, max_len, pick)
-    total = functools.reduce(add, [s.log_prob for s in steps]) if steps else None
-    return out, total, steps
+    if not out:
+        return out, None, []
+    logits = reshape(concat([lg for lg, _ in rows], axis=0), (len(out), params.vocab_size))
+    return (out, *_scored(log_prob(logits, out), rows, out))

@@ -17,6 +17,7 @@ graph tensors at encode time.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import string
@@ -37,6 +38,7 @@ __all__ = [
     "SPECIALS",
     "WORD_VECTOR_DIM",
     "MAX_TRIPLETS",
+    "TRIPLET_MODES",
     "FileFormatError",
     "tokenize",
     "Vocabulary",
@@ -48,6 +50,7 @@ __all__ = [
     "load_sgaf",
     "RelationshipTriplet",
     "select_top_triplets",
+    "check_triplet_mode",
     "make_triplet_lstm",
     "embed_triplet",
     "build_relationship_matrix",
@@ -63,6 +66,7 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIALS = ("<pad>", "<bos>", "<eos>", "<unk>")
 WORD_VECTOR_DIM = 300
 MAX_TRIPLETS = 20
+TRIPLET_MODES = ("mean", "lstm")  # how a triplet's three word vectors become one row
 
 _SGAF_MAGIC = b"SGAF"
 _SGAF_VERSION = 1
@@ -313,11 +317,21 @@ def select_top_triplets(
     return [triplets[i] for i in order[:k]]
 
 
+def check_triplet_mode(mode: str) -> str:
+    """``mode`` if it is one of TRIPLET_MODES, else a ValueError naming them."""
+    if mode not in TRIPLET_MODES:
+        raise ValueError(f"unknown triplet aggregation mode {mode!r}; "
+                         f"expected one of {', '.join(TRIPLET_MODES)}")
+    return mode
+
+
+@functools.cache
 def make_triplet_lstm(seed: int = 0) -> nn.LstmParams:
     """Fixed, seeded 300-d LSTM used by the ``lstm`` aggregation mode.
 
     Features are extracted before training, so this aggregator is never
-    trained; a deterministic seed keeps extraction reproducible.
+    trained; a deterministic seed keeps extraction reproducible. It is
+    drawn once per seed and process, and shared by every caller.
     """
     return nn.LstmParams.init(np.random.default_rng(seed), WORD_VECTOR_DIM, WORD_VECTOR_DIM)
 
@@ -335,12 +349,10 @@ def embed_triplet(
     order. Words are looked up as ``WordVectorTable.get`` does.
     """
     vs = [table.get(w) for w in triplet.words()]
-    if mode == "mean":
+    if check_triplet_mode(mode) == "mean":
         return (vs[0] + vs[1] + vs[2]) / 3.0
-    if mode == "lstm":
-        params = lstm_params if lstm_params is not None else make_triplet_lstm()
-        return nn.lstm_run(params, (Tensor(v) for v in vs)).h.data.copy()
-    raise ValueError(f"unknown triplet aggregation mode {mode!r}")
+    params = lstm_params if lstm_params is not None else make_triplet_lstm()
+    return nn.lstm_run(params, (Tensor(v) for v in vs)).h.data.copy()
 
 
 def build_relationship_matrix(

@@ -542,6 +542,28 @@ def ref_decoder_cell(a_bar, c_prev, table, token, h, m, cell, paths):
     return h_new, m_new, c
 
 
+def ref_sample_sequence(params, enc, rng, max_len=None):
+    """sample_sequence scoring each step on its own: one log_prob op per
+    step, on the step's logit vector, and a left fold of add ops for the
+    caption total. Every step's logits get the same gradient as under the
+    stacked scoring, so a training step must leave equal parameters."""
+    import functools
+
+    from sgcap.autodiff import add, log_prob
+    from sgcap.decoder import StepScore, _rollout
+
+    steps = []
+
+    def pick(logits, probs):
+        choice = int(rng.choice(params.vocab_size, p=probs.data))
+        steps.append(StepScore(logits, probs, log_prob(logits, choice), choice))
+        return choice
+
+    out = _rollout(params, enc, max_len, pick)
+    total = functools.reduce(add, [s.log_prob for s in steps]) if steps else None
+    return out, total, steps
+
+
 # ---------------------------------------------------------------------------
 # Per-metric reference forms of the caption metrics: each function counts
 # its own n-grams, the LCS fills the O(|a|*|b|) table, and every float is

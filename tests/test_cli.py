@@ -124,6 +124,71 @@ def without_references(world, tmp_path, split):
     return path, bare["id"]
 
 
+def without_triplets(world, tmp_path):
+    """The toy dataset with every record's triplets removed."""
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+    for r in records:
+        r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+        r["triplets"] = []
+    path = tmp_path / "no_triplets.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+class TestTripletModeChecked:
+    """An unknown model.triplet_mode exits 1 before a corpus is read or a file written."""
+
+    def test_train_xe_writes_no_checkpoint(self, world, tmp_path, capsys):
+        rc = main([str(a) for a in [
+            "train-xe", "--config", world["cfg"], "--dataset", without_triplets(world, tmp_path),
+            "--wordvecs", world["wordvecs"], "--out", tmp_path / "xe.sgck", "--log", tmp_path / "log.jsonl",
+            "--set", "model.triplet_mode=bogus"]])
+        assert rc == 1
+        assert "expected one of mean, lstm" in capsys.readouterr().err
+        assert not (tmp_path / "xe.sgck").exists() and not (tmp_path / "log.jsonl").exists()
+
+    def test_featurize_creates_no_out_dir(self, world, tmp_path, capsys):
+        rc = main([str(a) for a in [
+            "featurize", "--dataset", without_triplets(world, tmp_path), "--wordvecs", world["wordvecs"],
+            "--out-dir", tmp_path / "rel", "--set", "model.triplet_mode=bogus"]])
+        assert rc == 1
+        assert "expected one of mean, lstm" in capsys.readouterr().err
+        assert not (tmp_path / "rel").exists()
+
+    def test_checkpoint_naming_another_mode_is_a_file_format_error(self, world, trained, tmp_path, capsys):
+        params, vocab, seed = load_captioner(trained["xe"])
+        params.config.triplet_mode = "bogus"
+        bogus = tmp_path / "bogus.sgck"
+        save_captioner(bogus, params, vocab, seed)
+        with pytest.raises(FileFormatError, match="expected one of mean, lstm"):
+            load_captioner(bogus)
+        rc = main([str(a) for a in ["caption", "--checkpoint", bogus, "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl"]])
+        assert rc == 1
+        assert "bogus.sgck" in capsys.readouterr().err
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["featurize", "train-xe", "train-scst", "caption"])
+    def test_checked_before_the_corpus_is_read(self, world, trained, tmp_path, capsys, monkeypatch, command):
+        def load_dataset(path):
+            raise AssertionError(f"{command} read {path}")
+
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        out = tmp_path / "out"
+        argv = {
+            "featurize": ["--out-dir", out],
+            "train-xe": ["--config", world["cfg"], "--out", out, "--log", tmp_path / "log.jsonl"],
+            "train-scst": ["--config", world["cfg"], "--checkpoint", trained["xe"], "--reward", "cider",
+                           "--out", out, "--log", tmp_path / "log.jsonl"],
+            "caption": ["--checkpoint", trained["xe"], "--out", out],
+        }[command]
+        rc = main([str(a) for a in [command, "--dataset", world["dataset"], "--wordvecs", world["wordvecs"],
+                                    *argv, "--set", "model.triplet_mode=bogus"]])
+        assert rc == 1
+        assert "unknown triplet aggregation mode 'bogus'; expected one of mean, lstm" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigParsing:
     def test_comments_and_spacing(self, tmp_path):
         p = tmp_path / "c.cfg"

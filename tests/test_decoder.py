@@ -237,6 +237,34 @@ class TestSampling:
         assert len(steps) == len(tokens)
 
 
+class TestStackedSampleScoring:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_records_its_decode_steps_plus_four(self, seed):
+        _, params, bundle = tiny_setup(seed=seed)
+        enc = encode(params.encoder, bundle)
+        with Tape() as sampled:
+            tokens, _, _ = sample_sequence(params.decoder, enc, np.random.default_rng(seed + 70))
+        with Tape() as decoded:
+            state = init_state(params.decoder, enc)
+            for token in [BOS] + tokens[:-1]:
+                _, _, state = decode_step(params.decoder, enc, state, token)
+        # concat, reshape, log_prob and sum_all, whatever the caption's length
+        assert len(sampled) == len(decoded) + 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_log_probs_are_untracked_teacher_forced_values(self, seed):
+        _, params, bundle = tiny_setup(seed=seed)
+        with Tape():
+            enc = encode(params.encoder, bundle)
+            tokens, total, steps = sample_sequence(params.decoder, enc, np.random.default_rng(seed + 80))
+            _, forced = teacher_forced_logprobs(params.decoder, enc, [BOS] + tokens)
+        assert total.requires_grad
+        assert len(steps) == len(forced) == len(tokens)
+        for step, want in zip(steps, forced):
+            assert step.logits.requires_grad and not step.log_prob.requires_grad
+            np.testing.assert_allclose(step.log_prob.item(), want.log_prob.item(), atol=1e-12)
+
+
 class TestRolloutLoop:
     def test_zero_budget_emits_nothing_and_draws_nothing(self):
         _, params, bundle = tiny_setup()

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ref_load_word_vectors, ref_tokenize
+from sgcap import nn
+from sgcap.captioner import CaptionerConfig
 from sgcap.features import (
     BOS,
     EOS,
     MAX_TRIPLETS,
     PAD,
+    TRIPLET_MODES,
     UNK,
     Dataset,
     FeatureBundle,
@@ -386,6 +389,46 @@ class TestTripletEmbedding:
         table = _toy_table(["a"])
         with pytest.raises(ValueError):
             embed_triplet(RelationshipTriplet("a", "a", "a", 1.0), table, "max")
+
+
+class TestTripletModes:
+    def test_one_list_of_modes(self):
+        assert TRIPLET_MODES == ("mean", "lstm")
+        for mode in TRIPLET_MODES:
+            assert CaptionerConfig(vocab_size=9, triplet_mode=mode).triplet_mode == mode
+
+    @pytest.mark.parametrize("make", [
+        lambda: CaptionerConfig(vocab_size=9, triplet_mode="bogus"),
+        lambda: embed_triplet(RelationshipTriplet("a", "a", "a", 1.0), _toy_table(["a"]), "bogus"),
+    ], ids=["config", "embed_triplet"])
+    def test_unknown_mode_names_the_allowed_ones(self, make):
+        with pytest.raises(ValueError, match="'bogus'; expected one of mean, lstm"):
+            make()
+
+
+class TestTripletAggregator:
+    def test_matrix_draws_the_aggregator_at_most_once(self, monkeypatch):
+        words = ["man", "riding", "horse", "dog"]
+        table = _toy_table(words)
+        triplets = [RelationshipTriplet(words[i % 4], words[(i + 1) % 4], words[(i + 2) % 4], 1.0 - i / 40)
+                    for i in range(MAX_TRIPLETS)]
+        fresh = nn.LstmParams.init(np.random.default_rng(0), 300, 300)
+        draws = []
+        init = nn.LstmParams.init
+
+        def counting_init(*args, **kwargs):
+            draws.append(args)
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(nn.LstmParams, "init", counting_init)
+        m, mask = build_relationship_matrix(triplets, table, mode="lstm")
+        assert len(draws) <= 1 and mask.all()
+        want, _ = build_relationship_matrix(triplets, table, mode="lstm", lstm_params=fresh)
+        np.testing.assert_array_equal(m, want)
+        m, _ = build_relationship_matrix(triplets, table, mode="mean")
+        for row, t in zip(m, select_top_triplets(triplets)):
+            vs = [table.get(w) for w in t.words()]
+            np.testing.assert_array_equal(row, (vs[0] + vs[1] + vs[2]) / 3.0)
 
 
 class TestRelationshipMatrix:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_decode_step, brute_encode
+from oracles import brute_decode_step, brute_encode, ref_sample_sequence
 from sgcap import trainer
 from sgcap.autodiff import Tape, add, scale
 from sgcap.captioner import CaptionerConfig, CaptionerParams
@@ -308,6 +308,31 @@ class TestScstRewardCalls:
                                    np.random.default_rng(7))
         assert rollout.sampled != rollout.greedy
         assert calls == [rollout.sampled, rollout.greedy]
+
+
+class TestStackedSampleScoring:
+    @pytest.mark.parametrize("reward", ["token_sum", "cider", "mmr"])
+    def test_scst_steps_match_per_step_scoring(self, monkeypatch, reward):
+        vocab, params, bundles, refs, idf, vse, _, items = tiny_world()
+        reward_fn = {
+            "token_sum": token_sum_reward,
+            "cider": lambda t, b, r: combined_reward(t, b, r, idf, vse, vocab, alpha=1.0).r,
+            "mmr": lambda t, b, r: combined_reward(t, b, r, idf, vse, vocab, alpha=0.7).r,
+        }[reward]
+        start = params.param_arrays()
+
+        def three_steps():
+            rng = np.random.default_rng(4)
+            advantages = [scst_step(params, items * 2, reward_fn, lr=0.1, rng=rng)[0] for _ in range(3)]
+            return params.param_arrays(), advantages
+
+        got, advantages = three_steps()
+        assert any(advantages)
+        params.load_arrays(start)
+        monkeypatch.setattr(trainer, "sample_sequence", ref_sample_sequence)
+        want, _ = three_steps()
+        for name, arr in got.items():
+            assert np.array_equal(arr, want[name]), name
 
 
 def full_loss_scst_step(params, batch, reward_fn, lr, rng, clip_norm=5.0):
