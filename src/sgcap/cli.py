@@ -349,8 +349,8 @@ def cmd_evaluate(args) -> int:
     references = _scored_refs(records, args.dataset)
     path = Path(args.candidates)
     a_string = (lambda x: isinstance(x, str), "a string")
-    by_id = {obj["id"]: obj["caption"]
-             for obj in read_jsonl(path, {"id": a_string, "caption": a_string})}
+    by_id = {ident: obj["caption"]
+             for ident, obj in read_jsonl(path, {"id": a_string, "caption": a_string})}
     candidates = []
     for rec in records:
         if rec.image_id not in by_id:

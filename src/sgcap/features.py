@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor
+from .autodiff import constant, lstm_sequences, no_grad
 from .ioutil import atomic_write_bytes, atomic_write_text
 
 __all__ = [
@@ -348,11 +348,25 @@ def embed_triplet(
     LSTM run over the three word vectors in subject, predicate, object
     order. Words are looked up as ``WordVectorTable.get`` does.
     """
-    vs = [table.get(w) for w in triplet.words()]
+    return _embed_triplets([triplet], table, mode, lstm_params)[0]
+
+
+def _embed_triplets(
+    triplets: Sequence[RelationshipTriplet],
+    table: WordVectorTable,
+    mode: str,
+    lstm_params: Optional[nn.LstmParams],
+) -> np.ndarray:
+    """(len(triplets), 300): each triplet's row as ``embed_triplet`` makes
+    it. In lstm mode the triplets run as the rows of one untaped
+    ``lstm_sequences`` call, whose rows equal one LSTM run per triplet."""
+    words = np.array([[table.get(w) for w in t.words()] for t in triplets])  # (n, 3, 300)
     if check_triplet_mode(mode) == "mean":
-        return (vs[0] + vs[1] + vs[2]) / 3.0
+        return (words[:, 0] + words[:, 1] + words[:, 2]) / 3.0
     params = lstm_params if lstm_params is not None else make_triplet_lstm()
-    return nn.lstm_run(params, (Tensor(v) for v in vs)).h.data.copy()
+    with no_grad():
+        return lstm_sequences(constant(words.reshape(-1, WORD_VECTOR_DIM)),
+                              np.arange(words.shape[0] * 3).reshape(-1, 3), params.weights()).data
 
 
 def build_relationship_matrix(
@@ -370,9 +384,9 @@ def build_relationship_matrix(
     chosen = select_top_triplets(triplets, k)
     matrix = np.zeros((k, WORD_VECTOR_DIM))
     mask = np.zeros(k, dtype=bool)
-    for i, t in enumerate(chosen):
-        matrix[i] = embed_triplet(t, table, mode, lstm_params)
-        mask[i] = True
+    if chosen:
+        matrix[:len(chosen)] = _embed_triplets(chosen, table, mode, lstm_params)
+        mask[:len(chosen)] = True
     return matrix, mask
 
 
@@ -402,11 +416,34 @@ class FeatureBundle:
 
 @dataclass
 class ImageRecord:
+    """One image of a dataset.
+
+    With a ``base``, ``feature_file`` is joined to it the first time it
+    is read (an absolute name replaces the base, as ``Path`` joining
+    does), so ``load_dataset``, which passes the dataset's directory,
+    builds no ``Path`` per record. Without one, or once assigned, it is
+    kept as given.
+    """
+
     image_id: str
     split: str
     captions: list[str]
     triplets: list[RelationshipTriplet]
     feature_file: Path
+    base: Optional[Path] = field(default=None, repr=False, compare=False)
+
+
+def _feature_file(rec: ImageRecord) -> Path:
+    if rec.base is not None:
+        rec._feature_file, rec.base = rec.base / rec._feature_file, None
+    return rec._feature_file
+
+
+def _set_feature_file(rec: ImageRecord, value) -> None:
+    rec._feature_file, rec.base = value, None  # the generated __init__ sets base after this
+
+
+ImageRecord.feature_file = property(_feature_file, _set_feature_file)
 
 
 @dataclass
@@ -442,15 +479,17 @@ _RECORD_FIELDS = {
 }
 
 
-def read_jsonl(path, fields: dict) -> Iterator[dict]:
-    """The objects of a JSON-lines file, one per non-blank line.
+def read_jsonl(path, fields: dict) -> Iterator[tuple[str, dict]]:
+    """(id, object) for the objects of a JSON-lines file, one per
+    non-blank line.
 
-    Each must hold an "id", unique after ``str()``, plus every key of
-    ``fields`` (key -> (test of its value, what the test asks for)) with a
-    value that passes its test. Anything else is a ``FileFormatError``
-    naming the line.
+    Each must hold an "id", unique after ``str()`` (the id yielded), plus
+    every key of ``fields`` (key -> (test of its value, what the test asks
+    for)) with a value that passes its test. Anything else is a
+    ``FileFormatError`` naming the line.
     """
     path = Path(path)
+    keys = ("id", *fields)
     first_line: dict[str, int] = {}  # id -> line it first appeared on
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -461,7 +500,7 @@ def read_jsonl(path, fields: dict) -> Iterator[dict]:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
-        for key in ("id", *fields):
+        for key in keys:
             if key not in obj:
                 raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
         for key, (valid, what) in fields.items():
@@ -473,25 +512,24 @@ def read_jsonl(path, fields: dict) -> Iterator[dict]:
                 f"{path}:{lineno}: duplicate id {ident!r} (first on line {first_line[ident]})"
             )
         first_line[ident] = lineno
-        yield obj
+        yield ident, obj
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a JSON-lines dataset; feature paths resolve against its directory.
+    """Parse a JSON-lines dataset; feature paths resolve against its
+    directory when a record's ``feature_file`` is first read.
 
     Image ids must be unique: a repeated one is a ``FileFormatError``.
     """
     path = Path(path)
+    base = path.parent
     records = []
-    for obj in read_jsonl(path, _RECORD_FIELDS):
+    for ident, obj in read_jsonl(path, _RECORD_FIELDS):
         triplets = [
             RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
             for t in obj["triplets"]
         ]
-        records.append(ImageRecord(  # an absolute feature_file replaces the base when joined
-            str(obj["id"]), obj["split"], obj["captions"], triplets,
-            path.parent / obj["feature_file"],
-        ))
+        records.append(ImageRecord(ident, obj["split"], obj["captions"], triplets, obj["feature_file"], base))
     return Dataset(records)
 
 

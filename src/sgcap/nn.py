@@ -21,9 +21,9 @@ from .autodiff import (
     gather_rows,
     linear,
     linear_each,
+    linear_vec,
     lstm_cell,
     parameter,
-    reshape,
 )
 
 __all__ = [
@@ -135,11 +135,10 @@ class LinearLayer(ParamArrays):
         return self.weight.shape[0]
 
     def apply_vec(self, x: Tensor) -> Tensor:
-        """Project a single vector (d_in,) -> (d_out,)."""
+        """Project a single vector (d_in,) -> (d_out,), one tape op."""
         if x.data.shape != (self.d_in,):
             raise DimensionError(f"linear expects shape ({self.d_in},), got {tuple(x.data.shape)}")
-        row = reshape(x, (1, self.d_in))
-        return reshape(linear(row, self.weight, self.bias), (self.d_out,))
+        return linear_vec(x, self.weight, self.bias)
 
     def apply_rows(self, x: Tensor) -> Tensor:
         """Project every row of (n, d_in) -> (n, d_out)."""

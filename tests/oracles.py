@@ -807,3 +807,89 @@ def ref_train_vse(pairs, config, rng, epochs, lr, batch_size):
                                                                           config.margin), lr)
         losses.append(total / len(pairs))
     return params, losses
+
+
+# ---------------------------------------------------------------------------
+# The dataset loader as it was when each record's feature path was joined
+# while loading: read_jsonl yielding bare objects, the ("id", *fields) tuple
+# built per line, the id stringified again, and one Path per record. The
+# library resolves feature paths on first read, and its records must equal
+# these field by field, and its errors these errors.
+
+
+def ref_read_jsonl(path, fields: dict):
+    import json
+
+    from sgcap.features import text_lines
+
+    path = Path(path)
+    first_line: dict[str, int] = {}  # id -> line it first appeared on
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
+            raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
+        for key in ("id", *fields):
+            if key not in obj:
+                raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
+        for key, (valid, what) in fields.items():
+            if not valid(obj[key]):
+                raise FileFormatError(f"{path}:{lineno}: {key} must be {what}")
+        ident = str(obj["id"])
+        if ident in first_line:
+            raise FileFormatError(
+                f"{path}:{lineno}: duplicate id {ident!r} (first on line {first_line[ident]})"
+            )
+        first_line[ident] = lineno
+        yield obj
+
+
+def ref_load_dataset(path):
+    from sgcap.features import _RECORD_FIELDS, Dataset, ImageRecord, RelationshipTriplet
+
+    path = Path(path)
+    records = []
+    for obj in ref_read_jsonl(path, _RECORD_FIELDS):
+        triplets = [
+            RelationshipTriplet(t["s"], t["p"], t["o"], float(t["score"]))
+            for t in obj["triplets"]
+        ]
+        records.append(ImageRecord(  # an absolute feature_file replaces the base when joined
+            str(obj["id"]), obj["split"], obj["captions"], triplets,
+            path.parent / obj["feature_file"],
+        ))
+    return Dataset(records)
+
+
+# ---------------------------------------------------------------------------
+# One-vector projection as it was before ``autodiff.linear_vec``: reshape to
+# one row, ``linear``, reshape back, three tape ops. ``LinearLayer.apply_vec``
+# must equal it bit for bit, gradients included.
+
+
+def ref_apply_vec(layer, x: Tensor) -> Tensor:
+    from sgcap.autodiff import linear, reshape
+
+    row = reshape(x, (1, layer.d_in))
+    return reshape(linear(row, layer.weight, layer.bias), (layer.d_out,))
+
+
+# ---------------------------------------------------------------------------
+# lstm-mode relationship rows as they were before one untaped
+# ``lstm_sequences`` call ran every triplet: one ``lstm_run`` per triplet,
+# on the tape machinery. ``build_relationship_matrix`` must equal it with
+# np.array_equal.
+
+
+def ref_relationship_matrix_lstm(triplets, table, params, k=20):
+    from sgcap.features import WORD_VECTOR_DIM, select_top_triplets
+    from sgcap.nn import lstm_run
+
+    matrix = np.zeros((k, WORD_VECTOR_DIM))
+    for i, t in enumerate(select_top_triplets(triplets, k)):
+        matrix[i] = lstm_run(params, (Tensor(table.get(w)) for w in t.words())).h.data
+    return matrix

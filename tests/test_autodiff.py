@@ -427,6 +427,25 @@ class TestLinear:
             linear(constant(np.ones(x_shape)), constant(np.ones(w_shape)), b)
 
 
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((5,), (3, 4), None),        # inner widths differ
+        ((1, 4), (3, 4), None),      # row input
+        ((4,), (4,), None),          # weight not a matrix
+        ((4,), (3, 4), (4,)),        # bias sized like the input
+    ])
+    def test_linear_vec_shape_mismatch_raises(self, x_shape, w_shape, b_shape):
+        b = None if b_shape is None else constant(np.ones(b_shape))
+        with pytest.raises(DimensionError):
+            ad.linear_vec(constant(np.ones(x_shape)), constant(np.ones(w_shape)), b)
+
+    def test_linear_vec_constant_input_gets_no_dense_gradient(self):
+        rng = np.random.default_rng(4)
+        w = parameter(rng.normal(size=(3, 4)))
+        with Tape() as tape:
+            ad.linear_vec(constant(rng.normal(size=4)), w)
+        _, _, backward_fn = tape._records[0]
+        assert backward_fn(np.ones(3))[0] is None
+
 def leaf_grads(build, leaves):
     """Gradients of build(*leaves) w.r.t. every leaf, from a fresh tape."""
     for t in leaves:

@@ -1,16 +1,23 @@
 """Vocabulary, word vectors, triplets, binary feature files, datasets."""
 
+import gc
 import json
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_load_word_vectors, ref_tokenize
+from oracles import (
+    ref_load_dataset,
+    ref_load_word_vectors,
+    ref_relationship_matrix_lstm,
+    ref_tokenize,
+)
 from sgcap import nn
+from sgcap.autodiff import Tape
 from sgcap.captioner import CaptionerConfig
 from sgcap.features import (
     BOS,
@@ -685,3 +692,106 @@ class TestCoverageStats:
         ]
         stats = coverage_stats(Dataset(recs))
         assert stats["train"] == {"total": 6, "covered": 4, "rate": 4 / 6}
+
+
+def record_fields(rec) -> list:
+    """Each field of a record as repr (NaN scores and -0.0 compare by it)
+    and the type of its feature path."""
+    return [repr(getattr(rec, f)) for f in ("image_id", "split", "captions", "triplets", "feature_file")] + [
+        type(rec.feature_file)]
+
+
+def load_outcome(loader, path):
+    """The records' fields, or the message of the FileFormatError raised."""
+    try:
+        return [record_fields(r) for r in loader(path).records]
+    except FileFormatError as exc:
+        return f"FileFormatError: {exc}"
+
+
+def live_paths() -> int:
+    return sum(isinstance(o, PurePath) for o in gc.get_objects())
+
+
+class TestLazyFeatureFile:
+    def _write(self, path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    @pytest.mark.parametrize("name", [  # an absolute name is kept as is
+        "f.sgaf", "feats/img0.sgaf", "../up/f.sgaf", "./f.sgaf", "", ".", "a//b", "/abs/f.sgaf",
+    ])
+    def test_records_equal_reference_loader(self, tmp_path, name):
+        path = self._write(tmp_path / "data.jsonl", [
+            {**GOOD_RECORD, "id": 7, "feature_file": name},
+            {**GOOD_RECORD, "id": "y", "split": "val", "triplets": [], "feature_file": name + "x"},
+        ])
+        got = load_outcome(load_dataset, path)
+        assert got == load_outcome(ref_load_dataset, path)
+        assert got == load_outcome(load_dataset, str(path))
+
+    def test_toy_dataset_equals_reference_loader(self, tmp_path):
+        from sgcap.toydata import make_toy_data
+
+        info = make_toy_data(12, 27, 3, tmp_path)
+        assert load_outcome(load_dataset, info["dataset"]) == load_outcome(ref_load_dataset, info["dataset"])
+
+    @given(records=st.lists(FUZZ_RECORDS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_records_equal_reference_loader(self, fuzz_dir, records):
+        path = self._write(fuzz_dir / "lazy.jsonl", records)
+        assert load_outcome(load_dataset, path) == load_outcome(ref_load_dataset, path)
+
+    @given(raw=st.binary(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_bytes_equal_reference_loader(self, fuzz_dir, raw):
+        path = fuzz_dir / "lazy.jsonl"
+        path.write_bytes(raw)
+        assert load_outcome(load_dataset, path) == load_outcome(ref_load_dataset, path)
+
+    def test_load_builds_no_path_until_a_feature_file_is_read(self, tmp_path):
+        path = str(self._write(tmp_path / "data.jsonl", [
+            {**GOOD_RECORD, "id": f"img{i}", "feature_file": f"features/img{i}.sgaf"} for i in range(100)
+        ]))
+        before = live_paths()
+        ds = load_dataset(path)
+        loaded = live_paths()
+        assert len(ds) == 100 and loaded - before == 1  # the dataset's directory, shared
+        first = ds.records[37].feature_file
+        assert live_paths() == loaded + 1
+        assert ds.records[37].feature_file is first and live_paths() == loaded + 1
+        assert first == tmp_path / "features/img37.sgaf"
+
+    def test_hand_built_and_assigned_names_are_kept(self, tmp_path):
+        rec = ImageRecord("i", "train", [], [], "f0")
+        assert rec.feature_file == "f0"
+        rec = ImageRecord("i", "train", [], [], "f0", base=tmp_path)
+        assert rec.feature_file == tmp_path / "f0"
+        rec = ImageRecord("i", "train", [], [], "f0", base=tmp_path)
+        rec.feature_file = "g"
+        assert rec.feature_file == "g"
+        assert ImageRecord("i", "train", [], [], "f0", base=tmp_path) == ImageRecord(
+            "i", "train", [], [], tmp_path / "f0")
+
+
+class TestBatchedTripletRows:
+    WORDS = ["man", "riding", "horse", "dog", "on", "mat"]
+
+    @pytest.mark.parametrize("n", [0, 1, 20, 23])
+    def test_lstm_rows_equal_one_run_per_triplet(self, n):
+        # repeated triplets and words, an unknown word, a word found by its tokens
+        rng = np.random.default_rng(n)
+        table = _toy_table(self.WORDS)
+        words = self.WORDS + ["zebra", "Man.", "horse dog"]
+        triplets = [RelationshipTriplet(*(words[j] for j in rng.integers(0, len(words), 3)), float(rng.random()))
+                    for _ in range(n)]
+        if n > 2:
+            triplets[1:3] = triplets[:2]
+        params = make_triplet_lstm(0)
+        with Tape() as tape:
+            m, mask = build_relationship_matrix(triplets, table, mode="lstm", lstm_params=params)
+        assert len(tape) == 0
+        np.testing.assert_array_equal(m, ref_relationship_matrix_lstm(triplets, table, params))
+        assert mask.sum() == min(n, MAX_TRIPLETS) and mask[:min(n, MAX_TRIPLETS)].all()
+        for row, t in zip(m, select_top_triplets(triplets)):
+            np.testing.assert_array_equal(row, embed_triplet(t, table, "lstm", params))

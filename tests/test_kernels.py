@@ -736,3 +736,24 @@ def test_recorded_toy_decode_step_has_at_most_4_ops():
         decode_step(params.decoder, enc, state, BOS)
         step_ops = len(tape) - before
     assert step_ops <= 4
+
+
+def test_toy_op_counts_with_one_op_output_head():
+    # a decode step is decoder_cell and the head's linear_vec; a 7-step XE
+    # pair is 21 encoder ops plus 23; a T-token sample is 2T + 14 past the encoder
+    params, bundle = toy_model_and_bundle()
+    with Tape() as tape:
+        enc = encode(params.encoder, bundle)
+        encoded = len(tape)
+        state = init_state(params.decoder, enc)
+        before = len(tape)
+        decode_step(params.decoder, enc, state, BOS)
+        assert len(tape) - before == 2
+    with Tape() as tape:
+        xe_loss(params, encode(params.encoder, bundle), [BOS, 4, 5, 6, 7, 8, 9, EOS])
+    assert (encoded, len(tape)) == (21, 44)
+    for seed in range(4):
+        with Tape() as tape:
+            enc = encode(params.encoder, bundle)
+            tokens, _, _ = sgcap.decoder.sample_sequence(params.decoder, enc, np.random.default_rng(seed))
+        assert len(tape) == encoded + 2 * len(tokens) + 14

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import ref_apply_vec
 from sgcap.autodiff import DimensionError, Tape, Tensor, constant, grad_check, mul, parameter, sum_all
 from sgcap.attention import MultiHeadParams
 from sgcap.encoder import RefinePathParams
@@ -50,6 +51,33 @@ class TestLinear:
             return sum_all(mul(y, y))
 
         assert grad_check(f, [layer.weight, layer.bias, x]) <= 1e-5
+
+
+class TestApplyVecOneOp:
+    @pytest.mark.parametrize("k,m", [(64, 32), (33, 27), (600, 300), (7, 1), (1, 5)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_one_op_equal_to_three_op_form(self, k, m, bias):
+        rng = np.random.default_rng(k * m)
+        layer = LinearLayer.init(rng, k, m, bias=bias)
+        if bias:
+            layer.bias.data[:] = rng.normal(size=m)
+        x = parameter(rng.normal(size=k))
+        weights = rng.normal(size=m)
+        weights[::3] = -0.0  # -0.0 flows, which a sum over one row turns into 0.0
+        got = []
+        for apply in (layer.apply_vec, lambda v: ref_apply_vec(layer, v)):
+            for t in (*layer.weights(), x):
+                t.grad = None
+            with Tape() as tape:
+                y = apply(x)
+                loss = sum_all(mul(y, constant(weights)))
+            tape.backward(loss)
+            got.append((len(tape), y.data, x.grad, *(t.grad for t in layer.weights())))
+        (ops, *one), (ref_ops, *three) = got
+        assert (ops, ref_ops) == (3, 5)  # apply_vec is 1 op; mul and sum_all are 2
+        for a, b in zip(one, three):
+            np.testing.assert_array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestEmbedding:
