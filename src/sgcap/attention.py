@@ -105,10 +105,6 @@ class AoAParams(ParamArrays):
             parameter(np.zeros(d_model)),
         )
 
-    @property
-    def d_model(self) -> int:
-        return self.w_q_info.shape[0]
-
 
 def aoa_block(params: AoAParams, q: Tensor, v_hat: Tensor) -> Tensor:
     """Gate an information vector with a sigmoid of the same inputs.

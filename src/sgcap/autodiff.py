@@ -38,8 +38,8 @@ Design rules, enforced here rather than assumed:
 * everything is float64, row-major;
 * no implicit broadcasting -- shapes must match exactly, widening is done
   with explicit ``reshape`` and ``linear`` against a column of ones;
-* non-finite values are rejected at tensor creation, and after every op
-  when debug mode is on (``set_debug_finite``);
+* non-finite values are rejected at tensor creation and in the loss
+  that ``Tape.backward`` takes;
 * gradients accumulate across ``backward`` calls until cleared, so two
   backward passes yield exactly twice one pass.
 """
@@ -57,7 +57,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "no_grad",
-    "set_debug_finite",
     "constant",
     "parameter",
     "add",
@@ -96,17 +95,6 @@ class DimensionError(ValueError):
 
 
 _TAPE_STACK: list["Tape"] = []
-_DEBUG_FINITE = False
-
-
-def set_debug_finite(enabled: bool) -> None:
-    """Toggle finiteness asserts after every op (slow; off by default).
-
-    Off, values are still checked at tensor creation and at the loss
-    inside ``Tape.backward``.
-    """
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(enabled)
 
 
 def _active_tape():
@@ -223,9 +211,9 @@ class Tape:
         """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
         ``loss`` must be a scalar produced on this tape, alone or as one
-        output of several. Non-finite loss is rejected here even when debug
-        mode is off. A multi-output record settles each output's factored
-        parts, then runs its backward once on all their flows.
+        output of several, and finite. A multi-output record settles each
+        output's factored parts, then runs its backward once on all their
+        flows.
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {tuple(loss.data.shape)}")
@@ -339,8 +327,6 @@ def _recording_tape(inputs: tuple):
 def _emit(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     """Create an op output, recording it when a tape is active."""
     tape = _recording_tape(inputs)
-    if _DEBUG_FINITE and not np.isfinite(data).all():
-        raise FloatingPointError("non-finite op output")
     out = Tensor._wrap(data, tape is not None)
     if tape is not None:
         tape._records.append((out, inputs, backward_fn))
@@ -358,8 +344,6 @@ def _emit_many(datas: tuple, inputs: tuple, backward_fn) -> tuple:
     which the output's grad slot keeps uncopied.
     """
     tape = _recording_tape(inputs)
-    if _DEBUG_FINITE and not all(np.isfinite(d).all() for d in datas):
-        raise FloatingPointError("non-finite op output")
     outs = tuple(Tensor._wrap(d, tape is not None) for d in datas)
     if tape is not None:
         tape._records.append((outs, inputs, backward_fn))

@@ -11,7 +11,6 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +25,6 @@ VERSION = 1
 KINDS = ("captioner", "vse")
 
 _HEAD = struct.Struct("<IQ")  # version, header byte length
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Decoded checkpoint contents, independent of the model classes."""
-
-    kind: str
-    config: dict
-    seed: int
-    vocab_tokens: list[str]
-    arrays: dict[str, np.ndarray]
 
 
 def save_checkpoint(path, kind, config, arrays, seed, vocab_tokens) -> None:
@@ -131,15 +119,6 @@ def _read_payload(fh, path, manifest, arrays) -> None:
             arr.byteswap(inplace=True)
         if not np.isfinite(arr).all():
             raise FileFormatError(f"{path}: parameter {name!r} holds NaN or inf")
-
-
-def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    with path.open("rb") as fh:
-        header = _read_header(fh, path)
-        arrays = {name: np.empty(tuple(shape)) for name, shape in header["manifest"]}
-        _read_payload(fh, path, header["manifest"], arrays.values())
-    return Checkpoint(header["kind"], header["config"], header["seed"], header["vocab"], arrays)
 
 
 class _Unfilled:

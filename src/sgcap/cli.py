@@ -52,6 +52,14 @@ def _opt(conv):
     return lambda s: None if s.strip().lower() in ("", "none") else conv(s)
 
 
+def nonnegative_int(text: str) -> int:
+    """A seed, from a ``--seed`` flag or the config: numpy takes integers from 0 up."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _keys(cls, prefix: str) -> dict:
     """Config key ``<prefix><field>`` -> (parser, default) for each field of ``cls``
     except those the commands derive (widths, vocabulary size, nested phases)."""
@@ -71,6 +79,7 @@ CONFIG_SCHEMA = {
     **_keys(Phase1Config, "phase1."),
     **_keys(Phase2Config, "phase2."),
     **_keys(TrainConfig, ""),
+    "seed": (nonnegative_int, 0),  # refused below 0, as --seed is
     # settings of the command rather than of a config dataclass
     "vocab.min_count": (int, 5),
     "vse.epochs": (int, 30),
@@ -115,9 +124,9 @@ class RunConfig:
         try:
             return conv(raw)
         except ValueError:
-            raise FileFormatError(
-                f"{self._source}: field {key}: cannot parse {raw!r}"
-            ) from None
+            raise FileFormatError(f"{self._source}: field {key}: cannot parse {raw!r}") from None
+        except argparse.ArgumentTypeError as exc:
+            raise FileFormatError(f"{self._source}: field {key}: {exc}") from None
 
 
 def load_run_config(args) -> RunConfig:
@@ -248,7 +257,12 @@ def cmd_train_vse(args) -> int:
     for rec in records:  # the ranking network reads spatial maps and tokens, never a word vector
         spatial = load_sgaf(rec.feature_file)
         for caption in rec.captions:
-            pairs.append((spatial, [vocab.token_to_id(w) for w in tokenize(caption)]))
+            tokens = [vocab.token_to_id(w) for w in tokenize(caption)]
+            if not tokens:
+                raise FileFormatError(f"{args.dataset}: image {rec.image_id!r} has a caption with no words")
+            pairs.append((spatial, tokens))
+    if not pairs:
+        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
     seed = cfg.get("seed")
     config = _config(VseConfig, cfg, "vse.", vocab_size=len(vocab), spatial_dim=pairs[0][0].shape[1])
     params, losses = train_vse(
@@ -285,6 +299,8 @@ def cmd_train_xe(args) -> int:
         bundle = bundle_of(rec)
         for caption in rec.captions:
             train_pairs.append((bundle, vocab.encode_caption(caption)))
+    if not train_pairs:
+        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
     val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
     idf = compute_idf([_refs(r) for r in train_recs])
     seed = cfg.get("seed")
@@ -392,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--wordvecs", type=Path, required=True)
     trainer = argparse.ArgumentParser(add_help=False)
     trainer.add_argument("--out", type=Path, required=True)
-    trainer.add_argument("--seed", type=int)
+    trainer.add_argument("--seed", type=nonnegative_int)
     trainer.add_argument("--log", type=Path)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -405,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--n-images", type=int, default=20)
     p.add_argument("--vocab-size", type=int, default=27)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
 
     p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", config, data)
     p.add_argument("--out", type=Path, required=True)
@@ -435,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
 
     p = command("grad-audit", cmd_grad_audit, "finite-difference audit of every block")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", type=Path)
 
     p = command("coverage-stats", cmd_coverage_stats,

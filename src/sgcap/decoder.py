@@ -10,14 +10,16 @@ the two gated vectors concatenate into the step's context vector, which
 a bias-free linear layer maps to vocabulary logits. The keys and values
 of both paths are projected, checked and split by head once per caption,
 in ``init_state``, and carried in the decoder state. A recorded step is
-thus 4 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
+thus 2 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
 sum, the token's embedding row, the LSTM input, the LSTM cell and the
-context vector of both paths) and the output head (3). Greedy and
-sampled captions run through one rollout loop, ``_rollout``, and differ
-only in how a step picks its token. Teacher forcing keeps its own loop,
-which runs the output head once, over the stacked context vectors.
-Forced and sampled captions are scored alike: one ``log_prob`` over the
-stacked (T, vocab) logits, then one ``sum_all``, the only score taped.
+context vector of both paths) and the output head (1, ``linear_vec``).
+At toy scale the encoder records 21 ops, ``init_state`` 10, and a whole
+7-step cross-entropy pair 44. Greedy and sampled captions run
+through one rollout loop, ``_rollout``, and differ only in how a step
+picks its token. Teacher forcing keeps its own loop, which runs the
+output head once, over the stacked context vectors. Forced and sampled
+captions are scored alike: one ``log_prob`` over the stacked (T, vocab)
+logits, then one ``sum_all``, the only score taped.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the
@@ -61,7 +63,6 @@ __all__ = [
     "StepScore",
     "init_state",
     "decode_step",
-    "teacher_forced_logprobs",
     "generate_greedy",
     "sample_sequence",
 ]
@@ -201,30 +202,15 @@ def _validate_sequence(tokens, vocab_size: int) -> list[int]:
     return tokens
 
 
-def teacher_forced_logprobs(
-    params: DecoderParams, enc: EncoderOutput, gt_tokens
-) -> tuple[Tensor, list[StepScore]]:
-    """Sum of log-probs of each next token under forced decoding.
+def _forced_log_probs(params: DecoderParams, enc: EncoderOutput, gt_tokens) -> tuple[Tensor, Tensor, list[int]]:
+    """The (T, vocab) logits of forced decoding, each step's log-prob of its
+    target, and the targets.
 
     gt_tokens is BOS, words..., EOS for ground truth; a rollout truncated
     at the length budget (no terminal EOS) is also accepted. The logits
     never feed back into the recurrence here, so the output head runs
     once, over the (T, 2 * d_model) stack of the steps' context vectors.
     """
-    logits, lps, targets = _forced_log_probs(params, enc, gt_tokens)
-    with no_grad():
-        probs = softmax(logits, axis=-1)
-    return _scored(lps, [(constant(lg), constant(pr)) for lg, pr in zip(logits.data, probs.data)], targets)
-
-
-def _scored(lps: Tensor, rows: list, targets: list[int]) -> tuple[Tensor, list[StepScore]]:
-    """The caption total of the step log-probs ``lps``, and a StepScore per (logits, probs) row."""
-    return sum_all(lps), [StepScore(lg, pr, constant(lp), t) for (lg, pr), lp, t in zip(rows, lps.data, targets)]
-
-
-def _forced_log_probs(params: DecoderParams, enc: EncoderOutput, gt_tokens) -> tuple[Tensor, Tensor, list[int]]:
-    """The (T, vocab) logits of forced decoding, each step's log-prob of its
-    target, and the targets: the part of teacher_forced_logprobs a loss needs."""
     tokens = _validate_sequence(gt_tokens, params.vocab_size)
     state = init_state(params, enc)
     contexts = []
@@ -267,7 +253,7 @@ def sample_sequence(params: DecoderParams, enc: EncoderOutput, rng: np.random.Ge
 
     Returns (tokens, total log-prob tensor, per-step scores); the total is
     None for a zero budget. Re-scoring the returned tokens with
-    teacher_forced_logprobs reproduces the total within 1e-12: its batched
+    ``_forced_log_probs`` reproduces the total within 1e-12: its batched
     output head rounds differently.
     """
     rows: list[tuple[Tensor, Tensor]] = []
@@ -280,4 +266,5 @@ def sample_sequence(params: DecoderParams, enc: EncoderOutput, rng: np.random.Ge
     if not out:
         return out, None, []
     logits = reshape(concat([lg for lg, _ in rows], axis=0), (len(out), params.vocab_size))
-    return (out, *_scored(log_prob(logits, out), rows, out))
+    lps = log_prob(logits, out)
+    return out, sum_all(lps), [StepScore(lg, pr, constant(lp), t) for (lg, pr), lp, t in zip(rows, lps.data, out)]

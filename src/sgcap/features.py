@@ -52,7 +52,6 @@ __all__ = [
     "select_top_triplets",
     "check_triplet_mode",
     "make_triplet_lstm",
-    "embed_triplet",
     "build_relationship_matrix",
     "FeatureBundle",
     "ImageRecord",
@@ -336,30 +335,20 @@ def make_triplet_lstm(seed: int = 0) -> nn.LstmParams:
     return nn.LstmParams.init(np.random.default_rng(seed), WORD_VECTOR_DIM, WORD_VECTOR_DIM)
 
 
-def embed_triplet(
-    triplet: RelationshipTriplet,
-    table: WordVectorTable,
-    mode: str = "mean",
-    lstm_params: Optional[nn.LstmParams] = None,
-) -> np.ndarray:
-    """300-d vector for one triplet.
-
-    mean: (v_s + v_p + v_o) / 3.  lstm: final hidden state of a 300-d
-    LSTM run over the three word vectors in subject, predicate, object
-    order. Words are looked up as ``WordVectorTable.get`` does.
-    """
-    return _embed_triplets([triplet], table, mode, lstm_params)[0]
-
-
 def _embed_triplets(
     triplets: Sequence[RelationshipTriplet],
     table: WordVectorTable,
     mode: str,
     lstm_params: Optional[nn.LstmParams],
 ) -> np.ndarray:
-    """(len(triplets), 300): each triplet's row as ``embed_triplet`` makes
-    it. In lstm mode the triplets run as the rows of one untaped
-    ``lstm_sequences`` call, whose rows equal one LSTM run per triplet."""
+    """(len(triplets), 300): a 300-d row per triplet.
+
+    mean: (v_s + v_p + v_o) / 3.  lstm: final hidden state of a 300-d
+    LSTM run over the three word vectors in subject, predicate, object
+    order. Words are looked up as ``WordVectorTable.get`` does. In lstm
+    mode the triplets run as the rows of one untaped ``lstm_sequences``
+    call, whose rows equal one LSTM run per triplet.
+    """
     words = np.array([[table.get(w) for w in t.words()] for t in triplets])  # (n, 3, 300)
     if check_triplet_mode(mode) == "mean":
         return (words[:, 0] + words[:, 1] + words[:, 2]) / 3.0

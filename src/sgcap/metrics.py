@@ -50,13 +50,6 @@ CIDER_SIGMA = 6.0
 DEFAULT_NGRAM_MAX = 4
 
 
-def ngram_counts(tokens: Tokens, n: int) -> Counter:
-    """Multiset of the n-grams of ``tokens`` as tuples, in first-occurrence order."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return Counter(zip(*[tokens[k:] for k in range(n)]))
-
-
 def _check_n_max(n_max: int) -> None:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")

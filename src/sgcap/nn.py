@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .autodiff import (
     DimensionError,
     Tape,
     Tensor,
-    gather_rows,
     linear,
     linear_each,
     linear_vec,
@@ -35,7 +34,6 @@ __all__ = [
     "LstmParams",
     "LstmState",
     "lstm_step",
-    "lstm_run",
     "epoch_batches",
     "descend",
 ]
@@ -164,15 +162,6 @@ class EmbeddingTable(ParamArrays):
     def vocab_size(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.weight.shape[1]
-
-    def lookup(self, token_id: int) -> Tensor:
-        if not 0 <= int(token_id) < self.vocab_size:
-            raise IndexError(f"token id {token_id} outside vocabulary of {self.vocab_size}")
-        return gather_rows(self.weight, int(token_id))
-
 
 @dataclass
 class LstmState:
@@ -214,10 +203,6 @@ class LstmParams(ParamArrays):
     def d_in(self) -> int:
         return self.w_i.shape[1] - self.w_i.shape[0]
 
-    def zero_state(self) -> LstmState:
-        z = np.zeros(self.d_hidden)
-        return LstmState(Tensor(z), Tensor(z))
-
 
 def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     """One LSTM transition, one tape op.
@@ -226,19 +211,9 @@ def lstm_step(params: LstmParams, state: LstmState, x: Tensor) -> LstmState:
     o = sigma(W_o [x; h] + b_o)      c~ = tanh(W_c [x; h] + b_c)
     m' = f * m + i * c~              h' = o * tanh(m')
     """
-    return lstm_run(params, (x,), state)
-
-
-def lstm_run(params: LstmParams, xs: Iterable[Tensor], state: Optional[LstmState] = None) -> LstmState:
-    """``lstm_step`` over each of ``xs`` in turn, from ``state`` (None: the
-    zero state); the cell's weights are gathered once, not per step."""
-    cell = params.weights()
-    state = params.zero_state() if state is None else state
-    for x in xs:
-        if x.data.shape != (params.d_in,):
-            raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
-        state = LstmState(*lstm_cell(x, state.h, state.m, cell))
-    return state
+    if x.data.shape != (params.d_in,):
+        raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
+    return LstmState(*lstm_cell(x, state.h, state.m, params.weights()))
 
 
 def _clip_gradients(leaves: Sequence[Tensor], clip_norm: float) -> None:

@@ -30,7 +30,7 @@ from .encoder import EncoderOutput, encode
 from .features import BOS, EOS, PAD, FeatureBundle, Vocabulary
 from .ioutil import run_log
 from .metrics import IdfTable, cider, cider_d
-from .nn import _clip_gradients, _sgd_step, descend, epoch_batches  # noqa: F401  (re-exported for test oracles)
+from .nn import descend, epoch_batches
 from .vse import VseParams, embed_caption, embed_image, vision_reward
 
 __all__ = [

@@ -6,6 +6,7 @@ two routes can disagree.
 """
 
 import string
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -774,9 +775,7 @@ def ref_tokenize(text: str) -> list[str]:
 
 
 def ref_embed_caption(params, token_ids) -> Tensor:
-    from sgcap.nn import lstm_run
-
-    state = lstm_run(params.lstm, (params.embedding.lookup(t) for t in token_ids))
+    state = lstm_run(params.lstm, (lookup(params.embedding, t) for t in token_ids))
     return params.caption_proj.apply_vec(state.h)
 
 
@@ -887,9 +886,99 @@ def ref_apply_vec(layer, x: Tensor) -> Tensor:
 
 def ref_relationship_matrix_lstm(triplets, table, params, k=20):
     from sgcap.features import WORD_VECTOR_DIM, select_top_triplets
-    from sgcap.nn import lstm_run
 
     matrix = np.zeros((k, WORD_VECTOR_DIM))
     for i, t in enumerate(select_top_triplets(triplets, k)):
         matrix[i] = lstm_run(params, (Tensor(table.get(w)) for w in t.words())).h.data
     return matrix
+
+
+# ---------------------------------------------------------------------------
+# Entry points that no command calls, moved from the library as they were,
+# each on top of the library core it wraps: the generic checkpoint reader
+# (``_read_header``, ``_read_payload``), teacher forcing with a StepScore per
+# step (``_forced_log_probs``), one triplet's row (``_embed_triplets``), an
+# LSTM run over a sequence from the zero state (``lstm_cell``), and the
+# checked embedding lookup (``gather_rows``).
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """Decoded checkpoint contents, independent of the model classes."""
+
+    kind: str
+    config: dict
+    seed: int
+    vocab_tokens: list[str]
+    arrays: dict[str, np.ndarray]
+
+
+def load_checkpoint(path) -> Checkpoint:
+    from sgcap.checkpoint import _read_header, _read_payload
+
+    path = Path(path)
+    with path.open("rb") as fh:
+        header = _read_header(fh, path)
+        arrays = {name: np.empty(tuple(shape)) for name, shape in header["manifest"]}
+        _read_payload(fh, path, header["manifest"], arrays.values())
+    return Checkpoint(header["kind"], header["config"], header["seed"], header["vocab"], arrays)
+
+
+def teacher_forced_logprobs(params, enc, gt_tokens):
+    """Sum of log-probs of each next token under forced decoding.
+
+    gt_tokens is BOS, words..., EOS for ground truth; a rollout truncated
+    at the length budget (no terminal EOS) is also accepted. The logits
+    never feed back into the recurrence here, so the output head runs
+    once, over the (T, 2 * d_model) stack of the steps' context vectors.
+    """
+    from sgcap.autodiff import constant, no_grad, softmax, sum_all
+    from sgcap.decoder import StepScore, _forced_log_probs
+
+    logits, lps, targets = _forced_log_probs(params, enc, gt_tokens)
+    with no_grad():
+        probs = softmax(logits, axis=-1)
+    rows = [(constant(lg), constant(pr)) for lg, pr in zip(logits.data, probs.data)]
+    return sum_all(lps), [StepScore(lg, pr, constant(lp), t) for (lg, pr), lp, t in zip(rows, lps.data, targets)]
+
+
+def embed_triplet(triplet, table, mode="mean", lstm_params=None) -> np.ndarray:
+    """300-d vector for one triplet.
+
+    mean: (v_s + v_p + v_o) / 3.  lstm: final hidden state of a 300-d
+    LSTM run over the three word vectors in subject, predicate, object
+    order. Words are looked up as ``WordVectorTable.get`` does.
+    """
+    from sgcap.features import _embed_triplets
+
+    return _embed_triplets([triplet], table, mode, lstm_params)[0]
+
+
+def zero_state(params):
+    from sgcap.nn import LstmState
+
+    z = np.zeros(params.d_hidden)
+    return LstmState(Tensor(z), Tensor(z))
+
+
+def lstm_run(params, xs, state=None):
+    """``lstm_step`` over each of ``xs`` in turn, from ``state`` (None: the
+    zero state); the cell's weights are gathered once, not per step."""
+    from sgcap.autodiff import lstm_cell
+    from sgcap.nn import LstmState
+
+    cell = params.weights()
+    state = zero_state(params) if state is None else state
+    for x in xs:
+        if x.data.shape != (params.d_in,):
+            raise DimensionError(f"lstm_step expects input ({params.d_in},), got {tuple(x.data.shape)}")
+        state = LstmState(*lstm_cell(x, state.h, state.m, cell))
+    return state
+
+
+def lookup(table, token_id: int) -> Tensor:
+    from sgcap.autodiff import gather_rows
+
+    if not 0 <= int(token_id) < table.vocab_size:
+        raise IndexError(f"token id {token_id} outside vocabulary of {table.vocab_size}")
+    return gather_rows(table.weight, int(token_id))

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Checkpoint, load_checkpoint
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.checkpoint import (
     KINDS,
     MAGIC,
-    Checkpoint,
     atomic_write_bytes,
     load_captioner,
-    load_checkpoint,
     load_vse,
     save_captioner,
     save_checkpoint,

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import sgcap
 import sgcap.cli as cli
 from sgcap.captioner import CaptionerConfig
-from sgcap.checkpoint import MAGIC, load_captioner, load_checkpoint, load_vse, save_captioner
+from oracles import load_checkpoint
+from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
 from sgcap.gradaudit import BlockReport
@@ -295,6 +296,40 @@ class TestUsageErrors:
         assert rc == 1
 
 
+class TestSeedChecked:
+    """A seed below 0 is refused by name: as a flag, a usage error; in the config, a data error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["make-toy-data", "--out-dir", "x"],
+        ["train-vse", "--dataset", "d.jsonl", "--out", "o.sgck"],
+        ["train-xe", "--dataset", "d.jsonl", "--wordvecs", "w.txt", "--out", "o.sgck"],
+        ["train-scst", "--dataset", "d.jsonl", "--wordvecs", "w.txt", "--out", "o.sgck",
+         "--checkpoint", "c.sgck"],
+        ["grad-audit"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    @pytest.mark.parametrize("command", ["train-vse", "train-xe"])
+    def test_negative_config_seed_exits_1(self, world, tmp_path, capsys, command, source):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(TINY_CFG + "seed = -1\n")
+        given = ["--set", "seed=-1"] if source == "set" else ["--config", cfg]
+        rc = main([str(a) for a in (command, "--config", world["cfg"], *given, "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "field seed: expected a non-negative integer, got -1" in err
+        assert not (tmp_path / "o.sgck").exists()
+
+
 class TestMakeToyData:
     def test_summary_and_determinism(self, tmp_path, capsys):
         rc1, info1 = run(capsys, "make-toy-data", "--out-dir", tmp_path / "a",
@@ -528,6 +563,48 @@ class TestTrainXe:
                     "--out", ck, "--seed", "99", "--set", "phase1.max_epochs=1")
         assert rc == 0
         assert load_checkpoint(ck).seed == 99
+
+
+def with_train_captions(world, tmp_path, captions):
+    """The toy dataset with each train record's captions replaced by ``captions(record)``."""
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+    for r in records:
+        r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+        if r["split"] == "train":
+            r["captions"] = captions(r)
+    path = tmp_path / "captions.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+class TestUncaptionedTraining:
+    @pytest.mark.parametrize("command", ["train-vse", "train-xe"])
+    def test_train_split_without_captions_exits_1(self, world, tmp_path, capsys, command):
+        dataset = with_train_captions(world, tmp_path, lambda r: [])
+        rc = main([str(a) for a in (command, "--config", world["cfg"], "--dataset", dataset,
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {dataset}: split 'train' has no captions\n"
+        assert not (tmp_path / "o.sgck").exists()
+
+    def test_train_vse_caption_without_words_names_the_image(self, world, tmp_path, capsys):
+        first = next(json.loads(line)["id"] for line in world["dataset"].read_text().splitlines()
+                     if json.loads(line)["split"] == "train")
+        dataset = with_train_captions(world, tmp_path, lambda r: ["..."] if r["id"] == first else r["captions"])
+        rc = main([str(a) for a in ("train-vse", "--config", world["cfg"], "--dataset", dataset,
+                                    "--out", tmp_path / "o.sgck")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {dataset}: image {first!r} has a caption with no words\n"
+        assert not (tmp_path / "o.sgck").exists()
+
+    def test_train_xe_trains_on_a_caption_without_words(self, world, tmp_path, capsys):
+        dataset = with_train_captions(world, tmp_path, lambda r: r["captions"] + ["..."])
+        rc, info = run(capsys, "train-xe", "--config", world["cfg"], "--dataset", dataset,
+                       "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck",
+                       "--set", "phase1.max_epochs=1")
+        assert rc == 0 and info["epochs_run"] == 1
 
 
 class TestTrainScst:

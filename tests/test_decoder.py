@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_decode_step, brute_encode, brute_teacher_forced_logits
+from oracles import brute_decode_step, brute_encode, brute_teacher_forced_logits, teacher_forced_logprobs
 from sgcap.autodiff import Tape, constant, grad_check, mul, scale, sum_all
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import (
@@ -11,7 +11,6 @@ from sgcap.decoder import (
     generate_greedy,
     init_state,
     sample_sequence,
-    teacher_forced_logprobs,
 )
 from sgcap.encoder import encode
 from sgcap.features import BOS, EOS, MAX_TRIPLETS, PAD, FeatureBundle

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    embed_triplet,
     ref_load_dataset,
     ref_load_word_vectors,
     ref_relationship_matrix_lstm,
@@ -36,7 +37,6 @@ from sgcap.features import (
     build_relationship_matrix,
     build_vocabulary,
     coverage_stats,
-    embed_triplet,
     load_dataset,
     load_sgaf,
     load_word_vectors,

@@ -23,7 +23,7 @@ import pytest
 import sgcap.decoder
 from oracles import (
     composite_aoa, composite_attention, composite_decoder_context, composite_lstm_step, gated_context,
-    lstm_gates, lstm_hidden, lstm_memory, ref_attention_per_head, ref_decoder_cell,
+    lstm_gates, lstm_hidden, lstm_memory, ref_attention_per_head, ref_decoder_cell, zero_state,
 )
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
@@ -313,7 +313,7 @@ class TestLstm:
         rng = np.random.default_rng(0)
         p = LstmParams.init(rng, 4, 3)
         with Tape() as tape:
-            lstm_step(p, p.zero_state(), parameter(rng.normal(size=4)))
+            lstm_step(p, zero_state(p), parameter(rng.normal(size=4)))
         assert len(tape) == 1
 
     @pytest.mark.parametrize("steps", [1, 5])

@@ -31,7 +31,6 @@ from sgcap.metrics import (
     cider_d,
     compute_idf,
     evaluate_captions,
-    ngram_counts,
     rouge_l,
 )
 
@@ -44,20 +43,6 @@ def random_corpus(rng, n_images, vocab=("a", "b", "c", "d", "e")):
     cands = [sentence() for _ in range(n_images)]
     refs = [[sentence() for _ in range(rng.integers(1, 4))] for _ in range(n_images)]
     return cands, refs
-
-
-class TestNgramCounts:
-    def test_counts_with_multiplicity(self):
-        counts = ngram_counts(["a", "b", "a", "b"], 2)
-        assert counts[("a", "b")] == 2
-        assert counts[("b", "a")] == 1
-
-    def test_too_short_gives_empty(self):
-        assert ngram_counts(["a"], 2) == {}
-
-    def test_rejects_order_zero(self):
-        with pytest.raises(ValueError):
-            ngram_counts(["a"], 0)
 
 
 class TestBleu:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_decode_step, brute_encode, ref_sample_sequence
-from sgcap import trainer
+from sgcap import nn, trainer
 from sgcap.autodiff import Tape, add, scale
 from sgcap.captioner import CaptionerConfig, CaptionerParams
 from sgcap.decoder import decode_step, generate_greedy, init_state
@@ -344,8 +344,8 @@ def full_loss_scst_step(params, batch, reward_fn, lr, rng, clip_norm=5.0):
         rollouts = [scst_rollout(params, b, r, reward_fn, rng) for b, r in batch]
         loss = scale(functools.reduce(add, [r.loss for r in rollouts]), 1.0 / len(batch))
     tape.backward(loss)
-    trainer._clip_gradients(leaves, clip_norm)
-    trainer._sgd_step(leaves, lr)
+    nn._clip_gradients(leaves, clip_norm)
+    nn._sgd_step(leaves, lr)
     return [r.advantage for r in rollouts]
 
 
