@@ -27,11 +27,11 @@ transition ``lstm_cell`` -> (h, m), and ``decoder_cell`` -> (h, m, c),
 the whole recurrence of a decoder step (its LSTM input, the LSTM, and
 the query projections, attention and gates of both attention paths).
 They share their array kernels: the stacked attention heads, the AoA
-gate and the LSTM cell, each with its backward. ``linear_vec`` projects
-one vector as ``linear`` projects one row. Two ops run many rows
+gate and the LSTM cell, each with its backward. Two ops run many rows
 as if each ran alone, bit for bit: ``linear_each``, one ``linear`` per
-row, and ``lstm_sequences``, the LSTM over a batch of token sequences,
-whose cell kernel takes the rows still running at each step.
+row, which projects one vector as ``linear`` projects one row, and
+``lstm_sequences``, the LSTM over a batch of token sequences, whose cell
+kernel takes the rows still running at each step.
 
 Design rules, enforced here rather than assumed:
 
@@ -64,7 +64,6 @@ __all__ = [
     "mul",
     "scale",
     "linear",
-    "linear_vec",
     "linear_each",
     "reshape",
     "concat",
@@ -399,48 +398,29 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                  lambda g: (g @ wd if x.requires_grad else None, _Outer(g, xd), g.sum(axis=0)))
 
 
-def linear_vec(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """W x, plus b: (k,) and (m, k) -> (m,), as one op. The values and
-    gradients of ``linear`` on x as one row: a vector product makes the
-    BLAS call a one-row product makes, and the bias's gradient is g + 0.0,
-    as a sum over one row turns -0.0 into 0.0.
-    """
-    xd, wd = x.data, w.data
-    if xd.ndim != 1 or wd.ndim != 2 or xd.shape[0] != wd.shape[1]:
-        raise DimensionError(f"linear_vec mismatch: {tuple(wd.shape)} @ {tuple(xd.shape)}")
-    y = xd @ wd.T
-
-    def backward_fn(g):
-        parts = (g @ wd if x.requires_grad else None, _Outer(g.reshape(1, -1), xd.reshape(1, -1)))
-        return parts if b is None else parts + (g + 0.0,)
-
-    if b is None:
-        return _emit(y, (x, w), backward_fn)
-    if b.data.shape != (wd.shape[0],):
-        raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
-    y += b.data
-    return _emit(y, (x, w, b), backward_fn)
-
-
 def linear_each(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """``linear`` of each row of x on its own, as one op: the values and
-    gradients of one ``linear`` per row, the rows recorded in order.
+    """``linear`` of each row of x on its own, as one op: (..., k) and
+    (m, k) -> (..., m), the values and gradients of one ``linear`` per
+    row, the rows recorded in order. A vector (k,) is one row, so its
+    (m,) projection is that of ``linear`` on x as a (1, k) row.
 
     Each row's products are its own (``_each_row``). The weight's factor
     pair lists the rows last to first, and the bias adds their parts in
     that order, as the tape settles and adds the parts of the per-row ops.
     """
     xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[1]:
+    if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
         raise DimensionError(f"linear mismatch: {tuple(xd.shape)} @ {tuple(wd.shape)}^T")
     if b is not None and b.data.shape != (wd.shape[0],):
         raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
-    y = (_each_row(xd) @ wd.T).reshape(xd.shape[0], -1)
+    rows = xd.reshape(-1, wd.shape[1])
+    y = (_each_row(rows) @ wd.T).reshape(*xd.shape[:-1], wd.shape[0])
 
     def backward_fn(g):
+        g = g.reshape(-1, wd.shape[0])
         last_first = g[::-1]
         dx = (_each_row(g) @ wd).reshape(xd.shape) if x.requires_grad else None
-        parts = (dx, _Outer(last_first.copy(), xd[::-1].copy()))
+        parts = (dx, _Outer(last_first.copy(), rows[::-1].copy()))
         if b is None:
             return parts
         # each row's part is its own sum over one row, which turns -0.0 into 0.0, as + 0.0 does here

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DecoderParams
@@ -31,13 +31,6 @@ class CaptionerConfig:
         if self.vocab_size < 5:
             raise ValueError("vocabulary must contain the specials plus at least one word")
         check_triplet_mode(self.triplet_mode)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CaptionerConfig":
-        return cls(**obj)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import math
 import os
 import struct
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ def _load_model(path, kind: str, config_cls, params_cls):
             raise FileFormatError(f"{path}: expected a {kind} checkpoint, found {header['kind']!r}")
         manifest = header["manifest"]
         try:
-            params = params_cls.init(config_cls.from_dict(header["config"]), _Unfilled())
+            params = params_cls.init(config_cls(**header["config"]), _Unfilled())
             slots = params.params_for(dict(manifest))
             vocab = Vocabulary(header["vocab"])
         except (TypeError, ValueError) as exc:  # the config or the arrays do not fit the model
@@ -149,7 +150,7 @@ def _load_model(path, kind: str, config_cls, params_cls):
 
 def save_captioner(path, params: CaptionerParams, vocab: Vocabulary, seed: int) -> None:
     save_checkpoint(
-        path, "captioner", params.config.to_dict(), params.param_arrays(), seed,
+        path, "captioner", asdict(params.config), params.param_arrays(), seed,
         vocab.tokens,
     )
 
@@ -160,7 +161,7 @@ def load_captioner(path) -> tuple[CaptionerParams, Vocabulary, int]:
 
 def save_vse(path, params: VseParams, vocab: Vocabulary, seed: int) -> None:
     save_checkpoint(
-        path, "vse", params.config.to_dict(), params.param_arrays(), seed, vocab.tokens
+        path, "vse", asdict(params.config), params.param_arrays(), seed, vocab.tokens
     )
 
 

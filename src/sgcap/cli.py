@@ -39,7 +39,7 @@ from .features import (
 from .gradaudit import run_audit
 from .ioutil import atomic_write_text
 from .metrics import compute_idf, evaluate_captions
-from .toydata import make_toy_data
+from .toydata import MIN_IMAGES, MIN_VOCAB, make_toy_data
 from .trainer import Phase1Config, Phase2Config, TrainConfig, train_scst, train_xe
 from .vse import VseConfig, train_vse
 
@@ -52,11 +52,28 @@ def _opt(conv):
     return lambda s: None if s.strip().lower() in ("", "none") else conv(s)
 
 
-def nonnegative_int(text: str) -> int:
-    """A seed, from a ``--seed`` flag or the config: numpy takes integers from 0 up."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+def int_at_least(low: int, what: str = ""):
+    """The parser of an integer from ``low`` up, as a flag's type or a config
+    key's parser; a smaller one is refused as not ``what``."""
+    what = what or f"an integer >= {low}"
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+    return integer
+
+
+# a seed, from a --seed flag or the config: numpy takes integers from 0 up
+nonnegative_int = int_at_least(0, "a non-negative integer")
+
+
+def unit_interval(text: str) -> float:
+    """A blend weight such as ``--alpha``: a number in [0, 1], NaN refused."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {value}")
     return value
 
 
@@ -334,6 +351,11 @@ def cmd_train_scst(args) -> int:
                 f"{args.vse}: vocabulary differs from {args.checkpoint}; "
                 "both checkpoints must share one token list"
             )
+        if vse_params.config.spatial_dim != params.config.spatial_dim:
+            raise FileFormatError(
+                f"{args.vse}: feature width {vse_params.config.spatial_dim} differs from "
+                f"{args.checkpoint} ({params.config.spatial_dim}); both checkpoints must read one width"
+            )
     train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
     val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
     idf = compute_idf(train_refs)
@@ -419,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("make-toy-data", cmd_make_toy_data, "generate a synthetic desk-scale dataset")
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--n-images", type=int, default=20)
-    p.add_argument("--vocab-size", type=int, default=27)
+    p.add_argument("--n-images", type=int_at_least(MIN_IMAGES), default=20)
+    p.add_argument("--vocab-size", type=int_at_least(MIN_VOCAB), default=27)
     p.add_argument("--seed", type=nonnegative_int, default=0)
 
     p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", config, data)
@@ -438,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--vse", type=Path, help="reward network checkpoint")
     p.add_argument("--reward", default="mmr", choices=["cider", "mmr"])
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=unit_interval)
 
     p = command("caption", cmd_caption, "greedy-decode captions for a split", corpus)
     p.add_argument("--checkpoint", type=Path, required=True)

@@ -12,7 +12,7 @@ of both paths are projected, checked and split by head once per caption,
 in ``init_state``, and carried in the decoder state. A recorded step is
 thus 2 tape ops: its whole recurrence (1, ``decoder_cell``: the visual
 sum, the token's embedding row, the LSTM input, the LSTM cell and the
-context vector of both paths) and the output head (1, ``linear_vec``).
+context vector of both paths) and the output head (1, ``linear_each``).
 At toy scale the encoder records 21 ops, ``init_state`` 10, and a whole
 7-step cross-entropy pair 44. Greedy and sampled captions run
 through one rollout loop, ``_rollout``, and differ only in how a step

@@ -20,7 +20,6 @@ from .autodiff import (
     Tensor,
     linear,
     linear_each,
-    linear_vec,
     lstm_cell,
     parameter,
 )
@@ -133,18 +132,19 @@ class LinearLayer(ParamArrays):
         return self.weight.shape[0]
 
     def apply_vec(self, x: Tensor) -> Tensor:
-        """Project a single vector (d_in,) -> (d_out,), one tape op."""
+        """Project a single vector (d_in,) -> (d_out,), one ``linear_each``
+        op: the values and gradients of ``apply_rows`` on it as one row."""
         if x.data.shape != (self.d_in,):
             raise DimensionError(f"linear expects shape ({self.d_in},), got {tuple(x.data.shape)}")
-        return linear_vec(x, self.weight, self.bias)
+        return linear_each(x, self.weight, self.bias)
 
     def apply_rows(self, x: Tensor) -> Tensor:
         """Project every row of (n, d_in) -> (n, d_out)."""
         return linear(x, self.weight, self.bias)
 
     def apply_each(self, x: Tensor) -> Tensor:
-        """Project every row of (n, d_in) -> (n, d_out) as ``apply_vec``
-        projects it alone, bit for bit, in one op."""
+        """Project every row of (n, d_in) -> (n, d_out) in one ``linear_each``
+        op, each row as ``apply_vec`` projects it alone, bit for bit."""
         return linear_each(x, self.weight, self.bias)
 
 

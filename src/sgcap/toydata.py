@@ -29,6 +29,7 @@ RELATIONS = (
     "above", "below", "inside", "against", "atop",
 )
 
+MIN_IMAGES = 2  # one val and one test image
 MIN_VOCAB = 10
 DEFAULT_SPATIAL_DIM = 64
 DEFAULT_NOISE = 0.05
@@ -71,8 +72,8 @@ def make_toy_data(
     (seed, index), so regenerating with a larger n_images leaves the
     existing images byte-identical.
     """
-    if n_images < 2:
-        raise ValueError(f"n_images must be >= 2, got {n_images}")
+    if n_images < MIN_IMAGES:
+        raise ValueError(f"n_images must be >= {MIN_IMAGES}, got {n_images}")
     colors, objects, relations = word_lists(vocab_size)
     all_words = ["a"] + colors + objects + relations
     if spatial_dim < len(all_words):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -70,13 +70,6 @@ class VseConfig:
             raise ValueError("vocabulary must contain the specials plus at least one word")
         if not (math.isfinite(self.margin) and self.margin >= 0):
             raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "VseConfig":
-        return cls(**obj)
 
 
 @dataclass

@@ -865,7 +865,7 @@ def ref_load_dataset(path):
 
 
 # ---------------------------------------------------------------------------
-# One-vector projection as it was before ``autodiff.linear_vec``: reshape to
+# One-vector projection as it was before it became one tape op: reshape to
 # one row, ``linear``, reshape back, three tape ops. ``LinearLayer.apply_vec``
 # must equal it bit for bit, gradients included.
 

@@ -226,7 +226,7 @@ def write_with_header(path, header, payload=b""):
 def tiny_captioner_header(**fields):
     params = tiny_captioner()
     header = {
-        "kind": "captioner", "config": params.config.to_dict(), "seed": 0,
+        "kind": "captioner", "config": dataclasses.asdict(params.config), "seed": 0,
         "vocab": VOCAB.tokens,
         "manifest": [[n, list(a.shape)] for n, a in params.param_arrays().items()],
     }
@@ -255,14 +255,14 @@ class TestLoadBuildsNoThrowawayModel:
         params = tiny_captioner()
         arrays = params.param_arrays()
         arrays.pop("decoder.out_proj.weight")
-        save_checkpoint(tmp_path / "c.sgck", "captioner", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        save_checkpoint(tmp_path / "c.sgck", "captioner", dataclasses.asdict(params.config), arrays, 0, VOCAB.tokens)
         with pytest.raises(FileFormatError, match="manifest mismatch"):
             load_captioner(tmp_path / "c.sgck")
 
     def test_shape_that_does_not_fit_the_config_raises(self, tmp_path):
         params = tiny_captioner()
         config = dataclasses.replace(params.config, d_model=6, heads=3)
-        save_checkpoint(tmp_path / "c.sgck", "captioner", config.to_dict(), params.param_arrays(), 0,
+        save_checkpoint(tmp_path / "c.sgck", "captioner", dataclasses.asdict(config), params.param_arrays(), 0,
                         VOCAB.tokens)
         with pytest.raises(FileFormatError, match="shape"):
             load_captioner(tmp_path / "c.sgck")
@@ -273,7 +273,7 @@ class TestNonFiniteWeights:
     def test_captioner_array_named(self, tmp_path, bad):
         params = tiny_captioner()
         arrays = params.param_arrays()
-        save_checkpoint(tmp_path / "c.sgck", "captioner", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        save_checkpoint(tmp_path / "c.sgck", "captioner", dataclasses.asdict(params.config), arrays, 0, VOCAB.tokens)
         poke(tmp_path / "c.sgck", "decoder.out_proj.weight",
              np.ravel_multi_index((1, 2), arrays["decoder.out_proj.weight"].shape), bad)
         for loader in (load_checkpoint, load_captioner):
@@ -284,7 +284,7 @@ class TestNonFiniteWeights:
         params = tiny_vse()
         arrays = params.param_arrays()
         name = list(arrays)[-1]
-        save_checkpoint(tmp_path / "v.sgck", "vse", params.config.to_dict(), arrays, 0, VOCAB.tokens)
+        save_checkpoint(tmp_path / "v.sgck", "vse", dataclasses.asdict(params.config), arrays, 0, VOCAB.tokens)
         poke(tmp_path / "v.sgck", name, 0, np.nan)
         with pytest.raises(FileFormatError, match=name):
             load_vse(tmp_path / "v.sgck")

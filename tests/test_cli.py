@@ -330,6 +330,48 @@ class TestSeedChecked:
         assert not (tmp_path / "o.sgck").exists()
 
 
+class TestFlagRanges:
+    """A flag value out of its range is a usage error that names the flag."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-images", "1", "expected an integer >= 2, got 1"),
+        ("--n-images", "-1", "expected an integer >= 2, got -1"),
+        ("--vocab-size", "9", "expected an integer >= 10, got 9"),
+        ("--vocab-size", "0", "expected an integer >= 10, got 0"),
+    ])
+    def test_make_toy_data_exits_2(self, tmp_path, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["make-toy-data", "--out-dir", str(tmp_path / "toy"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "toy").exists()
+
+    def test_make_toy_data_takes_the_smallest_values(self, tmp_path, capsys):
+        rc, info = run(capsys, "make-toy-data", "--out-dir", tmp_path / "toy", "--n-images", "2",
+                       "--vocab-size", "10")
+        assert rc == 0 and info["n_images"] == 2
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_alpha_flag_exits_2(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-scst", "--dataset", "d.jsonl", "--wordvecs", "w.txt", "--checkpoint", "c.sgck",
+                  "--out", str(tmp_path / "o.sgck"), "--alpha", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --alpha: expected a number in [0, 1], got {float(value)}" in err
+        assert "Traceback" not in err
+
+    def test_alpha_config_field_exits_1(self, world, trained, tmp_path, capsys):
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+            "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"], "--reward", "cider",
+            "--out", tmp_path / "o.sgck", "--set", "phase2.alpha=1.5")])
+        assert rc == 1
+        assert "alpha must lie in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o.sgck").exists()
+
+
 class TestMakeToyData:
     def test_summary_and_determinism(self, tmp_path, capsys):
         rc1, info1 = run(capsys, "make-toy-data", "--out-dir", tmp_path / "a",
@@ -668,6 +710,21 @@ class TestTrainScst:
         assert rc == 1
         assert ".sgaf: feature width 40 does not match checkpoint (64)" in capsys.readouterr().err
         assert not (tmp_path / "o.sgck").exists()
+
+    def test_vse_of_another_feature_width_exits_1(self, world, trained, tmp_path, capsys):
+        make_toy_data(10, 27, 0, tmp_path / "w40", spatial_dim=40)  # the same captions, so one vocabulary
+        vse40 = tmp_path / "vse40.sgck"
+        assert main([str(a) for a in ("train-vse", "--config", world["cfg"],
+                                      "--dataset", tmp_path / "w40" / "dataset.jsonl", "--out", vse40)]) == 0
+        capsys.readouterr()
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+            "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"], "--vse", vse40,
+            "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {vse40}: feature width 40 differs from {trained['xe']} (64); "
+                                           "both checkpoints must read one width\n")
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
     def test_training_image_without_references_exits_1(self, world, trained, tmp_path, capsys):
         dataset, image_id = without_references(world, tmp_path, "train")

@@ -436,6 +436,29 @@ class TestLinearEach:
         assert_all_equal(chain_grads(leaves, lambda: build(linear_each)),
                          chain_grads(leaves, lambda: build(per_row)))
 
+    @pytest.mark.parametrize("sign", [1.0, -0.0])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_vector_equals_linear_on_one_row_bit_for_bit(self, bias, sign):
+        rng = np.random.default_rng(7)
+        x, w = parameter(rng.normal(size=7)), parameter(rng.normal(size=(5, 7)))
+        b = parameter(rng.normal(size=5)) if bias else None
+        readout = constant(rng.normal(size=5))
+
+        def one_row(x, w, b):
+            return reshape(linear(reshape(x, (1, 7)), w, b), (5,))
+
+        def build(fn):
+            out = fn(x, w, b)
+            return scale(sum_all(mul(out, readout)), sign), {"out": out}
+
+        leaves = [x, w] + ([b] if bias else [])
+        assert_all_equal(chain_grads(leaves, lambda: build(linear_each)),
+                         chain_grads(leaves, lambda: build(one_row)))
+
+    def test_scalar_input_raises(self):
+        with pytest.raises(DimensionError):
+            linear_each(constant(np.ones(())), parameter(np.ones((4, 1))))
+
     def test_checks_its_operands(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DimensionError):
@@ -739,7 +762,7 @@ def test_recorded_toy_decode_step_has_at_most_4_ops():
 
 
 def test_toy_op_counts_with_one_op_output_head():
-    # a decode step is decoder_cell and the head's linear_vec; a 7-step XE
+    # a decode step is decoder_cell and the head's linear_each; a 7-step XE
     # pair is 21 encoder ops plus 23; a T-token sample is 2T + 14 past the encoder
     params, bundle = toy_model_and_bundle()
     with Tape() as tape:

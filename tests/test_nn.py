@@ -38,6 +38,8 @@ class TestLinear:
         layer = LinearLayer.init(np.random.default_rng(0), 3, 2)
         with pytest.raises(DimensionError):
             layer.apply_vec(constant(np.zeros(4)))
+        with pytest.raises(DimensionError):  # a (1, d_in) row is for apply_rows or apply_each
+            layer.apply_vec(constant(np.zeros((1, 3))))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grad_check(self, seed):

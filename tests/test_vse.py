@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         config = VseConfig(**TINY)
-        assert VseConfig.from_dict(config.to_dict()) == config
+        assert VseConfig(**asdict(config)) == config
 
 
 class TestEmbedImage:
