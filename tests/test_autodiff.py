@@ -419,6 +419,7 @@ class TestLinear:
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((5,), (3, 4), None),        # inner widths differ
+        ((), (3, 4), None),          # scalar input, not even one row
         ((4,), (4,), None),          # weight not a matrix
         ((4,), (3, 4), (4,)),        # bias sized like the input
     ])
