@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over dense 64-bit float arrays.
 
 A small tape engine. Forward ops run eagerly on numpy arrays; when a
-:class:`Tape` is active, every primitive op appends a record referencing
-its inputs and outputs (one for most ops, several for the cells).
+:class:`Tape` is active, every primitive op appends one record: the
+tuple of its outputs (one for most ops, several for the cells), its
+inputs, and its backward, which maps the outputs' flows to their whole
+gradients and the inputs' gradients.
 ``Tape.backward`` walks the records once, in reverse execution order
 (which is a topological order by construction), and accumulates
 gradients into the ``grad`` slot of every tensor that requires them,
@@ -192,7 +194,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple] = []  # (out or tuple of outs, inputs, backward_fn)
+        self._records: list[tuple] = []  # (tuple of outs, inputs, backward_fn)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -209,14 +211,13 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate ``grad`` of every requires_grad tensor reachable from ``loss``.
 
-        ``loss`` must be a scalar produced on this tape, alone or as one
-        output of several, and finite. A multi-output record settles each
-        output's factored parts, then runs its backward once on all their
-        flows.
+        ``loss`` must be a scalar output of an op on this tape, and
+        finite. Each record settles its outputs' factored parts, then runs
+        its backward once on all their flows, unless no flow reached any.
         """
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {tuple(loss.data.shape)}")
-        if not any(out is loss or type(out) is tuple and loss in out for out, _, _ in reversed(self._records)):
+        if not any(loss in outs for outs, _, _ in reversed(self._records)):
             raise ValueError("loss was not produced on this tape")
         if not np.isfinite(loss.data).all():
             raise FloatingPointError("non-finite loss")
@@ -225,26 +226,17 @@ class Tape:
         flow: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}  # dense parts
         owned: set[Tensor] = {loss}  # tensors whose dense part the tape allocated
         factors: dict[Tensor, list] = {}  # tensors -> their _Outer and _Scatter parts
-        for out, inputs, backward_fn in reversed(self._records):
-            if type(out) is tuple:  # several outputs, one backward over all their flows
-                for o in out:
-                    if o in factors:
-                        _settle(flow, owned, factors, o)
-                g = [flow.pop(o, None) for o in out]
-                if all(gi is None for gi in g):
-                    continue
-                whole, grads = backward_fn(g)
-                for o, gi, flow_gi in zip(out, whole, g):
-                    if gi is not None:  # a whole gradient that is not the flow is the op's own array
-                        o._accumulate_grad(gi, gi is not flow_gi or o in owned)
-            else:
-                if out in factors:
-                    _settle(flow, owned, factors, out)
-                g = flow.pop(out, None)
-                if g is None:
-                    continue  # not on a path from the loss
-                out._accumulate_grad(g, out in owned)
-                grads = backward_fn(g)
+        for outs, inputs, backward_fn in reversed(self._records):
+            for o in outs:
+                if o in factors:
+                    _settle(flow, owned, factors, o)
+            if flow.keys().isdisjoint(outs):
+                continue  # not on a path from the loss
+            g = [flow.pop(o, None) for o in outs]
+            whole, grads = backward_fn(g)
+            for o, gi, flow_gi in zip(outs, whole, g):
+                if gi is not None:  # a whole gradient that is not the flow is the op's own array
+                    o._accumulate_grad(gi, gi is not flow_gi or o in owned)
             for t, gi in zip(inputs, grads):
                 if gi is None or not t.requires_grad:
                     continue
@@ -313,27 +305,18 @@ def _settle(flow: dict, owned: set, factors: dict, t: Tensor) -> None:
     owned.add(t)
 
 
-def _recording_tape(inputs: tuple):
-    """The active tape if it records an op on these inputs, else None."""
-    tape = _active_tape()
-    if tape is not None:
-        for t in inputs:
-            if t.requires_grad:
-                return tape
-    return None
-
-
 def _emit(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    """Create an op output, recording it when a tape is active."""
-    tape = _recording_tape(inputs)
-    out = Tensor._wrap(data, tape is not None)
-    if tape is not None:
-        tape._records.append((out, inputs, backward_fn))
-    return out
+    """Create a one-output op's output, recorded through ``_emit_many``.
+
+    ``backward_fn`` takes the output's flow and returns the inputs'
+    gradients; the output's whole gradient is its flow.
+    """
+    return _emit_many((data,), inputs, lambda g: (g, backward_fn(g[0])))[0]
 
 
 def _emit_many(datas: tuple, inputs: tuple, backward_fn) -> tuple:
-    """Create the outputs of a multi-output op, recorded as one record.
+    """Create an op's outputs, recorded as one record when a tape is
+    active and an input requires gradient.
 
     Its backward takes a list of the outputs' flows, None where no flow
     reached one, and returns (the outputs' whole gradients, the inputs'
@@ -342,11 +325,14 @@ def _emit_many(datas: tuple, inputs: tuple, backward_fn) -> tuple:
     plus the op's own term: an array the op made and hands to no input,
     which the output's grad slot keeps uncopied.
     """
-    tape = _recording_tape(inputs)
-    outs = tuple(Tensor._wrap(d, tape is not None) for d in datas)
+    tape = _active_tape()
     if tape is not None:
-        tape._records.append((outs, inputs, backward_fn))
-    return outs
+        for t in inputs:
+            if t.requires_grad:
+                outs = tuple([Tensor._wrap(d, True) for d in datas])
+                tape._records.append((outs, inputs, backward_fn))
+                return outs
+    return tuple([Tensor._wrap(d, False) for d in datas])
 
 
 # ---------------------------------------------------------------------------

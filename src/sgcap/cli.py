@@ -309,6 +309,9 @@ def cmd_train_xe(args) -> int:
     dataset, bundle_of = _load_corpus(args, cfg)
     train_recs = _split_records(dataset, "train", args.dataset)
     val_recs = _split_records(dataset, "val", args.dataset)
+    if not any(r.captions for r in train_recs):
+        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
+    train_refs = _scored_refs(train_recs, args.dataset)  # the SCST phase scores these
     val_refs = _scored_refs(val_recs, args.dataset)
     vocab = _vocabulary(cfg, train_recs)
     train_pairs = []
@@ -316,10 +319,8 @@ def cmd_train_xe(args) -> int:
         bundle = bundle_of(rec)
         for caption in rec.captions:
             train_pairs.append((bundle, vocab.encode_caption(caption)))
-    if not train_pairs:
-        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
     val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
-    idf = compute_idf([_refs(r) for r in train_recs])
+    idf = compute_idf(train_refs)
     seed = cfg.get("seed")
     model_config = _config(
         CaptionerConfig, cfg, "model.",

@@ -29,7 +29,7 @@ RELATIONS = (
     "above", "below", "inside", "against", "atop",
 )
 
-MIN_IMAGES = 2  # one val and one test image
+MIN_IMAGES = 3  # one train, one val and one test image
 MIN_VOCAB = 10
 DEFAULT_SPATIAL_DIM = 64
 DEFAULT_NOISE = 0.05

@@ -21,7 +21,7 @@ from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
 from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
 from sgcap.gradaudit import BlockReport
-from sgcap.toydata import make_toy_data
+from sgcap.toydata import MIN_IMAGES, make_toy_data
 from sgcap.trainer import Phase1Config, Phase2Config, TrainConfig
 from sgcap.vse import VseConfig
 from test_checkpoint import poke
@@ -334,8 +334,9 @@ class TestFlagRanges:
     """A flag value out of its range is a usage error that names the flag."""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--n-images", "1", "expected an integer >= 2, got 1"),
-        ("--n-images", "-1", "expected an integer >= 2, got -1"),
+        ("--n-images", "2", "expected an integer >= 3, got 2"),
+        ("--n-images", "1", "expected an integer >= 3, got 1"),
+        ("--n-images", "-1", "expected an integer >= 3, got -1"),
         ("--vocab-size", "9", "expected an integer >= 10, got 9"),
         ("--vocab-size", "0", "expected an integer >= 10, got 0"),
     ])
@@ -348,9 +349,18 @@ class TestFlagRanges:
         assert not (tmp_path / "toy").exists()
 
     def test_make_toy_data_takes_the_smallest_values(self, tmp_path, capsys):
-        rc, info = run(capsys, "make-toy-data", "--out-dir", tmp_path / "toy", "--n-images", "2",
+        rc, info = run(capsys, "make-toy-data", "--out-dir", tmp_path / "toy", "--n-images", "3",
                        "--vocab-size", "10")
-        assert rc == 0 and info["n_images"] == 2
+        assert rc == 0 and info["n_images"] == 3
+
+    def test_smallest_corpus_trains(self, world, tmp_path, capsys):
+        toy = tmp_path / "toy"
+        rc, _ = run(capsys, "make-toy-data", "--out-dir", toy, "--n-images", MIN_IMAGES, "--vocab-size", "10")
+        assert rc == 0
+        base = ["--config", world["cfg"], "--dataset", toy / "dataset.jsonl", "--wordvecs", toy / "wordvecs.txt"]
+        for command in ("train-vse", "train-xe"):
+            rc, info = run(capsys, command, *base, "--out", tmp_path / f"{command}.sgck")
+            assert rc == 0, info
 
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     def test_alpha_flag_exits_2(self, tmp_path, capsys, value):
@@ -605,6 +615,16 @@ class TestTrainXe:
                     "--out", ck, "--seed", "99", "--set", "phase1.max_epochs=1")
         assert rc == 0
         assert load_checkpoint(ck).seed == 99
+
+    def test_training_image_without_references_exits_1(self, world, tmp_path, capsys, bundle_modes):
+        dataset, image_id = without_references(world, tmp_path, "train")
+        rc = main([str(a) for a in (
+            "train-xe", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--out", tmp_path / "x.sgck", "--log", tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
+        assert bundle_modes == []  # refused before any feature was built
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
 
 
 def with_train_captions(world, tmp_path, captions):

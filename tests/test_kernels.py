@@ -27,7 +27,7 @@ from oracles import (
 )
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
-    DimensionError, Tape, _emit_many, add, aoa, attention, concat, constant, decoder_cell, gather_rows,
+    DimensionError, Tape, Tensor, _emit_many, add, aoa, attention, concat, constant, decoder_cell, gather_rows,
     grad_check, key_values, linear, linear_each, log_prob, lstm_cell, lstm_sequences, mul, parameter, reshape, scale,
     softmax, sum_all, tanh,
 )
@@ -36,7 +36,8 @@ from sgcap.decoder import decode_step, init_state
 from sgcap.encoder import encode
 from sgcap.features import BOS, EOS, MAX_TRIPLETS, FeatureBundle
 from sgcap.nn import LstmParams, LstmState, lstm_step
-from sgcap.trainer import xe_loss
+from sgcap.trainer import scst_rollout, xe_loss
+from sgcap.vse import DEFAULT_MARGIN, VseConfig, VseParams, _batch_loss
 
 D_TOY = 32  # acceptance-scale model width
 GRAD_RTOL = 1e-12
@@ -780,3 +781,20 @@ def test_toy_op_counts_with_one_op_output_head():
             enc = encode(params.encoder, bundle)
             tokens, _, _ = sgcap.decoder.sample_sequence(params.decoder, enc, np.random.default_rng(seed))
         assert len(tape) == encoded + 2 * len(tokens) + 14
+
+
+def test_every_record_holds_its_outputs_as_a_tuple():
+    """One record shape, whether an op has one output or several."""
+    params, bundle = toy_model_and_bundle()
+    rng = np.random.default_rng(1)
+    vse_params = VseParams.init(VseConfig(vocab_size=9, spatial_dim=6, embed_dim=5, hidden_dim=5, space_dim=4), rng)
+    with Tape() as xe:
+        xe_loss(params, encode(params.encoder, bundle), [BOS, 4, 5, 6, 7, 8, 9, EOS])
+    with Tape() as scst:
+        scst_rollout(params, bundle, [["a"]], lambda tokens, bundle, refs: float(len(tokens)), rng)
+    with Tape() as batch:
+        _batch_loss(vse_params, rng.normal(size=(3, 6)), [[4, 5], [6], [7, 8, 4]], DEFAULT_MARGIN)
+    for tape in (xe, scst, batch):
+        assert len(tape) > 0
+        for outs, _, _ in tape._records:
+            assert type(outs) is tuple and all(type(o) is Tensor for o in outs)

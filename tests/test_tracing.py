@@ -11,11 +11,16 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_patches_resolve_and_are_restored():
+def new_tracer():
+    """A fresh ``Tracer`` from perfbench/tracing.py, not yet installed."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_tracer_patches_resolve_and_are_restored():
+    tracer = new_tracer()
     tracer.install()
     try:
         patched = list(tracer._patches)
