@@ -35,6 +35,20 @@ row, which projects one vector as ``linear`` projects one row, and
 ``lstm_sequences``, the LSTM over a batch of token sequences, whose cell
 kernel takes the rows still running at each step.
 
+A free-running decode step is a chain of one-row products, each bound by
+the memory traffic of its weights. Where one kernel call's weights total
+at least 4 MiB (``_LANE_MIN_BYTES``), the process may run on 2 CPUs or
+more, and BLAS is held to one thread by OPENBLAS_NUM_THREADS (else
+OMP_NUM_THREADS) = 1, half of those products run on a second lane: one
+worker thread, started at the first such call. ``linear_each`` of one row
+splits W's rows in two at a multiple of 64 rows, the LSTM kernel runs
+two gate products per lane, and the decoder context first the products
+that read only h' (both paths' query projections and q-side AoA
+products), then each path's v-side AoA pair. Every product stays the one
+single-threaded BLAS call it is without the lane, written into its slice
+of a preallocated output, so every value is bitwise the same. The worker
+multiplies arrays only; it makes no Tensor and never touches the tape.
+
 Design rules, enforced here rather than assumed:
 
 * everything is float64, row-major;
@@ -50,6 +64,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import threading
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -336,6 +352,65 @@ def _emit_many(datas: tuple, inputs: tuple, backward_fn) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# the second lane: one worker thread for the one-row products of a step
+
+_LANE_MIN_BYTES = 4 << 20  # the weights one kernel call must read to split its one-row products
+_lane_lock = threading.Lock()
+_lane = None  # None until first needed, then the worker, or False where the lane rule refuses one
+
+
+def _forget_lane() -> None:
+    global _lane
+    _lane = None  # a forked child has no worker thread; it decides and starts its own
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _lanes_pay(environ, cpus: int) -> bool:
+    """Whether one-row products gain from a second lane: the process may
+    run on 2 CPUs or more, and BLAS is held to one thread by its own
+    variable (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS). Threaded BLAS
+    already streams a large product on both cores, and competes with the lane."""
+    threads = environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS"))
+    return cpus >= 2 and threads is not None and threads.strip() == "1"
+
+
+def _second_lane():
+    """The executor of the second lane, started at the first call that needs
+    it where ``_lanes_pay`` allows one; else None."""
+    global _lane
+    with _lane_lock:
+        if _lane is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            if _lanes_pay(os.environ, cpus):
+                from concurrent.futures import ThreadPoolExecutor
+
+                _lane = ThreadPoolExecutor(1, thread_name_prefix="sgcap-lane")
+            else:
+                _lane = False
+    return _lane or None
+
+
+def _products(batch) -> None:
+    for a, w, out in batch:
+        np.matmul(a, w.T, out=out)
+
+
+def _two_lanes(lane, first: list, second: list) -> None:
+    """out = a @ w^T for each (a, w, out), those of ``first`` on the worker
+    and those of ``second`` here, all done on return. Each is the one BLAS
+    call, on one thread, that ``a @ w.T`` makes, so its values are those
+    bit for bit. The worker touches arrays only, never a Tensor or a tape."""
+    job = lane.submit(_products, first)
+    try:
+        _products(second)
+    finally:
+        job.result()
+
+
+# ---------------------------------------------------------------------------
 # primitive ops
 
 
@@ -390,7 +465,9 @@ def linear_each(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     row, the rows recorded in order. A vector (k,) is one row, so its
     (m,) projection is that of ``linear`` on x as a (1, k) row.
 
-    Each row's products are its own (``_each_row``). The weight's factor
+    Each row's products are its own (``_each_row``). One row of a large
+    weight is projected in two blocks of W's rows, split at a multiple of
+    64 rows, one on each lane (``_two_lanes``). The weight's factor
     pair lists the rows last to first, and the bias adds their parts in
     that order, as the tape settles and adds the parts of the per-row ops.
     """
@@ -400,7 +477,12 @@ def linear_each(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None and b.data.shape != (wd.shape[0],):
         raise DimensionError(f"linear bias {tuple(b.data.shape)} does not match {wd.shape[0]} outputs")
     rows = xd.reshape(-1, wd.shape[1])
-    y = (_each_row(rows) @ wd.T).reshape(*xd.shape[:-1], wd.shape[0])
+    if wd.nbytes >= _LANE_MIN_BYTES and rows.shape[0] == 1 and (lane := _second_lane()):
+        y, split = np.empty((1, wd.shape[0])), wd.shape[0] // 128 * 64
+        _two_lanes(lane, [(rows, wd[:split], y[:, :split])], [(rows, wd[split:], y[:, split:])])
+        y = y.reshape(*xd.shape[:-1], wd.shape[0])
+    else:
+        y = (_each_row(rows) @ wd.T).reshape(*xd.shape[:-1], wd.shape[0])
 
     def backward_fn(g):
         g = g.reshape(-1, wd.shape[0])
@@ -692,10 +774,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None) -> Tensor:
 
 
 def _check_aoa(qd: np.ndarray, vd: np.ndarray, gate: Sequence[Tensor]) -> None:
+    _check_aoa_shapes(qd.shape, vd.shape, gate)
+
+
+def _check_aoa_shapes(q: tuple, v: tuple, gate: Sequence[Tensor]) -> None:
     m = gate[2].data.size
-    w, b = (m, qd.shape[-1]), (m,)
-    if qd.ndim != 2 or qd.shape != vd.shape or [t.data.shape for t in gate] != [w, w, b, w, w, b]:
-        raise DimensionError(f"aoa mismatch: q {qd.shape}, v {vd.shape}, weights ({m}, {qd.shape[-1]})")
+    w, b = (m, q[-1]), (m,)
+    if len(q) != 2 or q != v or [t.data.shape for t in gate] != [w, w, b, w, w, b]:
+        raise DimensionError(f"aoa mismatch: q {q}, v {v}, weights ({m}, {q[-1]})")
 
 
 def _aoa_pre(qd: np.ndarray, vd: np.ndarray, w_q: Tensor, b: Tensor, w_v: Tensor) -> np.ndarray:
@@ -786,25 +872,69 @@ def _context_fwd(qd: np.ndarray, paths: Sequence[tuple]):
     with the paths' outputs side by side in one vector, and what
     _context_bwd needs. A path whose kv is None attends to nothing: its
     gate runs on a zero row. The paths' gates take their sigmoid and
-    product together, as rows of one matrix.
+    product together, as rows of one matrix. Every path is checked before
+    any product runs; large weights take the second lane
+    (``_context_lanes``).
     """
-    saved, pre = [], []
+    nbytes = 0
     for w_q, kv, gate in paths:
-        if kv is None:
-            vd, att = np.zeros(qd.shape), None
-        else:
+        v_shape = qd.shape
+        if kv is not None:
             if w_q.data.shape != (kv.k.data.shape[1], qd.shape[1]):
                 raise DimensionError(f"query projection {tuple(w_q.data.shape)} does not map width "
                                      f"{qd.shape[1]} to the key width {tuple(kv.k.data.shape)}")
-            vd, att = _heads_fwd(_split_heads(qd @ w_q.data.T, kv.heads), kv.k_heads.data, kv.v_heads.data,
-                                 kv.bias)
-        _check_aoa(qd, vd, gate)
-        w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
-        pre += (_aoa_pre(qd, vd, w_qi, b_i, w_vi), _aoa_pre(qd, vd, w_qg, b_g, w_vg))
-        saved.append((w_q, vd, att, gate))
-    pre = np.concatenate(pre)  # rows: each path's info, then its gate
+            v_shape = (qd.shape[0], kv.v.data.shape[1])
+            nbytes += w_q.data.nbytes
+        _check_aoa_shapes(qd.shape, v_shape, gate)
+        nbytes += 4 * gate[0].data.nbytes
+    if nbytes >= _LANE_MIN_BYTES and (lane := _second_lane()):
+        pre, saved = _context_lanes(lane, qd, paths)
+    else:
+        saved, pre = [], []
+        for w_q, kv, gate in paths:
+            if kv is None:
+                vd, att = np.zeros(qd.shape), None
+            else:
+                vd, att = _heads_fwd(_split_heads(qd @ w_q.data.T, kv.heads), kv.k_heads.data, kv.v_heads.data,
+                                     kv.bias)
+            w_qi, w_vi, b_i, w_qg, w_vg, b_g = gate
+            pre += (_aoa_pre(qd, vd, w_qi, b_i, w_vi), _aoa_pre(qd, vd, w_qg, b_g, w_vg))
+            saved.append((w_q, vd, att, gate))
+        pre = np.concatenate(pre)  # rows: each path's info, then its gate
     info, sig = pre[0::2], _sigmoid(pre[1::2])
     return (sig * info).reshape(-1), (saved, info, sig)
+
+
+def _context_lanes(lane, qd: np.ndarray, paths: Sequence[tuple]) -> tuple:
+    """_context_fwd's pre-activation rows and saved paths, its products on
+    two lanes: first every product that reads only qd (the query
+    projections and the q-side AoA products), then, after each path's
+    attention, its two v-side AoA products. Each pre-activation is formed
+    as _aoa_pre forms it, (q W_q^T + b) + v W_v^T."""
+    n, queries, pre, qside = qd.shape[0], [], [], []
+    for w_q, kv, gate in paths:
+        w_qi, _, _, w_qg, _, _ = gate
+        z_info, z_gate = np.empty((n, w_qi.data.shape[0])), np.empty((n, w_qg.data.shape[0]))
+        query = None if kv is None else np.empty((n, w_q.data.shape[0]))
+        qside += [(qd, w_qi.data, z_info), (qd, w_qg.data, z_gate)] + ([] if kv is None else [(qd, w_q.data, query)])
+        queries.append(query)
+        pre += (z_info, z_gate)
+    _two_lanes(lane, qside[0::2], qside[1::2])
+    saved = []
+    for (w_q, kv, gate), query, z_info, z_gate in zip(paths, queries, pre[0::2], pre[1::2]):
+        _, w_vi, b_i, _, w_vg, b_g = gate
+        if kv is None:
+            vd, att = np.zeros(qd.shape), None
+        else:
+            vd, att = _heads_fwd(_split_heads(query, kv.heads), kv.k_heads.data, kv.v_heads.data, kv.bias)
+        z_info += b_i.data
+        z_gate += b_g.data
+        v_info, v_gate = np.empty(z_info.shape), np.empty(z_gate.shape)
+        _two_lanes(lane, [(vd, w_vi.data, v_info)], [(vd, w_vg.data, v_gate)])
+        z_info += v_info
+        z_gate += v_gate
+        saved.append((w_q, vd, att, gate))
+    return np.concatenate(pre), saved
 
 
 def _context_inputs(paths: Sequence[tuple]) -> list:
@@ -864,15 +994,21 @@ def _lstm_fwd(rows: np.ndarray, md: np.ndarray, cell: Sequence[Tensor]):
     m' = f * m + i * c~          h' = o * tanh(m')
 
     Each row's products are its own (``_each_row``), so no row's values
-    depend on the others'. Returns h' and m', shaped as md, and what
-    _lstm_bwd needs.
+    depend on the others'. One row of large weights runs the products of
+    i and f on the second lane and those of o and c~ here (``_two_lanes``).
+    Returns h' and m', shaped as md, and what _lstm_bwd needs.
     """
     (b, width), d = rows.shape, md.shape[-1]
     if md.shape != ((d,) if md.ndim == 1 and b == 1 else (b, d)) or \
             [t.data.shape for t in cell] != [(d, width)] * 4 + [(d,)] * 4:
         raise DimensionError(f"lstm weights must map width {width} to the memory's {md.shape}")
-    each = _each_row(rows)
-    y = np.concatenate([each @ w.data.T for w in cell[:4]]).reshape((4,) + md.shape)  # the gates [i; f; o; c~]
+    if 4 * cell[0].data.nbytes >= _LANE_MIN_BYTES and b == 1 and (lane := _second_lane()):
+        y = np.empty((4, 1, d))
+        _two_lanes(lane, [(rows, cell[z].data, y[z]) for z in (0, 1)], [(rows, cell[z].data, y[z]) for z in (2, 3)])
+        y = y.reshape((4,) + md.shape)
+    else:
+        each = _each_row(rows)
+        y = np.concatenate([each @ w.data.T for w in cell[:4]]).reshape((4,) + md.shape)  # the gates [i; f; o; c~]
     y += np.concatenate([bias.data for bias in cell[4:]]).reshape((4,) + (1,) * (md.ndim - 1) + (d,))
     y[:3] = _sigmoid(y[:3])
     np.tanh(y[3], out=y[3])

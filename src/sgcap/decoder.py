@@ -19,7 +19,12 @@ through one rollout loop, ``_rollout``, and differ only in how a step
 picks its token. Teacher forcing keeps its own loop, which runs the
 output head once, over the stacked context vectors. Forced and sampled
 captions are scored alike: one ``log_prob`` over the stacked (T, vocab)
-logits, then one ``sum_all``, the only score taped.
+logits, then one ``sum_all``, the only score taped. At paper scale a
+free-running step reads about 137 MB of weights through one-row
+products (the 10k x 1,024 head, the LSTM's four gate weights, both
+paths' query and AoA weights); with BLAS on one thread and a second CPU,
+``autodiff`` runs half of them on a worker thread, with values bitwise
+those of one thread.
 
 Sequence conventions: rollouts start from BOS (never returned); emitted
 tokens include the terminating EOS when one is produced within the

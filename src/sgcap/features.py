@@ -277,8 +277,8 @@ def write_sgaf(path, matrix: np.ndarray) -> None:
 
 
 def load_sgaf(path) -> np.ndarray:
-    """Read a binary feature matrix, widened to float64; NaN or inf is a
-    ``FileFormatError`` naming the file."""
+    """Read a binary feature matrix, widened to float64; an empty one, or
+    one holding NaN or inf, is a ``FileFormatError`` naming the file."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:4] != _SGAF_MAGIC:
@@ -286,6 +286,8 @@ def load_sgaf(path) -> np.ndarray:
     version, rows, cols = struct.unpack("<III", raw[4:16])
     if version != _SGAF_VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
+    if rows == 0 or cols == 0:
+        raise FileFormatError(f"{path}: empty {rows}x{cols} feature matrix")
     expected = 16 + rows * cols * 4
     if len(raw) != expected:
         raise FileFormatError(f"{path}: payload size {len(raw) - 16} != {rows}x{cols} float32")

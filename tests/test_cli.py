@@ -19,7 +19,7 @@ from sgcap.captioner import CaptionerConfig
 from oracles import load_checkpoint
 from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
-from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf
+from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf, write_sgaf
 from sgcap.gradaudit import BlockReport
 from sgcap.toydata import MIN_IMAGES, make_toy_data
 from sgcap.trainer import Phase1Config, Phase2Config, TrainConfig
@@ -113,13 +113,14 @@ def bundle_modes(monkeypatch):
     return modes
 
 
-def without_references(world, tmp_path, split):
-    """The toy dataset with the first ``split`` image's captions removed; (path, that image's id)."""
+def without_references(world, tmp_path, split, captions=()):
+    """The toy dataset with the first ``split`` image's captions replaced by
+    ``captions``, by default removed; (path, that image's id)."""
     records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
     for r in records:  # an absolute feature file keeps the rewritten dataset's features
         r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
     bare = next(r for r in records if r["split"] == split)
-    bare["captions"] = []
+    bare["captions"] = list(captions)
     path = tmp_path / "bare.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path, bare["id"]
@@ -608,6 +609,31 @@ class TestTrainXe:
         # no epoch ran
         assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
 
+    def test_validation_caption_without_words_exits_1(self, world, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "val", ["..."])
+        rc = main([str(a) for a in (
+            "train-xe", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--out", tmp_path / "x.sgck", "--log", tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has a caption with no words\n"
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
+
+    def test_empty_feature_matrix_names_the_file(self, world, tmp_path, capsys):
+        empty = tmp_path / "empty.sgaf"
+        write_sgaf(empty, np.zeros((0, 64), dtype=np.float32))
+        records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+        for r in records:
+            r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+        next(r for r in records if r["split"] == "train")["feature_file"] = str(empty)
+        dataset = tmp_path / "empty.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = main([str(a) for a in (
+            "train-xe", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--out", tmp_path / "x.sgck", "--log", tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {empty}: empty 0x64 feature matrix\n"
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
+
     def test_seed_flag_overrides_config(self, world, tmp_path, capsys):
         ck = tmp_path / "s.sgck"
         rc, _ = run(capsys, "train-xe", "--config", world["cfg"],
@@ -756,6 +782,16 @@ class TestTrainScst:
         assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
         assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
+    def test_training_caption_without_words_exits_1(self, world, trained, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "train", ["a dog", "..."])
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", dataset, "--wordvecs", world["wordvecs"],
+            "--checkpoint", trained["xe"], "--reward", "cider",
+            "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has a caption with no words\n"
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
+
     def test_wrong_checkpoint_kind_fails(self, world, trained, tmp_path, capsys):
         rc, _ = run(capsys, "train-scst", "--config", world["cfg"],
                     "--dataset", world["dataset"], "--wordvecs", world["wordvecs"],
@@ -855,6 +891,15 @@ class TestEvaluate:
         rc = main(["evaluate", "--candidates", str(caps), "--dataset", str(dataset), "--split", "test"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
+
+    def test_reference_without_words_exits_1(self, world, tmp_path, capsys):
+        dataset, image_id = without_references(world, tmp_path, "test", ["..."])
+        caps = tmp_path / "caps.jsonl"
+        caps.write_text("".join(json.dumps({"id": r.image_id, "caption": "a cat"}) + "\n"
+                                for r in load_dataset(dataset).split("test")))
+        rc = main(["evaluate", "--candidates", str(caps), "--dataset", str(dataset), "--split", "test"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has a caption with no words\n"
 
     def test_missing_image_fails(self, world, tmp_path, capsys):
         caps = tmp_path / "caps.jsonl"

@@ -308,6 +308,13 @@ class TestSgafFormat:
         with pytest.raises(FileFormatError, match="nan.sgaf: feature matrix holds NaN or inf"):
             load_sgaf(p)
 
+    @pytest.mark.parametrize("shape", [(0, 64), (3, 0)])
+    def test_empty_matrix_names_file(self, tmp_path, shape):
+        p = tmp_path / "empty.sgaf"
+        write_sgaf(p, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(FileFormatError, match=f"empty.sgaf: empty {shape[0]}x{shape[1]} feature matrix"):
+            load_sgaf(p)
+
     def test_wrong_version(self, tmp_path):
         import struct
 
