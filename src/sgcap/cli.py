@@ -219,18 +219,13 @@ def _refs(record) -> list[list[str]]:
     return [tokenize(c) for c in record.captions]
 
 
-def _captioned_refs(records, path) -> list[list[list[str]]]:
-    """Reference captions of records that each need one."""
-    for rec in records:
-        if not rec.captions:
-            raise FileFormatError(f"{path}: image {rec.image_id!r} has no reference captions")
-    return [_refs(r) for r in records]
-
-
 def _scored_refs(records, path) -> list[list[list[str]]]:
     """Reference captions of records whose candidates get scored: every
     image needs one, and every caption a word."""
-    refs = _captioned_refs(records, path)
+    for rec in records:
+        if not rec.captions:
+            raise FileFormatError(f"{path}: image {rec.image_id!r} has no reference captions")
+    refs = [_refs(r) for r in records]
     for rec, tokens in zip(records, refs):
         if not all(tokens):
             raise FileFormatError(f"{path}: image {rec.image_id!r} has a caption with no words")
@@ -321,7 +316,7 @@ def cmd_train_xe(args) -> int:
     val_recs = _split_records(dataset, "val", args.dataset)
     if not any(r.captions for r in train_recs):
         raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
-    train_refs = _captioned_refs(train_recs, args.dataset)  # the idf table reads these, as the SCST phase's does
+    train_refs = _scored_refs(train_recs, args.dataset)  # the idf table reads these, as the SCST phase's does
     val_refs = _scored_refs(val_recs, args.dataset)
     vocab = _vocabulary(cfg, train_recs)
     train_pairs = []

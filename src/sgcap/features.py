@@ -22,6 +22,7 @@ import json
 import re
 import string
 import struct
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -455,9 +456,14 @@ def _all_strings(xs) -> bool:
     return all(map(isinstance, xs, repeat(str)))
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _is_triplet(t) -> bool:
+    # json.loads also yields NaN, the infinities and integers no float
+    # holds; the range test is false for each
     return (isinstance(t, dict) and _all_strings(t.get(k) for k in ("s", "p", "o"))
-            and isinstance(t.get("score"), (int, float)) and not isinstance(t["score"], bool))
+            and type(t.get("score")) in (int, float) and -_FLOAT_MAX <= t["score"] <= _FLOAT_MAX)
 
 
 # record field -> (test of its value, what the test asks for); "id" may be any value
@@ -465,7 +471,7 @@ _RECORD_FIELDS = {
     "split": (lambda x: x in _VALID_SPLITS, f"one of {_VALID_SPLITS}"),
     "captions": (lambda x: isinstance(x, list) and _all_strings(x), "a list of strings"),
     "triplets": (lambda x: isinstance(x, list) and all(_is_triplet(t) for t in x),
-                 'a list of {"s", "p", "o": string, "score": number} objects'),
+                 'a list of {"s", "p", "o": string, "score": finite number} objects'),
     "feature_file": (lambda x: isinstance(x, str), "a string"),
 }
 

@@ -10,12 +10,16 @@ counts each caption once and scores both CIDEr variants in one pass
 
 Reference statistics are built on demand, and no tf-idf vector is built.
 Each image keeps the set of every gram its references hold; idf and BLEU's
-unclipped matches read only that set. A reference's count table of an order
+unclipped matches read only that set. idf takes its document frequencies
+from set operations, which read the hashes the sets store, so no gram is
+hashed twice. A reference's count table of an order
 is built when the consensus pass finds a candidate gram of that order in
 the set, or when BLEU's clipping meets a repeated one, and a tf-idf norm
 only for an order that shares a gram. A shared gram's value is computed
 when the consensus pass needs it, as count * idf weight, or the weight
-alone where no gram of that order repeats (1 * w is w).
+alone where no gram of that order repeats (1 * w is w). ROUGE-L builds a
+candidate's bit-parallel match masks once and reads them for every
+reference.
 
 Sum order: a float sum over a caption's grams runs in the caption's
 first-occurrence order, the insertion order of its count table, so the
@@ -30,6 +34,9 @@ collector (``_collector_paused``). Their tens of thousands of n-gram tuples
 would otherwise trigger collector passes over every object the caller
 holds, and those passes find nothing: scoring builds only acyclic tuples,
 dicts, sets and lists of strings and numbers, which reference counting frees.
+``evaluate_captions`` frees all of its tables before the collector resumes,
+so the young-generation pass that resuming may set off runs over a few
+objects, not over the call's tables.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -160,33 +167,45 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
     return _bleu(cands, [_ref_set(refs, n_max) for refs in references], n_max)
 
 
-def _lcs_length(a: Tokens, b: Tokens) -> int:
-    # bit-parallel LCS (Allison & Dix 1986; Hyyro 2004): bit i of ``row``
-    # is 0 where the LCS of a and the prefix of b read so far steps up at
-    # a[i]; Python ints make the bit vector as long as a needs
+def _match_masks(a: Tokens) -> dict:
+    """Per token, the bit mask of the positions of a that hold it."""
     match: dict = {}
     for i, x in enumerate(a):
         match[x] = match.get(x, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    return match
+
+
+def _lcs_from_masks(match: dict, n: int, b: Tokens) -> int:
+    # bit-parallel LCS (Allison & Dix 1986; Hyyro 2004) of a, given as its
+    # match masks and length n, and b: bit i of ``row`` is 0 where the LCS
+    # of a and the prefix of b read so far steps up at a[i]; Python ints
+    # make the bit vector as long as a needs
+    full = (1 << n) - 1
     row = full
     for y in b:
         u = row & match.get(y, 0)
         row = ((row + u) | (row - u)) & full
-    return len(a) - row.bit_count()
+    return n - row.bit_count()
+
+
+def _lcs_length(a: Tokens, b: Tokens) -> int:
+    return _lcs_from_masks(_match_masks(a), len(a), b)
 
 
 def rouge_l(candidate: Tokens, references: Sequence[Tokens], beta: float = 1.2) -> float:
     """Longest-common-subsequence F-measure, maximized over references; 0 if empty."""
     if not references:
         raise ValueError("rouge_l needs at least one reference")
+    # the candidate's masks serve every reference
+    match, n = _match_masks(candidate), len(candidate)
     best = 0.0
     for ref in references:
         if not ref:
             continue
-        lcs = _lcs_length(candidate, ref)
+        lcs = _lcs_from_masks(match, n, ref)
         if lcs == 0:
             continue
-        precision = lcs / len(candidate)
+        precision = lcs / n
         recall = lcs / len(ref)
         f_score = (1.0 + beta * beta) * precision * recall / (recall + beta * beta * precision)
         best = max(best, f_score)
@@ -220,14 +239,19 @@ class IdfTable:
 def _idf(reference_corpus: Sequence[_RefSet]) -> IdfTable:
     if not reference_corpus:
         raise ValueError("cannot compute idf over an empty corpus")
-    doc_freq = Counter(chain.from_iterable(refs.seen for refs in reference_corpus))
+    # set operations read the hashes the sets store, so no gram is hashed
+    # again: per image, the grams an earlier image also holds
+    union = set()
+    repeats = Counter()  # gram -> images after the first that hold it
+    for refs in reference_corpus:
+        repeats.update(refs.seen & union)
+        union |= refs.seen
     n_images = len(reference_corpus)
     # most grams occur in one image: give every gram that weight, then
     # overwrite the weights of the others
-    weights = dict.fromkeys(doc_freq, math.log(n_images / 1))
-    for gram, df in doc_freq.items():
-        if df > 1:
-            weights[gram] = math.log(n_images / df)
+    weights = dict.fromkeys(union, math.log(n_images / 1))
+    for gram, more in repeats.items():
+        weights[gram] = math.log(n_images / (more + 1))
     return IdfTable(weights=weights, image_count=n_images)
 
 
@@ -331,16 +355,23 @@ def evaluate_captions(candidates: Sequence[Tokens], references: Sequence[Sequenc
     ROUGE-L and the consensus scores average per-image values. When no idf
     table is supplied one is computed from ``references`` themselves.
     """
+    # the call's tables are freed as _evaluate returns, before the
+    # collector resumes: a pass over them would find nothing
     with _collector_paused():
-        cands = [_Caption(c, DEFAULT_NGRAM_MAX) for c in candidates]
-        ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
-        if idf is None:
-            idf = _idf(ref_sets)
-        bleu_scores = _bleu(cands, ref_sets, DEFAULT_NGRAM_MAX)
-        n = len(candidates)
-        report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
-        report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
-        scores = [_consensus(c, rs, idf) for c, rs in zip(cands, ref_sets)]
-        report["cider"] = sum(plain for plain, _ in scores) / n
-        report["ciderD"] = sum(clipped for _, clipped in scores) / n
-        return report
+        return _evaluate(candidates, references, idf)
+
+
+def _evaluate(candidates: Sequence[Tokens], references: Sequence[Sequence[Tokens]],
+              idf: IdfTable | None) -> dict:
+    cands = [_Caption(c, DEFAULT_NGRAM_MAX) for c in candidates]
+    ref_sets = [_ref_set(refs, DEFAULT_NGRAM_MAX) for refs in references]
+    if idf is None:
+        idf = _idf(ref_sets)
+    bleu_scores = _bleu(cands, ref_sets, DEFAULT_NGRAM_MAX)
+    n = len(candidates)
+    report = {f"bleu{i + 1}": bleu_scores[i] for i in range(4)}
+    report["rougeL"] = sum(rouge_l(c, r) for c, r in zip(candidates, references)) / n
+    scores = [_consensus(c, rs, idf) for c, rs in zip(cands, ref_sets)]
+    report["cider"] = sum(plain for plain, _ in scores) / n
+    report["ciderD"] = sum(clipped for _, clipped in scores) / n
+    return report

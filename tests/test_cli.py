@@ -423,6 +423,16 @@ class TestCoverageStats:
         assert main(["coverage-stats", "--dataset", str(bad)]) == 1
         assert f"bad.jsonl:1: {field} must be" in capsys.readouterr().err
 
+    def test_nan_triplet_score_exits_1(self, world, tmp_path, capsys):
+        lines = world["dataset"].read_text().splitlines()
+        record = json.loads(lines[1])
+        record["triplets"][0]["score"] = float("nan")  # written as NaN, which json.loads reads back
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+        assert main(["coverage-stats", "--dataset", str(bad)]) == 1
+        assert capsys.readouterr().err == (f'error: {bad}:2: triplets must be a list of '
+                                           '{"s", "p", "o": string, "score": finite number} objects\n')
+
 
 class TestFeaturize:
     def test_writes_relationship_matrices(self, world, tmp_path, capsys):
@@ -687,12 +697,18 @@ class TestUncaptionedTraining:
         assert err == f"error: {dataset}: image {first!r} has a caption with no words\n"
         assert not (tmp_path / "o.sgck").exists()
 
-    def test_train_xe_trains_on_a_caption_without_words(self, world, tmp_path, capsys):
-        dataset = with_train_captions(world, tmp_path, lambda r: r["captions"] + ["..."])
-        rc, info = run(capsys, "train-xe", "--config", world["cfg"], "--dataset", dataset,
-                       "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck",
-                       "--set", "phase1.max_epochs=1")
-        assert rc == 0 and info["epochs_run"] == 1
+    def test_train_xe_caption_without_words_names_the_image(self, world, tmp_path, capsys, bundle_modes):
+        first = next(json.loads(line)["id"] for line in world["dataset"].read_text().splitlines()
+                     if json.loads(line)["split"] == "train")
+        dataset = with_train_captions(world, tmp_path, lambda r: ["..."] if r["id"] == first else r["captions"])
+        rc = main([str(a) for a in ("train-xe", "--config", world["cfg"], "--dataset", dataset,
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck",
+                                    "--log", tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {dataset}: image {first!r} has a caption with no words\n"
+        assert bundle_modes == []  # refused before any feature was built
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
 
 class TestTrainScst:

@@ -555,6 +555,15 @@ class TestDataset:
         with pytest.raises(FileFormatError, match=rf":2: {field} must be"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_triplet_score_names_line(self, tmp_path, score):
+        # json.loads reads each of these as a number: nan, inf, -inf, inf and an int no float holds
+        bad = json.dumps({**GOOD_RECORD, "id": "y"}).replace('"score": 0.5', f'"score": {score}')
+        p = self._write_dataset(tmp_path, [GOOD_RECORD])
+        p.write_text(p.read_text() + bad + "\n")
+        with pytest.raises(FileFormatError, match=r":2: triplets must be .*finite number"):
+            load_dataset(p)
+
     def test_record_that_is_not_an_object_names_line(self, tmp_path):
         p = self._write_dataset(tmp_path, ["id split captions triplets feature_file"])
         with pytest.raises(FileFormatError, match=r":1: record is not a JSON object"):

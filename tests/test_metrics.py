@@ -450,6 +450,45 @@ class TestZipfCorpusExact:
         assert cider(cands[0], refs[0], idf) == cider_d(cands[1], refs[1], idf) == 0.0
 
 
+class TestStagesAgainstOracles:
+    """The idf table, built from set operations on each image's gram set, and
+    ROUGE-L, whose candidate masks serve every reference, equal the
+    reference forms on the cases each rewrite branches on."""
+
+    # "every" is in every image, "pair" in exactly images 1 and 2, "cat"
+    # repeats inside image 0's references, and "dog" is in image 1 alone
+    CORPUS = [
+        [["every", "cat", "cat"], ["every", "cat", "sat"]],
+        [["every", "dog", "pair"], ["pair"]],
+        [["every", "bird"], ["pair", "bird", "pair"]],
+        [["every"]],
+    ]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 4])
+    def test_idf(self, n_max):
+        weights, n_images = ref_compute_idf(self.CORPUS, n_max)
+        table = compute_idf(self.CORPUS, n_max)
+        assert table.weights == weights and table.image_count == n_images
+        assert table.weights[("every",)] == 0.0
+        assert table.weights[("pair",)] == math.log(4 / 2)
+        assert table.weights[("cat",)] == table.weights[("dog",)] == math.log(4)
+
+    def test_idf_of_one_image(self):
+        corpus = [[["a", "b", "a"], ["b", "a"]]]
+        weights, n_images = ref_compute_idf(corpus)
+        table = compute_idf(corpus)
+        assert table.weights == weights and table.image_count == n_images == 1
+        assert set(table.weights.values()) == {0.0}
+
+    def test_rouge_l(self):
+        cand = "a b a c a b b".split()  # every token but "c" repeats
+        refs = [["b", "a", "b", "a"], [], ["a", "a", "c"], ["c", "b", "a", "b", "a", "a", "b"], ["z"]]
+        assert rouge_l(cand, refs) == ref_rouge_l(cand, refs)
+        for ref in refs:
+            assert rouge_l(cand, [ref]) == ref_rouge_l(cand, [ref])
+            assert _lcs_length(cand, ref) == ref_lcs_length(cand, ref)
+
+
 class TestRejectsNgramOrderBelowOne:
     """Every metric that takes ``n_max`` rejects an order below 1 by name."""
 
@@ -517,6 +556,42 @@ class TestCollectorState:
         monkeypatch.setattr(metrics, "_bleu", lambda *a: seen.append(gc.isenabled()) or real(*a))
         evaluate_captions([["a"]], [[["a"]]])
         assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_call(self, collector):
+        # 100 images of 5 twelve-word references: 21,000 reference grams
+        rng = np.random.default_rng(4)
+        words = [f"w{i}" for i in range(300)]
+
+        def caption():
+            return [words[j] for j in rng.integers(0, len(words), size=12)]
+
+        cands = [caption() for _ in range(100)]
+        refs = [[caption() for _ in range(5)] for _ in range(100)]
+        passes = []  # (generation, objects in the young generation) per pass
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append((info["generation"], len(gc.get_objects(0))))
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            # gc.collect() empties CPython's tuple free lists; the first call
+            # refills them, and each tuple parked there stays in the young
+            # generation's count, so that call may end in one pass, over
+            # the few objects still alive
+            evaluate_captions(cands, refs)
+            first = list(passes)
+            passes.clear()
+            evaluate_captions(cands, refs)
+            second = list(passes)
+        finally:
+            gc.callbacks.remove(count)
+        # the call's tables are freed before the collector resumes, so no
+        # pass runs over them
+        assert all(young < 1000 for _, young in first)
+        assert second == []
         assert gc.isenabled() is collector
 
 
