@@ -8,7 +8,7 @@ import numpy as np
 from .decoder import DecoderParams
 from .encoder import EncoderParams
 from .features import WORD_VECTOR_DIM, check_triplet_mode
-from .nn import ParamArrays
+from .nn import ParamArrays, check_int_fields
 
 __all__ = ["CaptionerConfig", "CaptionerParams"]
 
@@ -24,6 +24,7 @@ class CaptionerConfig:
     triplet_mode: str = "mean"  # how relationship rows were aggregated, one of TRIPLET_MODES
 
     def __post_init__(self):
+        check_int_fields(self)
         if min(self.d_model, self.embed_dim, self.heads, self.spatial_dim, self.max_len) < 1:
             raise ValueError("model widths, head count and max_len must be positive")
         if self.d_model % self.heads != 0:

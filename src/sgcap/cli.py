@@ -6,6 +6,11 @@ and caption) accept ``--config`` plus repeatable ``--set key=value``
 overrides; a handful of common knobs also have dedicated flags which win
 over both. Exit codes: 0 success, 2 usage error, 1 runtime error. All
 final artifacts are written atomically; training logs stream per epoch.
+
+Every command checks the corpus by one rule per fault: a split it trains
+on or scores needs a caption with a word on every image (so ``train-vse``
+refuses an uncaptioned train image), and every spatial map has the
+checkpoint's width, or without one the first train image's.
 """
 
 import argparse
@@ -183,9 +188,11 @@ def _report(obj, out=None) -> int:
     return 0
 
 
-def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
-    """Dataset and the closure that builds an image's features; given checkpoint ``params``,
-    in its triplet mode (a config naming another is a usage error) and its spatial width."""
+def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None, word_vectors=True):
+    """Dataset, word vectors, triplet mode and the closure that builds an image's
+    features (its spatial map alone without ``word_vectors``) under the one width
+    rule: given checkpoint ``params``, in its triplet mode and width (a config naming
+    another mode is a usage error), else the first map built sets the width."""
     mode = check_triplet_mode(cfg.get("model.triplet_mode"))  # before the corpus is read
     if params is not None:
         trained = params.config.triplet_mode
@@ -194,18 +201,21 @@ def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
                              f"trained with {trained!r}")
         mode = trained
     dataset = load_dataset(args.dataset)
-    table = load_word_vectors(args.wordvecs)
+    table = load_word_vectors(args.wordvecs) if word_vectors else None
+    width, reference = (params.config.spatial_dim, "checkpoint") if params is not None else (None, None)
 
-    def bundle_of(rec):
-        bundle = load_bundle(rec, table, mode, None)
-        if params is not None and bundle.spatial.shape[1] != params.config.spatial_dim:
-            raise FileFormatError(
-                f"{rec.feature_file}: feature width {bundle.spatial.shape[1]} "
-                f"does not match checkpoint ({params.config.spatial_dim})"
-            )
-        return bundle
+    def features_of(rec):
+        nonlocal width, reference
+        features = load_sgaf(rec.feature_file) if table is None else load_bundle(rec, table, mode, None)
+        spatial = features if table is None else features.spatial
+        if width is None:
+            width, reference = spatial.shape[1], rec.feature_file
+        if spatial.shape[1] != width:
+            raise FileFormatError(f"{rec.feature_file}: feature width {spatial.shape[1]} "
+                                  f"does not match {reference} ({width})")
+        return features
 
-    return dataset, bundle_of
+    return dataset, table, mode, features_of
 
 
 def _split_records(dataset, name, path):
@@ -215,21 +225,20 @@ def _split_records(dataset, name, path):
     return records
 
 
-def _refs(record) -> list[list[str]]:
-    return [tokenize(c) for c in record.captions]
-
-
-def _scored_refs(records, path) -> list[list[list[str]]]:
-    """Reference captions of records whose candidates get scored: every
-    image needs one, and every caption a word."""
-    for rec in records:
-        if not rec.captions:
-            raise FileFormatError(f"{path}: image {rec.image_id!r} has no reference captions")
-    refs = [_refs(r) for r in records]
+def _scored_split(dataset, name, path):
+    """A split's records and each one's references as tokens, for the commands
+    that train on or score against them: every image needs a caption, and
+    every caption a word (a train split with no caption at all says so)."""
+    records = _split_records(dataset, name, path)
+    if name == "train" and not any(r.captions for r in records):
+        raise FileFormatError(f"{path}: split 'train' has no captions")
+    refs = [[tokenize(c) for c in r.captions] for r in records]
     for rec, tokens in zip(records, refs):
+        if not tokens:
+            raise FileFormatError(f"{path}: image {rec.image_id!r} has no reference captions")
         if not all(tokens):
             raise FileFormatError(f"{path}: image {rec.image_id!r} has a caption with no words")
-    return refs
+    return records, refs
 
 
 def _vocabulary(cfg: RunConfig, records):
@@ -243,20 +252,14 @@ def cmd_make_toy_data(args) -> int:
 def cmd_build_vocab(args) -> int:
     cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
-    if args.split == "all":
-        records = dataset.records
-    else:
-        records = _split_records(dataset, args.split, args.dataset)
+    records = dataset.records if args.split == "all" else _split_records(dataset, args.split, args.dataset)
     vocab = _vocabulary(cfg, records)
     vocab.save(args.out)
     return _report({"out": str(args.out), "tokens": len(vocab), "split": args.split})
 
 
 def cmd_featurize(args) -> int:
-    cfg = load_run_config(args)
-    mode = check_triplet_mode(cfg.get("model.triplet_mode"))  # before --out-dir is made
-    dataset = load_dataset(args.dataset)
-    table = load_word_vectors(args.wordvecs)
+    dataset, table, mode, _ = _load_corpus(args, load_run_config(args))  # before --out-dir is made
     for rec in dataset.records:  # each id names a file directly inside --out-dir
         if rec.image_id in ("", ".", "..") or any(c in rec.image_id for c in "/\\\0"):
             raise FileFormatError(f"{args.dataset}: image id {rec.image_id!r} cannot name a feature file")
@@ -272,19 +275,16 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_vse(args) -> int:
     cfg = load_run_config(args)
-    dataset = load_dataset(args.dataset)
-    records = _split_records(dataset, "train", args.dataset)
+    dataset, _, _, spatial_of = _load_corpus(args, cfg, word_vectors=False)  # maps and tokens only
+    records, refs = _scored_split(dataset, "train", args.dataset)
+    if sum(map(len, refs)) < 2:
+        raise FileFormatError(f"{args.dataset}: split 'train' has one caption; "
+                              "the ranking network trains on at least two image-caption pairs")
     vocab = _vocabulary(cfg, records)
     pairs = []
-    for rec in records:  # the ranking network reads spatial maps and tokens, never a word vector
-        spatial = load_sgaf(rec.feature_file)
-        for caption in rec.captions:
-            tokens = [vocab.token_to_id(w) for w in tokenize(caption)]
-            if not tokens:
-                raise FileFormatError(f"{args.dataset}: image {rec.image_id!r} has a caption with no words")
-            pairs.append((spatial, tokens))
-    if not pairs:
-        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
+    for rec, captions in zip(records, refs):
+        spatial = spatial_of(rec)
+        pairs += [(spatial, [vocab.token_to_id(w) for w in tokens]) for tokens in captions]
     seed = cfg.get("seed")
     config = _config(VseConfig, cfg, "vse.", vocab_size=len(vocab), spatial_dim=pairs[0][0].shape[1])
     params, losses = train_vse(
@@ -309,28 +309,26 @@ def _save_trained(args, params, vocab, seed, result, **summary) -> int:
     })
 
 
+def _trainer_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
+    """train-xe's and train-scst's train records, their (features, references) items, the
+    val items and the idf table; train features first, so a train image sets the width."""
+    dataset, _, _, bundle_of = _load_corpus(args, cfg, params)
+    train_recs, train_refs = _scored_split(dataset, "train", args.dataset)
+    val_recs, val_refs = _scored_split(dataset, "val", args.dataset)
+    train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
+    val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
+    return train_recs, train_items, val_items, compute_idf(train_refs)
+
+
 def cmd_train_xe(args) -> int:
     cfg = load_run_config(args)
-    dataset, bundle_of = _load_corpus(args, cfg)
-    train_recs = _split_records(dataset, "train", args.dataset)
-    val_recs = _split_records(dataset, "val", args.dataset)
-    if not any(r.captions for r in train_recs):
-        raise FileFormatError(f"{args.dataset}: split 'train' has no captions")
-    train_refs = _scored_refs(train_recs, args.dataset)  # the idf table reads these, as the SCST phase's does
-    val_refs = _scored_refs(val_recs, args.dataset)
+    train_recs, train_items, val_items, idf = _trainer_corpus(args, cfg)
     vocab = _vocabulary(cfg, train_recs)
-    train_pairs = []
-    for rec in train_recs:
-        bundle = bundle_of(rec)
-        for caption in rec.captions:
-            train_pairs.append((bundle, vocab.encode_caption(caption)))
-    val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
-    idf = compute_idf(train_refs)
+    train_pairs = [(bundle, vocab.encode_caption(caption))
+                   for rec, (bundle, _) in zip(train_recs, train_items) for caption in rec.captions]
     seed = cfg.get("seed")
-    model_config = _config(
-        CaptionerConfig, cfg, "model.",
-        vocab_size=len(vocab), spatial_dim=train_pairs[0][0].spatial.shape[1],
-    )
+    model_config = _config(CaptionerConfig, cfg, "model.", vocab_size=len(vocab),
+                           spatial_dim=train_pairs[0][0].spatial.shape[1])
     params = CaptionerParams.init(model_config, np.random.default_rng(seed))
     result = train_xe(
         params, train_pairs, val_items, vocab, train_config_from(cfg), idf,
@@ -344,11 +342,6 @@ def cmd_train_scst(args) -> int:
     if args.reward == "mmr" and not args.vse:
         raise UsageError("--reward mmr needs --vse <checkpoint>")
     params, vocab, _ = load_captioner(args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, cfg, params)
-    train_recs = _split_records(dataset, "train", args.dataset)
-    val_recs = _split_records(dataset, "val", args.dataset)
-    train_refs = _scored_refs(train_recs, args.dataset)
-    val_refs = _scored_refs(val_recs, args.dataset)
     vse_params = None
     if args.vse:
         vse_params, vse_vocab, _ = load_vse(args.vse)
@@ -362,9 +355,7 @@ def cmd_train_scst(args) -> int:
                 f"{args.vse}: feature width {vse_params.config.spatial_dim} differs from "
                 f"{args.checkpoint} ({params.config.spatial_dim}); both checkpoints must read one width"
             )
-    train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
-    val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
-    idf = compute_idf(train_refs)
+    _, train_items, val_items, idf = _trainer_corpus(args, cfg, params)
     seed = cfg.get("seed")
     result = train_scst(
         params, train_items, val_items, vocab, train_config_from(cfg), idf,
@@ -376,7 +367,7 @@ def cmd_train_scst(args) -> int:
 def cmd_caption(args) -> int:
     cfg = load_run_config(args)
     params, vocab, _ = load_captioner(args.checkpoint)
-    dataset, bundle_of = _load_corpus(args, cfg, params)
+    dataset, _, _, bundle_of = _load_corpus(args, cfg, params)
     records = _split_records(dataset, args.split, args.dataset)
     lines = []
     for rec in records:
@@ -388,9 +379,7 @@ def cmd_caption(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = load_dataset(args.dataset)
-    records = _split_records(dataset, args.split, args.dataset)
-    references = _scored_refs(records, args.dataset)
+    records, references = _scored_split(load_dataset(args.dataset), args.split, args.dataset)
     path = Path(args.candidates)
     a_string = (lambda x: isinstance(x, str), "a string")
     by_id = {ident: obj["caption"]

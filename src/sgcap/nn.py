@@ -28,6 +28,7 @@ __all__ = [
     "xavier_limit",
     "init_weight",
     "ParamArrays",
+    "check_int_fields",
     "LinearLayer",
     "EmbeddingTable",
     "LstmParams",
@@ -108,6 +109,14 @@ class ParamArrays:
         arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
         for name, t in self.params_for({name: a.shape for name, a in arrays.items()}).items():
             t.data[...] = arrays[name]
+
+
+def check_int_fields(config) -> None:
+    """Refuse a config dataclass whose ``int`` field holds anything else: in a
+    checkpoint header (JSON), 1.5, 2.0 or true would reach the model as a width."""
+    for f in fields(config):
+        if f.type in (int, "int") and type(getattr(config, f.name)) is not int:
+            raise TypeError(f"config field {f.name} must be an integer, got {getattr(config, f.name)!r}")
 
 
 @dataclass

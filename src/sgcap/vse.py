@@ -40,7 +40,7 @@ from .autodiff import (
     sum_all,
 )
 from .ioutil import run_log
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, descend, epoch_batches
+from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, check_int_fields, descend, epoch_batches
 
 __all__ = [
     "VseConfig",
@@ -66,6 +66,7 @@ class VseConfig:
     margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.vocab_size < 5:
             raise ValueError("vocabulary must contain the specials plus at least one word")
         if not (math.isfinite(self.margin) and self.margin >= 0):

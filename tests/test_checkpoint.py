@@ -223,6 +223,9 @@ def write_with_header(path, header, payload=b""):
     path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(head)) + head + payload)
 
 
+TINY_CONFIG = dataclasses.asdict(tiny_captioner().config)
+
+
 def tiny_captioner_header(**fields):
     params = tiny_captioner()
     header = {
@@ -319,6 +322,11 @@ class TestHeaderValidation:
     @pytest.mark.parametrize("config", [
         {"bogus": 1}, {}, {"vocab_size": 7, "d_model": "4"}, {"vocab_size": 7, "heads": 0},
         {"vocab_size": 7, "d_model": 4, "embed_dim": 4, "heads": 2, "spatial_dim": 5, "max_len": -1},
+        # an integer field holding a float or a bool: JSON allows both
+        *({**TINY_CONFIG, field: value} for field, value in [
+            ("max_len", 1.5), ("heads", 2.0), ("max_len", True), ("d_model", 4.0), ("embed_dim", 4.0),
+            ("spatial_dim", 5.0), ("vocab_size", 7.0), ("vocab_size", True),
+        ]),
     ])
     def test_config_that_fits_no_model_is_a_file_format_error(self, tmp_path, config):
         header, payload = tiny_captioner_header(config=config)

@@ -1,11 +1,15 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +128,17 @@ def without_references(world, tmp_path, split, captions=()):
     path = tmp_path / "bare.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     return path, bare["id"]
+
+
+def with_config_field(checkpoint, path, field, value):
+    """A copy of ``checkpoint`` at ``path`` whose header sets config ``field`` to ``value``."""
+    raw = checkpoint.read_bytes()
+    head_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + head_len])
+    header["config"][field] = value
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:])
+    return path
 
 
 def without_triplets(world, tmp_path):
@@ -710,6 +725,65 @@ class TestUncaptionedTraining:
         assert bundle_modes == []  # refused before any feature was built
         assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
+    def test_train_vse_image_without_captions_exits_1(self, world, tmp_path, capsys):
+        """The message the captioner trainers give: an uncaptioned image is not skipped."""
+        dataset, image_id = without_references(world, tmp_path, "train")
+        rc = main([str(a) for a in ("train-vse", "--config", world["cfg"], "--dataset", dataset,
+                                    "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {dataset}: image {image_id!r} has no reference captions\n"
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
+
+    def test_train_vse_one_caption_names_the_dataset(self, world, tmp_path, capsys, monkeypatch):
+        records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+        for r in records:
+            r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+        first = next(r for r in records if r["split"] == "train")
+        first["captions"] = first["captions"][:1]
+        dataset = tmp_path / "one.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in records
+                                   if r["split"] != "train" or r is first))
+
+        def load_sgaf(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_sgaf", load_sgaf)
+        rc = main([str(a) for a in ("train-vse", "--config", world["cfg"], "--dataset", dataset,
+                                    "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {dataset}: split 'train' has one caption; "
+                                           "the ranking network trains on at least two image-caption pairs\n")
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
+
+
+def with_feature_matrix(world, tmp_path, split, matrix):
+    """The toy dataset with its last ``split`` image's features replaced by
+    ``matrix``; (dataset path, that feature file, the first train image's)."""
+    records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+    for r in records:
+        r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+    odd = tmp_path / "odd.sgaf"
+    write_sgaf(odd, matrix)
+    [r for r in records if r["split"] == split][-1]["feature_file"] = str(odd)
+    path = tmp_path / "odd.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path, odd, next(r for r in records if r["split"] == "train")["feature_file"]
+
+
+class TestOneFeatureWidth:
+    """Without a checkpoint every image has the first train image's width,
+    checked before ``--out`` or ``--log`` is written."""
+
+    @pytest.mark.parametrize("command,split", [("train-xe", "train"), ("train-xe", "val"), ("train-vse", "train")])
+    def test_image_of_another_width_names_both_files(self, world, tmp_path, capsys, command, split):
+        dataset, odd, first = with_feature_matrix(world, tmp_path, split, np.ones((5, 32), dtype=np.float32))
+        rc = main([str(a) for a in (command, "--config", world["cfg"], "--dataset", dataset,
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck",
+                                    "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {odd}: feature width 32 does not match {first} (64)\n"
+        assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
+
 
 class TestTrainScst:
     def test_mmr_requires_vse_flag(self, world, trained, tmp_path, capsys):
@@ -858,6 +932,15 @@ class TestCaption:
         rc, _ = run(capsys, "caption", "--checkpoint", bad, "--dataset", world["dataset"],
                     "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")
         assert rc == 1
+
+    @pytest.mark.parametrize("field,value", [("max_len", 1.5), ("heads", 2.0), ("max_len", True)])
+    def test_non_integer_config_field_exits_1(self, world, trained, tmp_path, capsys, field, value):
+        bad = with_config_field(trained["xe"], tmp_path / "bad.sgck", field, value)
+        rc = main([str(a) for a in ("caption", "--checkpoint", bad, "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: config field {field} must be an integer, got {value!r}\n"
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_non_finite_weight_exits_1(self, world, trained, tmp_path, capsys):
         bad = tmp_path / "nan.sgck"
@@ -1031,3 +1114,155 @@ class TestAtomicOutputs:
                     "--split", "val", "--out", tmp_path / "caps.jsonl")
         assert rc == 0
         assert [p.name for p in tmp_path.iterdir()] == ["caps.jsonl"]
+
+
+def _edit_record(field, value):
+    """A mutation setting ``field`` of the picked record to ``value``."""
+    def mutate(corpus, k):
+        corpus.records[k % len(corpus.records)][field] = value
+    return mutate
+
+
+def _edit_captions(captions):
+    def mutate(corpus, k):
+        rec = corpus.records[k % len(corpus.records)]
+        rec["captions"] = captions(rec["captions"])
+    return mutate
+
+
+def _edit_split(edit):
+    """A mutation applying ``edit`` to every record of the picked split, or dropping them if it returns None."""
+    def mutate(corpus, k):
+        split = ("train", "val", "test")[k % 3]
+        corpus.records = [r for r in corpus.records if r["split"] != split or edit(r) is not None]
+    return mutate
+
+
+def _edit_score(value):
+    def mutate(corpus, k):
+        rec = corpus.records[k % len(corpus.records)]
+        rec["triplets"] = rec["triplets"] + [{"s": "cube", "p": "on", "o": "table", "score": value}]
+    return mutate
+
+
+def _feature_matrix(matrix):
+    def mutate(corpus, k):
+        path = corpus.root / f"odd{k}.sgaf"
+        write_sgaf(path, matrix)
+        corpus.records[k % len(corpus.records)]["feature_file"] = str(path)
+    return mutate
+
+
+def _duplicate_id(corpus, k):
+    n = len(corpus.records)
+    corpus.records[k % n]["id"] = corpus.records[(k + 1) % n]["id"]
+
+
+def _unknown_triplet_words(corpus, k):
+    rec = corpus.records[k % len(corpus.records)]
+    rec["triplets"] = rec["triplets"] + [{"s": "zzyzx", "p": "qwerty", "o": "xyzzy", "score": 0.5}]
+
+
+def _truncated_word_vector(corpus, k):
+    line = k % len(corpus.wordvecs)
+    corpus.wordvecs[line] = corpus.wordvecs[line].rsplit(" ", 1 + k % 3)[0]
+
+
+def _config_field(checkpoint, fields):
+    """A mutation setting one integer config field of checkpoint ``checkpoint`` to a float or a bool."""
+    def mutate(corpus, k):
+        field = fields[k % len(fields)]
+        value = (1.5, 2.0, True, 8.0)[k // len(fields) % 4]
+        setattr(corpus, checkpoint, with_config_field(getattr(corpus, checkpoint),
+                                                      corpus.root / f"{checkpoint}{k}.sgck", field, value))
+    return mutate
+
+
+# The mutations the exit-code contract is checked against, each applied to a
+# copy of the toy corpus at the record, line, split or field its pick selects.
+CORPUS_MUTATIONS = {
+    "blank caption": _edit_captions(lambda c: [""] + c[1:]),
+    "punctuation-only caption": _edit_captions(lambda c: c[:1] + ["... !"]),
+    "uncaptioned image": _edit_captions(lambda c: []),
+    "uncaptioned split": _edit_split(lambda r: r.update(captions=[]) or r),
+    "missing split": _edit_split(lambda r: None),
+    "duplicated id": _duplicate_id,
+    "NaN triplet score": _edit_score(math.nan),
+    "inf triplet score": _edit_score(math.inf),
+    "bool triplet score": _edit_score(True),
+    "bool captions": _edit_record("captions", True),
+    "bool split": _edit_record("split", False),
+    "bool feature file": _edit_record("feature_file", True),
+    "empty feature file": _feature_matrix(np.zeros((0, 64), dtype=np.float32)),
+    "NaN feature file": _feature_matrix(np.full((3, 64), np.nan, dtype=np.float32)),
+    "other-width feature file": _feature_matrix(np.ones((3, 32), dtype=np.float32)),
+    "unknown triplet words": _unknown_triplet_words,
+    "truncated word-vector line": _truncated_word_vector,
+    "captioner config field": _config_field("xe", ["vocab_size", "d_model", "embed_dim", "heads",
+                                                   "spatial_dim", "max_len"]),
+    "ranking network config field": _config_field("vse", ["vocab_size", "spatial_dim", "embed_dim",
+                                                          "hidden_dim", "space_dim"]),
+}
+
+
+class _Corpus:
+    """A copy of the toy corpus and its two checkpoints, for one drawn example."""
+
+    def __init__(self, world, trained, root):
+        self.root = root
+        self.records = [json.loads(line) for line in world["dataset"].read_text().splitlines()]
+        for r in self.records:
+            r["feature_file"] = str(world["dataset"].parent / r["feature_file"])
+        self.wordvecs = world["wordvecs"].read_text().splitlines()
+        self.xe, self.vse = trained["xe"], trained["vse"]
+
+    def commands(self, cfg):
+        """Every data command's argument list, once the corpus is written."""
+        dataset, wordvecs = self.root / "dataset.jsonl", self.root / "wordvecs.txt"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in self.records))
+        wordvecs.write_text("".join(line + "\n" for line in self.wordvecs))
+        candidates = self.root / "candidates.jsonl"
+        candidates.write_text("".join(json.dumps({"id": str(r["id"]), "caption": "a red cube"}) + "\n"
+                                      for r in self.records))
+        out = self.root / "out"
+        data = ["--dataset", dataset]
+        corpus = ["--config", cfg, *data, "--wordvecs", wordvecs, "--set", "vse.epochs=1",
+                  "--set", "phase1.max_epochs=1", "--set", "phase2.max_steps=1"]
+        trainer = ["--out", out, "--log", self.root / "log.jsonl"]
+        self.files = [dataset, wordvecs, candidates, cfg, self.xe, self.vse,
+                      *(r["feature_file"] for r in self.records if isinstance(r.get("feature_file"), str))]
+        return [
+            ["build-vocab", "--config", cfg, *data, "--out", out],
+            ["coverage-stats", *data],
+            ["featurize", *corpus, "--out-dir", self.root / "rel"],
+            ["train-vse", *corpus, *trainer],
+            ["train-xe", *corpus, *trainer],
+            ["train-scst", *corpus, "--checkpoint", self.xe, "--reward", "cider", *trainer],
+            ["train-scst", *corpus, "--checkpoint", self.xe, "--vse", self.vse, *trainer],
+            ["caption", *corpus, "--checkpoint", self.xe, "--split", "test", "--out", out],
+            ["evaluate", *data, "--candidates", candidates, "--split", "test"],
+        ]
+
+
+class TestExitCodeContract:
+    """Every data command on a mutated corpus exits 0 or 1 without a
+    traceback, and an exit 1 names a file of the run."""
+
+    @given(mutations=st.lists(st.tuples(st.sampled_from(sorted(CORPUS_MUTATIONS)), st.integers(0, 59)),
+                              min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_mutated_corpus(self, world, trained, tmp_path_factory, mutations):
+        corpus = _Corpus(world, trained, tmp_path_factory.mktemp("mutated"))
+        for name, k in mutations:
+            CORPUS_MUTATIONS[name](corpus, k)
+        for argv in corpus.commands(world["cfg"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty sampled caption's vision reward
+                rc = main([str(a) for a in argv])
+            message = err.getvalue()
+            assert rc in (0, 1), (argv[0], message)
+            assert "Traceback" not in message
+            if rc == 1:
+                assert any(str(f) in message for f in corpus.files), (argv[0], message)

@@ -61,6 +61,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="margin"):
                 VseConfig(vocab_size=9, margin=margin)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "spatial_dim", "embed_dim", "hidden_dim", "space_dim"])
+    @pytest.mark.parametrize("value", [6.0, 6.5, True])
+    def test_integer_field_takes_only_an_int(self, field, value):
+        with pytest.raises(TypeError, match=f"config field {field} must be an integer"):
+            VseConfig(**{**TINY, field: value})
+
     def test_dict_round_trip(self):
         config = VseConfig(**TINY)
         assert VseConfig(**asdict(config)) == config
