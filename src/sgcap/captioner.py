@@ -8,9 +8,11 @@ import numpy as np
 from .decoder import DecoderParams
 from .encoder import EncoderParams
 from .features import WORD_VECTOR_DIM, check_triplet_mode
-from .nn import ParamArrays, check_int_fields
+from .nn import ParamArrays, check_int_fields, check_positive_fields
 
-__all__ = ["CaptionerConfig", "CaptionerParams"]
+__all__ = ["MAX_LEN_LIMIT", "CaptionerConfig", "CaptionerParams"]
+
+MAX_LEN_LIMIT = 1000  # most tokens a caption may run to; greedy decoding runs up to max_len steps
 
 
 @dataclass
@@ -25,8 +27,9 @@ class CaptionerConfig:
 
     def __post_init__(self):
         check_int_fields(self)
-        if min(self.d_model, self.embed_dim, self.heads, self.spatial_dim, self.max_len) < 1:
-            raise ValueError("model widths, head count and max_len must be positive")
+        check_positive_fields(self, ("d_model", "embed_dim", "heads", "spatial_dim", "max_len"))
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"config field max_len must be at most {MAX_LEN_LIMIT}, got {self.max_len}")
         if self.d_model % self.heads != 0:
             raise ValueError(f"heads {self.heads} must divide d_model {self.d_model}")
         if self.vocab_size < 5:

@@ -39,6 +39,7 @@ from .features import (
     read_jsonl,
     text_lines,
     tokenize,
+    vocabulary_of_tokens,
     write_sgaf,
 )
 from .gradaudit import run_audit
@@ -241,8 +242,9 @@ def _scored_split(dataset, name, path):
     return records, refs
 
 
-def _vocabulary(cfg: RunConfig, records):
-    return build_vocabulary((c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count"))
+def _vocabulary(cfg: RunConfig, refs):
+    """The vocabulary of a split's references, as ``_scored_split`` returns them."""
+    return vocabulary_of_tokens((c for r in refs for c in r), min_count=cfg.get("vocab.min_count"))
 
 
 def cmd_make_toy_data(args) -> int:
@@ -253,7 +255,7 @@ def cmd_build_vocab(args) -> int:
     cfg = load_run_config(args)
     dataset = load_dataset(args.dataset)
     records = dataset.records if args.split == "all" else _split_records(dataset, args.split, args.dataset)
-    vocab = _vocabulary(cfg, records)
+    vocab = build_vocabulary((c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count"))
     vocab.save(args.out)
     return _report({"out": str(args.out), "tokens": len(vocab), "split": args.split})
 
@@ -280,7 +282,7 @@ def cmd_train_vse(args) -> int:
     if sum(map(len, refs)) < 2:
         raise FileFormatError(f"{args.dataset}: split 'train' has one caption; "
                               "the ranking network trains on at least two image-caption pairs")
-    vocab = _vocabulary(cfg, records)
+    vocab = _vocabulary(cfg, refs)
     pairs = []
     for rec, captions in zip(records, refs):
         spatial = spatial_of(rec)
@@ -310,22 +312,21 @@ def _save_trained(args, params, vocab, seed, result, **summary) -> int:
 
 
 def _trainer_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
-    """train-xe's and train-scst's train records, their (features, references) items, the
-    val items and the idf table; train features first, so a train image sets the width."""
+    """train-xe's and train-scst's train and val (features, references) items and the
+    idf table; train features first, so a train image sets the width."""
     dataset, _, _, bundle_of = _load_corpus(args, cfg, params)
     train_recs, train_refs = _scored_split(dataset, "train", args.dataset)
     val_recs, val_refs = _scored_split(dataset, "val", args.dataset)
     train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
     val_items = [(bundle_of(r), refs) for r, refs in zip(val_recs, val_refs)]
-    return train_recs, train_items, val_items, compute_idf(train_refs)
+    return train_items, val_items, compute_idf(train_refs)
 
 
 def cmd_train_xe(args) -> int:
     cfg = load_run_config(args)
-    train_recs, train_items, val_items, idf = _trainer_corpus(args, cfg)
-    vocab = _vocabulary(cfg, train_recs)
-    train_pairs = [(bundle, vocab.encode_caption(caption))
-                   for rec, (bundle, _) in zip(train_recs, train_items) for caption in rec.captions]
+    train_items, val_items, idf = _trainer_corpus(args, cfg)
+    vocab = _vocabulary(cfg, (refs for _, refs in train_items))
+    train_pairs = [(bundle, vocab.encode_tokens(tokens)) for bundle, refs in train_items for tokens in refs]
     seed = cfg.get("seed")
     model_config = _config(CaptionerConfig, cfg, "model.", vocab_size=len(vocab),
                            spatial_dim=train_pairs[0][0].spatial.shape[1])
@@ -355,7 +356,7 @@ def cmd_train_scst(args) -> int:
                 f"{args.vse}: feature width {vse_params.config.spatial_dim} differs from "
                 f"{args.checkpoint} ({params.config.spatial_dim}); both checkpoints must read one width"
             )
-    _, train_items, val_items, idf = _trainer_corpus(args, cfg, params)
+    train_items, val_items, idf = _trainer_corpus(args, cfg, params)
     seed = cfg.get("seed")
     result = train_scst(
         params, train_items, val_items, vocab, train_config_from(cfg), idf,

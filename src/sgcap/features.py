@@ -44,6 +44,7 @@ __all__ = [
     "tokenize",
     "Vocabulary",
     "build_vocabulary",
+    "vocabulary_of_tokens",
     "WordVectorTable",
     "load_word_vectors",
     "text_lines",
@@ -72,6 +73,8 @@ _SGAF_MAGIC = b"SGAF"
 _SGAF_VERSION = 1
 
 _PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")
+_PUNCT_BYTES = string.punctuation.encode("ascii")
+_ASCII_LOWER = bytes.maketrans(string.ascii_uppercase.encode("ascii"), string.ascii_lowercase.encode("ascii"))
 
 
 class FileFormatError(ValueError):
@@ -79,7 +82,14 @@ class FileFormatError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, strip ASCII punctuation, split on whitespace."""
+    """Lowercase, strip ASCII punctuation, split on whitespace.
+
+    ASCII text, whose ``str.lower`` maps A-Z alone, is lowered and loses
+    its punctuation in one ``bytes.translate``; any other text is lowered
+    (the Kelvin sign becomes ASCII ``k``) and then loses it through a regex.
+    """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_LOWER, _PUNCT_BYTES).decode("ascii").split()
     return _PUNCT.sub("", text.lower()).split()
 
 
@@ -121,7 +131,11 @@ class Vocabulary:
 
     def encode_caption(self, text: str) -> list[int]:
         """BOS, token ids (UNK for out-of-vocabulary), EOS."""
-        return [BOS] + [self.token_to_id(t) for t in tokenize(text)] + [EOS]
+        return self.encode_tokens(tokenize(text))
+
+    def encode_tokens(self, tokens: Iterable[str]) -> list[int]:
+        """``encode_caption`` of a caption already tokenized."""
+        return [BOS] + [self.token_to_id(t) for t in tokens] + [EOS]
 
     def decode_tokens(self, token_ids: Iterable[int]) -> str:
         """Words joined by spaces; PAD/BOS skipped, EOS terminates."""
@@ -149,11 +163,16 @@ class Vocabulary:
 
 def build_vocabulary(captions: Iterable[str], min_count: int = 5) -> Vocabulary:
     """Count tokens over the corpus; keep those seen at least min_count times."""
+    return vocabulary_of_tokens(map(tokenize, captions), min_count)
+
+
+def vocabulary_of_tokens(captions: Iterable[Sequence[str]], min_count: int = 5) -> Vocabulary:
+    """``build_vocabulary`` of captions already tokenized."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: dict[str, int] = {}
-    for text in captions:
-        for tok in tokenize(text):
+    for tokens in captions:
+        for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count),
@@ -470,10 +489,40 @@ def _is_triplet(t) -> bool:
 _RECORD_FIELDS = {
     "split": (lambda x: x in _VALID_SPLITS, f"one of {_VALID_SPLITS}"),
     "captions": (lambda x: isinstance(x, list) and _all_strings(x), "a list of strings"),
-    "triplets": (lambda x: isinstance(x, list) and all(_is_triplet(t) for t in x),
+    "triplets": (lambda x: isinstance(x, list) and all(map(_is_triplet, x)),
                  'a list of {"s", "p", "o": string, "score": finite number} objects'),
     "feature_file": (lambda x: isinstance(x, str), "a string"),
 }
+
+
+_JSON_WS = " \t\r\n"  # the only whitespace JSON allows around a value
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_object(path: Path, lineno: int, line: str) -> Optional[dict]:
+    """The object a line holds, None for a blank line (``str.strip`` empty).
+
+    The C scanner reads the line from its first character that is not JSON
+    whitespace; when one object and JSON whitespace alone fill the line,
+    that object is ``json.loads``'s. Every other line goes to ``json.loads``
+    itself, so an error keeps its text.
+    """
+    body = line.strip(_JSON_WS)
+    try:
+        obj, end = _scan_json(body, 0)
+        if end == len(body) and type(obj) is dict:
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
+        raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
+    return obj
 
 
 def read_jsonl(path, fields: dict) -> Iterator[tuple[str, dict]]:
@@ -483,26 +532,23 @@ def read_jsonl(path, fields: dict) -> Iterator[tuple[str, dict]]:
     Each must hold an "id", unique after ``str()`` (the id yielded), plus
     every key of ``fields`` (key -> (test of its value, what the test asks
     for)) with a value that passes its test. Anything else is a
-    ``FileFormatError`` naming the line.
+    ``FileFormatError`` naming the line: the first key of ``("id", *fields)``
+    missing, else the first field that fails its test.
     """
     path = Path(path)
-    keys = ("id", *fields)
+    checks = tuple(fields.items())
     first_line: dict[str, int] = {}  # id -> line it first appeared on
     for lineno, line in text_lines(path):
-        if not line.strip():
+        obj = _json_object(path, lineno, line)
+        if obj is None:
             continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # bad JSON, huge number, nesting too deep
-            raise FileFormatError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise FileFormatError(f"{path}:{lineno}: record is not a JSON object")
-        for key in keys:
-            if key not in obj:
-                raise FileFormatError(f"{path}:{lineno}: missing key {key!r}")
-        for key, (valid, what) in fields.items():
-            if not valid(obj[key]):
-                raise FileFormatError(f"{path}:{lineno}: {key} must be {what}")
+        if "id" not in obj:
+            raise FileFormatError(f"{path}:{lineno}: missing key 'id'")
+        for key, (valid, what) in checks:
+            if key not in obj or not valid(obj[key]):
+                missing = next((k for k in fields if k not in obj), None)
+                problem = f"missing key {missing!r}" if missing is not None else f"{key} must be {what}"
+                raise FileFormatError(f"{path}:{lineno}: {problem}")
         ident = str(obj["id"])
         if ident in first_line:
             raise FileFormatError(

@@ -29,6 +29,7 @@ __all__ = [
     "init_weight",
     "ParamArrays",
     "check_int_fields",
+    "check_positive_fields",
     "LinearLayer",
     "EmbeddingTable",
     "LstmParams",
@@ -117,6 +118,13 @@ def check_int_fields(config) -> None:
     for f in fields(config):
         if f.type in (int, "int") and type(getattr(config, f.name)) is not int:
             raise TypeError(f"config field {f.name} must be an integer, got {getattr(config, f.name)!r}")
+
+
+def check_positive_fields(config, names: Sequence[str]) -> None:
+    """Refuse a config whose named integer fields hold a value below 1, naming the first."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"config field {name} must be at least 1, got {getattr(config, name)}")
 
 
 @dataclass

@@ -40,7 +40,10 @@ from .autodiff import (
     sum_all,
 )
 from .ioutil import run_log
-from .nn import EmbeddingTable, LinearLayer, LstmParams, ParamArrays, check_int_fields, descend, epoch_batches
+from .nn import (
+    EmbeddingTable, LinearLayer, LstmParams, ParamArrays, check_int_fields, check_positive_fields, descend,
+    epoch_batches,
+)
 
 __all__ = [
     "VseConfig",
@@ -67,6 +70,7 @@ class VseConfig:
 
     def __post_init__(self):
         check_int_fields(self)
+        check_positive_fields(self, ("spatial_dim", "embed_dim", "hidden_dim", "space_dim"))
         if self.vocab_size < 5:
             raise ValueError("vocabulary must contain the specials plus at least one word")
         if not (math.isfinite(self.margin) and self.margin >= 0):

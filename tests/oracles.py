@@ -766,6 +766,16 @@ def ref_tokenize(text: str) -> list[str]:
     return text.lower().translate(str.maketrans("", "", string.punctuation)).split()
 
 
+# The regex form the library ran on every text before ASCII text went through
+# bytes.translate; the two must agree with == on any text.
+
+
+def ref_tokenize_regex(text: str) -> list[str]:
+    import re
+
+    return re.sub(f"[{re.escape(string.punctuation)}]", "", text.lower()).split()
+
+
 # ---------------------------------------------------------------------------
 # The ranking network's per-pair path, kept as the reference form of its
 # row-batched one: a table lookup and an LSTM cell per token (lstm_run),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import Checkpoint, load_checkpoint
-from sgcap.captioner import CaptionerConfig, CaptionerParams
+from sgcap.captioner import MAX_LEN_LIMIT, CaptionerConfig, CaptionerParams
 from sgcap.checkpoint import (
     KINDS,
     MAGIC,
@@ -333,6 +334,19 @@ class TestHeaderValidation:
         write_with_header(tmp_path / "x.sgck", header, payload)
         assert load_checkpoint(tmp_path / "x.sgck").config == config  # the container is sound
         with pytest.raises(FileFormatError):
+            load_captioner(tmp_path / "x.sgck")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_len", MAX_LEN_LIMIT + 1, f"max_len must be at most {MAX_LEN_LIMIT}"),
+        ("max_len", 10**30, f"max_len must be at most {MAX_LEN_LIMIT}"),
+        ("max_len", 0, "max_len must be at least 1"), ("heads", -2, "heads must be at least 1"),
+        ("spatial_dim", 0, "spatial_dim must be at least 1"),
+    ])
+    def test_config_field_out_of_range_names_file_and_field(self, tmp_path, field, value, message):
+        header, payload = tiny_captioner_header(config={**TINY_CONFIG, field: value})
+        write_with_header(tmp_path / "x.sgck", header, payload)
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(tmp_path / 'x.sgck'))}: config field "
+                                                  f"{message}, got {value}$"):
             load_captioner(tmp_path / "x.sgck")
 
     def test_vocabulary_without_specials_is_a_file_format_error(self, tmp_path):

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import io
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import sgcap
 import sgcap.cli as cli
-from sgcap.captioner import CaptionerConfig
+import sgcap.features as features
+from sgcap.captioner import MAX_LEN_LIMIT, CaptionerConfig
 from oracles import load_checkpoint
 from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner
 from sgcap.cli import main, parse_config_file
@@ -950,6 +952,75 @@ class TestCaption:
                    "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "c.jsonl")])
         assert rc == 1
         assert "'decoder.out_proj.weight' holds NaN or inf" in capsys.readouterr().err
+
+
+class TestConfigBounds:
+    """A max_len above MAX_LEN_LIMIT, or a ranking-network width below 1, exits 1
+    before any training or decoding, naming the field (and the checkpoint it is in)."""
+
+    @pytest.mark.parametrize("value", [MAX_LEN_LIMIT + 1, 10**30])
+    def test_checkpoint_max_len_above_the_limit(self, world, trained, tmp_path, capsys, value):
+        bad = with_config_field(trained["xe"], tmp_path / "bad.sgck", "max_len", value)
+        rc = main([str(a) for a in ("caption", "--checkpoint", bad, "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: config field max_len must be at most {MAX_LEN_LIMIT}, got {value}\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_checkpoint_max_len_at_the_limit_loads(self, trained, tmp_path):
+        ok = with_config_field(trained["xe"], tmp_path / "ok.sgck", "max_len", MAX_LEN_LIMIT)
+        assert load_captioner(ok)[0].config.max_len == MAX_LEN_LIMIT
+
+    def test_train_xe_max_len_above_the_limit(self, world, tmp_path, capsys):
+        out, log = tmp_path / "x.sgck", tmp_path / "log.jsonl"
+        rc = main([str(a) for a in ("train-xe", "--config", world["cfg"], "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--set", "model.max_len=1000000000000",
+                                    "--out", out, "--log", log)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config field max_len must be at most {MAX_LEN_LIMIT}, got 1000000000000\n")
+        assert not out.exists() and not log.exists()
+
+    @pytest.mark.parametrize("field,value", [("embed_dim", 0), ("hidden_dim", 0), ("space_dim", -1)])
+    def test_train_vse_width_below_1(self, world, tmp_path, capsys, field, value):
+        out = tmp_path / "v.sgck"
+        rc = main([str(a) for a in ("train-vse", "--config", world["cfg"], "--dataset", world["dataset"],
+                                    "--set", f"vse.{field}={value}", "--out", out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config field {field} must be at least 1, got {value}\n"
+        assert not out.exists()
+
+    def test_vse_checkpoint_spatial_dim_below_1(self, world, trained, tmp_path, capsys):
+        bad = with_config_field(trained["vse"], tmp_path / "bad.sgck", "spatial_dim", 0)
+        out = tmp_path / "s.sgck"
+        rc = main([str(a) for a in ("train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"],
+                                    "--vse", bad, "--out", out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: config field spatial_dim must be at least 1, got 0\n"
+        assert not out.exists()
+
+
+class TestTokenizedOnce:
+    @pytest.mark.parametrize("command,splits", [("train-vse", ("train",)), ("train-xe", ("train", "val"))])
+    def test_each_caption_is_tokenized_once(self, world, tmp_path, capsys, monkeypatch, command, splits):
+        calls = collections.Counter()
+        real = features.tokenize
+
+        def tokenize(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(cli, "tokenize", tokenize)
+        monkeypatch.setattr(features, "tokenize", tokenize)
+        rc, _ = run(capsys, command, "--config", world["cfg"], "--dataset", world["dataset"],
+                    "--wordvecs", world["wordvecs"], "--set", "vse.epochs=1", "--set", "phase1.max_epochs=1",
+                    "--out", tmp_path / "m.sgck")
+        assert rc == 0
+        captions = collections.Counter(c for r in load_dataset(world["dataset"]).records if r.split in splits
+                                       for c in r.captions)
+        assert collections.Counter({text: n for text, n in calls.items() if text in captions}) == captions
 
 
 class TestEvaluate:

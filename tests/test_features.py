@@ -2,6 +2,7 @@
 
 import gc
 import json
+import string
 import warnings
 from pathlib import Path, PurePath
 
@@ -15,7 +16,9 @@ from oracles import (
     ref_load_dataset,
     ref_load_word_vectors,
     ref_relationship_matrix_lstm,
+    ref_read_jsonl,
     ref_tokenize,
+    ref_tokenize_regex,
 )
 from sgcap import nn
 from sgcap.autodiff import Tape
@@ -28,6 +31,7 @@ from sgcap.features import (
     TRIPLET_MODES,
     UNK,
     Dataset,
+    _RECORD_FIELDS,
     FeatureBundle,
     FileFormatError,
     ImageRecord,
@@ -41,8 +45,10 @@ from sgcap.features import (
     load_sgaf,
     load_word_vectors,
     make_triplet_lstm,
+    read_jsonl,
     select_top_triplets,
     tokenize,
+    vocabulary_of_tokens,
     write_sgaf,
 )
 
@@ -63,6 +69,20 @@ class TestTokenize:
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_on_any_text(self, text):
         assert tokenize(text) == ref_tokenize(text)
+
+    @pytest.mark.parametrize("text", ["\u212a", "\u212aELVIN.", "\u0130stanbul!", "Stra\u00dfe,", "...", "A.B c"])
+    def test_letters_whose_lowercase_changes_script(self, text):
+        # the Kelvin sign lowers to ASCII k; dotted I and sharp s stay non-ASCII
+        assert tokenize(text) == ref_tokenize_regex(text)
+
+    @given(st.one_of(
+        st.text(st.characters(max_codepoint=127)),
+        st.text(st.sampled_from(list(string.punctuation + " \t"))),
+        st.text(st.one_of(st.characters(), st.sampled_from(list("\u212a\u0130\u00df.,!? \x1c\x85")))),
+    ))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_equals_regex_form_on_ascii_punctuation_and_other_text(self, text):
+        assert tokenize(text) == ref_tokenize_regex(text)
 
 
 class TestVocabulary:
@@ -92,6 +112,18 @@ class TestVocabulary:
         v1 = build_vocabulary(caps, min_count=1)
         v2 = build_vocabulary(list(reversed(caps)), min_count=1)
         assert v1.tokens == v2.tokens
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_token_form_equals_string_form(self, min_count):
+        caps = ["A red cube.", "a RED sphere", "the cube, the sphere!", ""]
+        tokens = [tokenize(c) for c in caps]
+        v = vocabulary_of_tokens(tokens, min_count)
+        assert v.tokens == build_vocabulary(caps, min_count).tokens and v.min_count == min_count
+        assert [v.encode_tokens(t) for t in tokens] == [v.encode_caption(c) for c in caps]
+
+    def test_token_form_refuses_min_count_below_1(self):
+        with pytest.raises(ValueError, match="min_count"):
+            vocabulary_of_tokens([["a"]], 0)
 
     def test_encode_decode_round_trip(self):
         v = build_vocabulary(["a red circle above the square"], min_count=1)
@@ -788,6 +820,89 @@ class TestLazyFeatureFile:
         assert rec.feature_file == "g"
         assert ImageRecord("i", "train", [], [], "f0", base=tmp_path) == ImageRecord(
             "i", "train", [], [], tmp_path / "f0")
+
+
+def _with_json_whitespace(line):
+    return st.tuples(st.text(" \t\r", max_size=2), st.text(" \t\r", max_size=2)).map(
+        lambda ws: ws[0] + line + ws[1])
+
+
+GOOD_RECORDS = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "b", 1, 1.0, True, None]) | st.text(max_size=3),
+    "split": st.sampled_from(["train", "val", "test"]),
+    "captions": st.lists(st.text(max_size=6), max_size=2),
+    "triplets": st.lists(st.fixed_dictionaries({
+        "s": st.text(max_size=3), "p": st.text(max_size=3), "o": st.text(max_size=3),
+        "score": st.floats(-2, 2) | st.integers(-2, 2)}), max_size=2),
+    "feature_file": st.text(max_size=6),
+})
+RECORD_LINES = st.tuples(GOOD_RECORDS, st.booleans()).map(lambda r: json.dumps(r[0], ensure_ascii=r[1]))
+MISSING_KEY_LINES = st.tuples(GOOD_RECORDS, st.sampled_from(["id", *_RECORD_FIELDS])).map(
+    lambda r: json.dumps({k: v for k, v in r[0].items() if k != r[1]}))
+BAD_FIELD_LINES = st.tuples(GOOD_RECORDS, st.sampled_from(["id", *_RECORD_FIELDS]), JSON).map(
+    lambda r: json.dumps({**r[0], r[1]: r[2]}))  # JSON draws NaN and the infinities as literals
+BLANK_LINES = st.text(" \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000", max_size=3)  # str.strip empties
+# lines json.loads reads as one object each, and blank lines
+ACCEPTED_LINES = st.one_of(RECORD_LINES, RECORD_LINES.flatmap(_with_json_whitespace), BLANK_LINES)
+# one JSON line each: a record, maybe with leading and trailing JSON whitespace, a BOM, other
+# whitespace, text after it, a second object, nesting as deep as C's recursion limit or deeper
+JSON_LINES = st.one_of(
+    RECORD_LINES, MISSING_KEY_LINES, BAD_FIELD_LINES,
+    ACCEPTED_LINES,
+    st.tuples(st.sampled_from(["\ufeff", "\x0b", "\xa0", "\x0c", "\u3000"]), RECORD_LINES,
+              st.booleans()).map(lambda t: t[1] + t[0] if t[2] else t[0] + t[1]),
+    st.tuples(RECORD_LINES, st.sampled_from(["x", "}", "]", ",", "//", "\x00", " 1", "{}"])).map("".join),
+    st.tuples(RECORD_LINES, st.sampled_from(["", " ", "\t"]), RECORD_LINES).map("".join),
+    st.tuples(GOOD_RECORDS, st.sampled_from(["NaN", "Infinity", "-Infinity", "-NaN", "nan", "1e400"]),
+              st.sampled_from(["id", "score"])).map(
+        lambda r: json.dumps({**r[0], "id": "\x00"}).replace('"\\u0000"', r[1]) if r[2] == "id"
+        else json.dumps({**r[0], "triplets": [{"s": "a", "p": "b", "o": "c", "score": 0.5}]})
+        .replace('"score": 0.5', f'"score": {r[1]}')),
+    st.tuples(GOOD_RECORDS, st.sampled_from([1, 40, 100_000]), st.booleans()).map(
+        lambda r: json.dumps({**r[0], "id": "\x00"}).replace(
+            '"\\u0000"', "[" * r[1] + "]" * (r[1] if r[2] else 0))),
+    st.sampled_from(["[]", "[1]", "3", '"x"', "null", "{", "{}", '{"id": 1', "", "\r"]),
+    RECORD_LINES.flatmap(lambda line: st.integers(0, len(line)).map(lambda k: line[:k])),
+)
+
+
+def read_outcome(read, path):
+    """repr of what a reader yields under the dataset's fields (NaN and -0.0
+    compare by it), or the message of the FileFormatError raised."""
+    try:
+        return repr(list(read(path, _RECORD_FIELDS)))
+    except FileFormatError as exc:
+        return f"FileFormatError: {exc}"
+
+
+class TestJsonLinesReaders:
+    """read_jsonl and load_dataset against the form that ran json.loads per line."""
+
+    @given(lines=st.lists(ACCEPTED_LINES, max_size=3), line=JSON_LINES, at=st.integers(0, 3),
+           end=st.sampled_from(["\n", "\r\n", ""]))
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_drawn_lines_equal_per_line_json_loads(self, fuzz_dir, lines, line, at, end):
+        lines.insert(at, line)
+        path = fuzz_dir / "lines.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + end.encode())
+        ref = read_outcome(lambda p, f: [(str(o["id"]), o) for o in ref_read_jsonl(p, f)], path)
+        assert read_outcome(read_jsonl, path) == ref
+        assert load_outcome(load_dataset, path) == load_outcome(ref_load_dataset, path)
+
+    def test_missing_key_comes_before_a_failing_field(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"split": "dev", "captions": 1, "id": 1, "triplets": []}) + "\n")
+        with pytest.raises(FileFormatError, match=r":1: missing key 'feature_file'$"):
+            load_dataset(path)
+        path.write_text(json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "id"} | {"split": 1}) + "\n")
+        with pytest.raises(FileFormatError, match=r":1: missing key 'id'$"):
+            load_dataset(path)
+
+    def test_well_formed_lines_never_reach_json_loads(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        path.write_text(" " + json.dumps(GOOD_RECORD) + "\t\r\n\n" + json.dumps({**GOOD_RECORD, "id": 2}))
+        monkeypatch.setattr(json, "loads", None)
+        assert [r.image_id for r in load_dataset(path).records] == ["x", "2"]
 
 
 class TestBatchedTripletRows:

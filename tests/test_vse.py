@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"config field {field} must be an integer"):
             VseConfig(**{**TINY, field: value})
 
+    @pytest.mark.parametrize("field", ["spatial_dim", "embed_dim", "hidden_dim", "space_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_width_below_1_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^config field {field} must be at least 1, got {value}$"):
+            VseConfig(**{**TINY, field: value})
+
     def test_dict_round_trip(self):
         config = VseConfig(**TINY)
         assert VseConfig(**asdict(config)) == config
