@@ -15,7 +15,7 @@ from sgcap.attention import (
     multi_head_attention,
     scaled_dot_attention,
 )
-from sgcap.autodiff import add, constant, linear, sigmoid
+from sgcap.autodiff import add, constant, linear
 from sgcap.encoder import RefinePathParams, refine
 
 rng = np.random.default_rng(1)
@@ -41,8 +41,9 @@ gated = aoa_block(aoa, q, v_hat)
 print("\ngated attention output:", np.round(gated.data[0], 3))
 
 # the gate itself is a sigmoid of a linear map of query and context
-gate = sigmoid(add(linear(q, aoa.w_q_gate, aoa.b_gate), linear(v_hat, aoa.w_v_gate)))
-print("gate values (all in (0, 1)):", np.round(gate.data[0], 3))
+pre = add(linear(q, aoa.w_q_gate, aoa.b_gate), linear(v_hat, aoa.w_v_gate))
+gate = 1.0 / (1.0 + np.exp(-pre.data))
+print("gate values (all in (0, 1)):", np.round(gate[0], 3))
 
 # --- one refinement pass, as the encoder applies it to each path ---
 path = RefinePathParams.init(rng, d, heads=2)

@@ -13,11 +13,11 @@ leaves and intermediates alike.
 Weight and embedding gradients are settled once per backward rather than
 once per use. An op hands the tape a weight's gradient as its factors:
 the pair (g, x) of ``g.T @ x`` (``linear``, ``aoa``, the cells), or
-the pair (indices, rows) of a scatter-add into a zero table
-(``gather_rows``). The tape collects the pairs of each tensor and settles
-them as one ``concat(g).T @ concat(x)`` product and one ``np.add.at``:
-a leaf at the end of the pass, an op output just before that op's own
-backward. A weight used at every step of a caption thus costs one GEMM
+the pair (indices, rows) of a scatter-add into a zero table (the token
+rows of ``lstm_sequences`` and ``decoder_cell``). The tape collects the
+pairs of each tensor and settles them as one ``concat(g).T @ concat(x)``
+product and one ``np.add.at``: a leaf at the end of the pass, an op
+output just before that op's own backward. A weight used at every step of a caption thus costs one GEMM
 over all steps instead of one outer product per step. Dense gradients
 are summed in place, but only into buffers the tape allocated itself,
 since an op may hand one array to several inputs.
@@ -85,11 +85,9 @@ __all__ = [
     "linear_each",
     "reshape",
     "concat",
-    "gather_rows",
     "mean_rows",
     "row_sums",
     "sum_all",
-    "sigmoid",
     "tanh",
     "relu",
     "softmax",
@@ -531,25 +529,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(data, tensors, backward_fn)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a matrix by integer index (rows may repeat).
-
-    A sequence of indices gives a matrix of rows, a single index the row
-    itself as a vector.
-    """
-    if table.data.ndim != 2:
-        raise DimensionError(f"gather_rows expects a matrix, got shape {tuple(table.data.shape)}")
-    indices = np.asarray(indices, dtype=np.int64)
-    idx = indices.reshape(-1)
-    if idx.size == 0:
-        raise DimensionError("gather_rows with no indices")
-    if idx.min() < 0 or idx.max() >= table.data.shape[0]:
-        raise IndexError(f"gather_rows index out of range [0, {table.data.shape[0]})")
-    rows = table.data[idx[0]].copy() if indices.ndim == 0 else table.data[idx]
-    shape = (idx.size, table.data.shape[1])
-    return _emit(rows, (table,), lambda g: (_Scatter(idx, g.reshape(shape)),))
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over rows of a matrix: (N, d) -> (d,)."""
     if a.data.ndim != 2:
@@ -576,11 +555,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-    return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:

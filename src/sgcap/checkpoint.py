@@ -144,6 +144,9 @@ def _load_model(path, kind: str, config_cls, params_cls):
             vocab = Vocabulary(header["vocab"])
         except (TypeError, ValueError) as exc:  # the config or the arrays do not fit the model
             raise FileFormatError(f"{path}: {exc}") from None
+        if len(vocab) != params.config.vocab_size:  # token ids must index both the list and the tables
+            raise FileFormatError(f"{path}: vocabulary of {len(vocab)} tokens does not fit "
+                                  f"config field vocab_size {params.config.vocab_size}")
         _read_payload(fh, path, manifest, [slots[name].data for name, _ in manifest])
     return params, vocab, header["seed"]
 

@@ -1,11 +1,11 @@
 """Command-line surface: data prep, training, decoding, evaluation, audits.
 
 Configuration is a flat ``key=value`` text file ('#' starts a comment).
-The commands that read one (build-vocab, featurize, the three trainers
-and caption) accept ``--config`` plus repeatable ``--set key=value``
-overrides; a handful of common knobs also have dedicated flags which win
-over both. Exit codes: 0 success, 2 usage error, 1 runtime error. All
-final artifacts are written atomically; training logs stream per epoch.
+The commands that read one (the three trainers and caption) accept
+``--config`` plus repeatable ``--set key=value`` overrides; a handful of
+common knobs also have dedicated flags which win over both. Exit codes:
+0 success, 2 usage error, 1 runtime error. All final artifacts are
+written atomically; training logs stream per epoch.
 
 Every command checks the corpus by one rule per fault: a split it trains
 on or scores needs a caption with a word on every image (so ``train-vse``
@@ -28,8 +28,6 @@ from .decoder import generate_greedy
 from .encoder import encode
 from .features import (
     FileFormatError,
-    build_relationship_matrix,
-    build_vocabulary,
     check_triplet_mode,
     coverage_stats,
     load_bundle,
@@ -40,7 +38,6 @@ from .features import (
     text_lines,
     tokenize,
     vocabulary_of_tokens,
-    write_sgaf,
 )
 from .gradaudit import run_audit
 from .ioutil import atomic_write_text
@@ -190,10 +187,10 @@ def _report(obj, out=None) -> int:
 
 
 def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None, word_vectors=True):
-    """Dataset, word vectors, triplet mode and the closure that builds an image's
-    features (its spatial map alone without ``word_vectors``) under the one width
-    rule: given checkpoint ``params``, in its triplet mode and width (a config naming
-    another mode is a usage error), else the first map built sets the width."""
+    """Dataset and the closure that builds an image's features (its spatial map
+    alone without ``word_vectors``) under the one width rule: given checkpoint
+    ``params``, in its triplet mode and width (a config naming another mode is
+    a usage error), else the first map built sets the width."""
     mode = check_triplet_mode(cfg.get("model.triplet_mode"))  # before the corpus is read
     if params is not None:
         trained = params.config.triplet_mode
@@ -216,7 +213,7 @@ def _load_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None, wo
                                   f"does not match {reference} ({width})")
         return features
 
-    return dataset, table, mode, features_of
+    return dataset, features_of
 
 
 def _split_records(dataset, name, path):
@@ -251,33 +248,9 @@ def cmd_make_toy_data(args) -> int:
     return _report(make_toy_data(args.n_images, args.vocab_size, args.seed, args.out_dir))
 
 
-def cmd_build_vocab(args) -> int:
-    cfg = load_run_config(args)
-    dataset = load_dataset(args.dataset)
-    records = dataset.records if args.split == "all" else _split_records(dataset, args.split, args.dataset)
-    vocab = build_vocabulary((c for r in records for c in r.captions), min_count=cfg.get("vocab.min_count"))
-    vocab.save(args.out)
-    return _report({"out": str(args.out), "tokens": len(vocab), "split": args.split})
-
-
-def cmd_featurize(args) -> int:
-    dataset, table, mode, _ = _load_corpus(args, load_run_config(args))  # before --out-dir is made
-    for rec in dataset.records:  # each id names a file directly inside --out-dir
-        if rec.image_id in ("", ".", "..") or any(c in rec.image_id for c in "/\\\0"):
-            raise FileFormatError(f"{args.dataset}: image id {rec.image_id!r} cannot name a feature file")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = 0
-    for rec in dataset.records:  # relationship rows only: the spatial files go unread
-        rel, mask = build_relationship_matrix(rec.triplets, table, mode=mode)
-        write_sgaf(out_dir / f"{rec.image_id}.rel.sgaf", rel[mask])
-        rows += int(mask.sum())
-    return _report({"images": len(dataset), "relationship_rows": rows, "out_dir": str(out_dir)})
-
-
 def cmd_train_vse(args) -> int:
     cfg = load_run_config(args)
-    dataset, _, _, spatial_of = _load_corpus(args, cfg, word_vectors=False)  # maps and tokens only
+    dataset, spatial_of = _load_corpus(args, cfg, word_vectors=False)  # maps and tokens only
     records, refs = _scored_split(dataset, "train", args.dataset)
     if sum(map(len, refs)) < 2:
         raise FileFormatError(f"{args.dataset}: split 'train' has one caption; "
@@ -314,7 +287,7 @@ def _save_trained(args, params, vocab, seed, result, **summary) -> int:
 def _trainer_corpus(args, cfg: RunConfig, params: CaptionerParams | None = None):
     """train-xe's and train-scst's train and val (features, references) items and the
     idf table; train features first, so a train image sets the width."""
-    dataset, _, _, bundle_of = _load_corpus(args, cfg, params)
+    dataset, bundle_of = _load_corpus(args, cfg, params)
     train_recs, train_refs = _scored_split(dataset, "train", args.dataset)
     val_recs, val_refs = _scored_split(dataset, "val", args.dataset)
     train_items = [(bundle_of(r), refs) for r, refs in zip(train_recs, train_refs)]
@@ -368,7 +341,7 @@ def cmd_train_scst(args) -> int:
 def cmd_caption(args) -> int:
     cfg = load_run_config(args)
     params, vocab, _ = load_captioner(args.checkpoint)
-    dataset, _, _, bundle_of = _load_corpus(args, cfg, params)
+    dataset, bundle_of = _load_corpus(args, cfg, params)
     records = _split_records(dataset, args.split, args.dataset)
     lines = []
     for rec in records:
@@ -441,15 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int_at_least(MIN_VOCAB), default=27)
     p.add_argument("--seed", type=nonnegative_int, default=0)
 
-    p = command("build-vocab", cmd_build_vocab, "build and save a vocabulary from captions", config, data)
-    p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--split", default="train", choices=["train", "val", "test", "all"])
-
-    p = command("featurize", cmd_featurize, "precompute relationship feature matrices", corpus)
-    p.add_argument("--out-dir", type=Path, required=True)
-
-    p = command("train-vse", cmd_train_vse, "train the image-caption ranking network", config, data, trainer)
-    p.add_argument("--wordvecs", type=Path, help="accepted like the other trainers' flag, never read")
+    command("train-vse", cmd_train_vse, "train the image-caption ranking network", config, data, trainer)
     command("train-xe", cmd_train_xe, "phase 1: cross-entropy training", corpus, trainer)
 
     p = command("train-scst", cmd_train_scst, "phase 2: self-critical fine-tuning", corpus, trainer)

@@ -14,7 +14,7 @@ import numpy as np
 
 from sgcap.autodiff import (
     DimensionError, Tensor, _aoa_bwd, _aoa_fwd, _check_aoa, _emit, _key_bias, _mha_bwd, _mha_fwd, _Outer,
-    _sigmoid,
+    _Scatter, _sigmoid,
 )
 from sgcap.features import WORD_VECTOR_DIM, FileFormatError, WordVectorTable
 
@@ -238,8 +238,8 @@ def brute_hinge(i_embs, w_embs, margin):
 
 # ---------------------------------------------------------------------------
 # Tape ops the model does not use, kept as reference forms: the composites
-# below build on matmul and slice_cols, and the engine tests check linear
-# against matmul, transpose and tile_rows.
+# below build on matmul, slice_cols, gather_rows and sigmoid, and the engine
+# tests check linear against matmul, transpose and tile_rows.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -282,6 +282,30 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     if n < 1:
         raise DimensionError("tile_rows needs n >= 1")
     return _emit(np.tile(v.data, (n, 1)), (v,), lambda g: (g.sum(axis=0),))
+
+
+def gather_rows(table: Tensor, indices) -> Tensor:
+    """Select rows of a matrix by integer index (rows may repeat).
+
+    A sequence of indices gives a matrix of rows, a single index the row
+    itself as a vector.
+    """
+    if table.data.ndim != 2:
+        raise DimensionError(f"gather_rows expects a matrix, got shape {tuple(table.data.shape)}")
+    indices = np.asarray(indices, dtype=np.int64)
+    idx = indices.reshape(-1)
+    if idx.size == 0:
+        raise DimensionError("gather_rows with no indices")
+    if idx.min() < 0 or idx.max() >= table.data.shape[0]:
+        raise IndexError(f"gather_rows index out of range [0, {table.data.shape[0]})")
+    rows = table.data[idx[0]].copy() if indices.ndim == 0 else table.data[idx]
+    shape = (idx.size, table.data.shape[1])
+    return _emit(rows, (table,), lambda g: (_Scatter(idx, g.reshape(shape)),))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
+    return _emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +401,7 @@ def composite_decoder_context(h, spatial_att, spatial_aoa, kv_spatial, rel_att, 
 
 def composite_aoa(q, v, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
     """Four linears, two adds, a sigmoid and a product."""
-    from sgcap.autodiff import add, linear, mul, sigmoid
+    from sgcap.autodiff import add, linear, mul
 
     info = add(linear(q, w_qi, b_i), linear(v, w_vi))
     gate = sigmoid(add(linear(q, w_qg, b_g), linear(v, w_vg)))
@@ -386,7 +410,7 @@ def composite_aoa(q, v, w_qi, w_vi, b_i, w_qg, w_vg, b_g):
 
 def composite_lstm_step(p, h, m, x):
     """The 4-gate LSTM cell, one linear and one activation per gate; returns (h', m')."""
-    from sgcap.autodiff import add, concat, linear, mul, reshape, sigmoid, tanh
+    from sgcap.autodiff import add, concat, linear, mul, reshape, tanh
 
     xh = concat([x, h], axis=0)
     row = reshape(xh, (1, xh.shape[0]))
@@ -528,7 +552,7 @@ def ref_decoder_cell(a_bar, c_prev, table, token, h, m, cell, paths):
     """decoder_cell as the seven ops it replaces, in the decoder's order:
     add, gather_rows, concat, lstm_gates, lstm_memory, lstm_hidden and
     gated_context."""
-    from sgcap.autodiff import add, concat, gather_rows
+    from sgcap.autodiff import add, concat
 
     u = add(a_bar, c_prev)
     x = concat([gather_rows(table, token), u], axis=0)
@@ -987,8 +1011,6 @@ def lstm_run(params, xs, state=None):
 
 
 def lookup(table, token_id: int) -> Tensor:
-    from sgcap.autodiff import gather_rows
-
     if not 0 <= int(token_id) < table.vocab_size:
         raise IndexError(f"token id {token_id} outside vocabulary of {table.vocab_size}")
     return gather_rows(table.weight, int(token_id))

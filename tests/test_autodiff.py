@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matmul, slice_cols, tile_rows, transpose
+from oracles import gather_rows, matmul, sigmoid, slice_cols, tile_rows, transpose
 from sgcap import autodiff as ad
 from sgcap.autodiff import (
     DimensionError,
@@ -14,7 +14,6 @@ from sgcap.autodiff import (
     add,
     concat,
     constant,
-    gather_rows,
     grad_check,
     layer_norm,
     linear,
@@ -26,7 +25,6 @@ from sgcap.autodiff import (
     reshape,
     row_sums,
     scale,
-    sigmoid,
     softmax,
     sub,
     sum_all,

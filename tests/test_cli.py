@@ -23,13 +23,13 @@ import sgcap.cli as cli
 import sgcap.features as features
 from sgcap.captioner import MAX_LEN_LIMIT, CaptionerConfig
 from oracles import load_checkpoint
-from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner
+from sgcap.checkpoint import MAGIC, load_captioner, load_vse, save_captioner, save_vse
 from sgcap.cli import main, parse_config_file
-from sgcap.features import FileFormatError, Vocabulary, load_dataset, load_sgaf, write_sgaf
+from sgcap.features import FileFormatError, load_dataset, write_sgaf
 from sgcap.gradaudit import BlockReport
 from sgcap.toydata import MIN_IMAGES, make_toy_data
 from sgcap.trainer import Phase1Config, Phase2Config, TrainConfig
-from sgcap.vse import VseConfig
+from sgcap.vse import VseConfig, VseParams
 from test_checkpoint import poke
 from test_features import JSON
 
@@ -81,14 +81,13 @@ def world(tmp_path_factory):
 def trained(world, tmp_path_factory):
     """VSE + XE checkpoints trained once and shared by later tests."""
     root = tmp_path_factory.mktemp("trained")
-    base = ["--config", world["cfg"], "--dataset", world["dataset"],
-            "--wordvecs", world["wordvecs"]]
+    base = ["--config", world["cfg"], "--dataset", world["dataset"]]
     rc = main([str(a) for a in
                ["train-vse", *base, "--out", root / "vse.sgck",
                 "--log", root / "vse_log.jsonl"]])
     assert rc == 0
     rc = main([str(a) for a in
-               ["train-xe", *base, "--out", root / "xe.sgck",
+               ["train-xe", *base, "--wordvecs", world["wordvecs"], "--out", root / "xe.sgck",
                 "--log", root / "xe_log.jsonl"]])
     assert rc == 0
     return {"vse": root / "vse.sgck", "xe": root / "xe.sgck",
@@ -119,6 +118,11 @@ def bundle_modes(monkeypatch):
     return modes
 
 
+def word_vectors(world, command):
+    """``--wordvecs`` for a command that builds relationship rows; train-vse builds none."""
+    return [] if command == "train-vse" else ["--wordvecs", world["wordvecs"]]
+
+
 def without_references(world, tmp_path, split, captions=()):
     """The toy dataset with the first ``split`` image's captions replaced by
     ``captions``, by default removed; (path, that image's id)."""
@@ -132,15 +136,20 @@ def without_references(world, tmp_path, split, captions=()):
     return path, bare["id"]
 
 
-def with_config_field(checkpoint, path, field, value):
-    """A copy of ``checkpoint`` at ``path`` whose header sets config ``field`` to ``value``."""
+def with_header(checkpoint, path, edit):
+    """A copy of ``checkpoint`` at ``path`` whose header ``edit`` has changed in place."""
     raw = checkpoint.read_bytes()
     head_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(raw[16:16 + head_len])
-    header["config"][field] = value
+    edit(header)
     head = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + head_len:])
     return path
+
+
+def with_config_field(checkpoint, path, field, value):
+    """A copy of ``checkpoint`` at ``path`` whose header sets config ``field`` to ``value``."""
+    return with_header(checkpoint, path, lambda header: header["config"].__setitem__(field, value))
 
 
 def without_triplets(world, tmp_path):
@@ -166,14 +175,6 @@ class TestTripletModeChecked:
         assert "expected one of mean, lstm" in capsys.readouterr().err
         assert not (tmp_path / "xe.sgck").exists() and not (tmp_path / "log.jsonl").exists()
 
-    def test_featurize_creates_no_out_dir(self, world, tmp_path, capsys):
-        rc = main([str(a) for a in [
-            "featurize", "--dataset", without_triplets(world, tmp_path), "--wordvecs", world["wordvecs"],
-            "--out-dir", tmp_path / "rel", "--set", "model.triplet_mode=bogus"]])
-        assert rc == 1
-        assert "expected one of mean, lstm" in capsys.readouterr().err
-        assert not (tmp_path / "rel").exists()
-
     def test_checkpoint_naming_another_mode_is_a_file_format_error(self, world, trained, tmp_path, capsys):
         params, vocab, seed = load_captioner(trained["xe"])
         params.config.triplet_mode = "bogus"
@@ -187,7 +188,7 @@ class TestTripletModeChecked:
         assert "bogus.sgck" in capsys.readouterr().err
         assert not (tmp_path / "c.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["featurize", "train-xe", "train-scst", "caption"])
+    @pytest.mark.parametrize("command", ["train-xe", "train-scst", "caption"])
     def test_checked_before_the_corpus_is_read(self, world, trained, tmp_path, capsys, monkeypatch, command):
         def load_dataset(path):
             raise AssertionError(f"{command} read {path}")
@@ -195,7 +196,6 @@ class TestTripletModeChecked:
         monkeypatch.setattr(cli, "load_dataset", load_dataset)
         out = tmp_path / "out"
         argv = {
-            "featurize": ["--out-dir", out],
             "train-xe": ["--config", world["cfg"], "--out", out, "--log", tmp_path / "log.jsonl"],
             "train-scst": ["--config", world["cfg"], "--checkpoint", trained["xe"], "--reward", "cider",
                            "--out", out, "--log", tmp_path / "log.jsonl"],
@@ -217,18 +217,17 @@ class TestConfigParsing:
     def test_malformed_line_names_position(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("seed 9\n")
-        rc = main(["build-vocab", "--config", str(p), "--dataset", "x", "--out", "y"])
+        rc = main(["train-vse", "--config", str(p), "--dataset", "x", "--out", "y"])
         assert rc == 1
         assert "c.cfg:1" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, world, capsys):
-        rc, _ = run(capsys, "build-vocab", "--dataset", world["dataset"],
-                    "--out", world["root"] / "v.json", "--set", "bogus.key=1")
+        rc, _ = run(capsys, "train-vse", "--dataset", world["dataset"],
+                    "--out", world["root"] / "v.sgck", "--set", "bogus.key=1")
         assert rc == 1
 
     def test_unparseable_value_names_field(self, world, capsys):
         rc = main(["train-vse", "--dataset", str(world["dataset"]),
-                   "--wordvecs", str(world["wordvecs"]),
                    "--out", str(world["root"] / "x.sgck"),
                    "--set", "vse.epochs=three"])
         assert rc == 1
@@ -298,15 +297,20 @@ class TestUsageErrors:
         ["evaluate", "--dataset", "d.jsonl", "--candidates", "c.jsonl", "--set", "bogus=1"],
         ["grad-audit", "--set", "bogus=1"],
         ["coverage-stats", "--dataset", "d.jsonl", "--set", "bogus=1"],
-    ], ids=["frobnicate", "make-toy-data", "evaluate", "grad-audit", "coverage-stats"])
+        # commands and a flag sgcap does not have
+        ["featurize", "--dataset", "d.jsonl", "--wordvecs", "w.txt", "--out-dir", "x"],
+        ["build-vocab", "--dataset", "d.jsonl", "--out", "v.json"],
+        ["train-vse", "--dataset", "d.jsonl", "--out", "o.sgck", "--wordvecs", "w"],
+    ], ids=["frobnicate", "make-toy-data", "evaluate", "grad-audit", "coverage-stats",
+            "featurize", "build-vocab", "train-vse-wordvecs"])
     def test_unknown_flag_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
 
     def test_malformed_set_exits_2(self, world, capsys):
-        rc, _ = run(capsys, "build-vocab", "--dataset", world["dataset"],
-                    "--out", "v.json", "--set", "novalue")
+        rc, _ = run(capsys, "train-vse", "--dataset", world["dataset"],
+                    "--out", "v.sgck", "--set", "novalue")
         assert rc == 2
 
     def test_missing_dataset_exits_1(self, capsys):
@@ -340,7 +344,7 @@ class TestSeedChecked:
         cfg.write_text(TINY_CFG + "seed = -1\n")
         given = ["--set", "seed=-1"] if source == "set" else ["--config", cfg]
         rc = main([str(a) for a in (command, "--config", world["cfg"], *given, "--dataset", world["dataset"],
-                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck")])
+                                    *word_vectors(world, command), "--out", tmp_path / "o.sgck")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "Traceback" not in err
@@ -375,9 +379,9 @@ class TestFlagRanges:
         toy = tmp_path / "toy"
         rc, _ = run(capsys, "make-toy-data", "--out-dir", toy, "--n-images", MIN_IMAGES, "--vocab-size", "10")
         assert rc == 0
-        base = ["--config", world["cfg"], "--dataset", toy / "dataset.jsonl", "--wordvecs", toy / "wordvecs.txt"]
-        for command in ("train-vse", "train-xe"):
-            rc, info = run(capsys, command, *base, "--out", tmp_path / f"{command}.sgck")
+        base = ["--config", world["cfg"], "--dataset", toy / "dataset.jsonl"]
+        for command, wordvecs in (("train-vse", []), ("train-xe", ["--wordvecs", toy / "wordvecs.txt"])):
+            rc, info = run(capsys, command, *base, *wordvecs, "--out", tmp_path / f"{command}.sgck")
             assert rc == 0, info
 
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
@@ -413,17 +417,6 @@ class TestMakeToyData:
         assert a == b
 
 
-class TestBuildVocab:
-    def test_writes_loadable_vocabulary(self, world, capsys):
-        out = world["root"] / "vocab.json"
-        rc, info = run(capsys, "build-vocab", "--config", world["cfg"],
-                       "--dataset", world["dataset"], "--out", out)
-        assert rc == 0
-        vocab = Vocabulary.load(out)
-        assert len(vocab) == info["tokens"]
-        assert "a" in vocab
-
-
 class TestCoverageStats:
     def test_toy_data_fully_covered(self, world, capsys):
         rc, stats = run(capsys, "coverage-stats", "--dataset", world["dataset"])
@@ -449,60 +442,6 @@ class TestCoverageStats:
         assert main(["coverage-stats", "--dataset", str(bad)]) == 1
         assert capsys.readouterr().err == (f'error: {bad}:2: triplets must be a list of '
                                            '{"s", "p", "o": string, "score": finite number} objects\n')
-
-
-class TestFeaturize:
-    def test_writes_relationship_matrices(self, world, tmp_path, capsys):
-        rc, info = run(capsys, "featurize", "--dataset", world["dataset"],
-                       "--wordvecs", world["wordvecs"], "--out-dir", tmp_path)
-        assert rc == 0
-        ds = load_dataset(world["dataset"])
-        assert info["images"] == len(ds)
-        total = 0
-        for rec in ds.records:
-            m = load_sgaf(tmp_path / f"{rec.image_id}.rel.sgaf")
-            assert m.shape == (len(rec.triplets), 300)
-            total += m.shape[0]
-        assert info["relationship_rows"] == total
-
-
-    def test_non_finite_word_vector_exits_1(self, world, tmp_path, capsys):
-        lines = world["wordvecs"].read_text().splitlines(keepends=True)
-        word, _, rest = lines[2].partition(" ")
-        lines[2] = f"{word} nan {rest.split(' ', 1)[1]}"
-        wordvecs = tmp_path / "nan.txt"
-        wordvecs.write_text("".join(lines))
-        out_dir = tmp_path / "rel"
-        rc = main(["featurize", "--dataset", str(world["dataset"]), "--wordvecs", str(wordvecs),
-                   "--out-dir", str(out_dir)])
-        assert rc == 1
-        assert "nan.txt:3: non-finite value" in capsys.readouterr().err
-        assert not list(out_dir.glob("*.sgaf"))
-
-
-    @pytest.mark.parametrize("image_id", ["../../escaped", "sub/dir", "..", ".", "", "a\\b", "nul\0"])
-    def test_unsafe_image_id_exits_1(self, world, tmp_path, capsys, image_id):
-        record = json.loads(world["dataset"].read_text().splitlines()[0])
-        record["id"] = image_id
-        record["feature_file"] = str(world["dataset"].parent / record["feature_file"])
-        dataset = tmp_path / "ds.jsonl"
-        dataset.write_text(json.dumps(record) + "\n")
-        rc = main(["featurize", "--dataset", str(dataset), "--wordvecs", str(world["wordvecs"]),
-                   "--out-dir", str(tmp_path / "a" / "b" / "out")])
-        assert rc == 1
-        assert f"ds.jsonl: image id {image_id!r}" in capsys.readouterr().err
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [dataset]
-
-    def test_reads_no_spatial_file(self, tmp_path, capsys):
-        info = make_toy_data(4, 27, 0, tmp_path / "toy")
-        outs = []
-        for name in ("all", "one_missing"):
-            rc, _ = run(capsys, "featurize", "--dataset", info["dataset"],
-                        "--wordvecs", info["wordvecs"], "--out-dir", tmp_path / name)
-            assert rc == 0
-            outs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
-            next(Path(info["feature_dir"]).glob("*.sgaf")).unlink()
-        assert outs[0] == outs[1]
 
 
 class TestModuleEntry:
@@ -556,25 +495,23 @@ class TestTrainVse:
         records = [json.loads(s) for s in lines]
         assert records[-1]["loss"] < records[0]["loss"]
 
-    def test_word_vectors_are_never_read(self, world, trained, tmp_path, capsys):
-        """A missing --wordvecs file, or none given, trains the checkpoint and
-        log that the real file gives."""
-        runs = {"real": ["--wordvecs", world["wordvecs"]],
-                "missing": ["--wordvecs", tmp_path / "nonexistent.txt"], "none": []}
-        outs = {}
-        for name, flag in runs.items():
-            ck, log = tmp_path / f"{name}.sgck", tmp_path / f"{name}.jsonl"
-            rc, _ = run(capsys, "train-vse", "--config", world["cfg"], "--dataset", world["dataset"], *flag,
-                        "--out", ck, "--log", log)
-            assert rc == 0, name
-            outs[name] = (ck.read_bytes(), log.read_bytes())
-        assert outs["missing"] == outs["real"] == outs["none"]
-        assert outs["real"] == (trained["vse"].read_bytes(), trained["vse_log"].read_bytes())
+    def test_word_vectors_are_never_read(self, world, trained, tmp_path, capsys, monkeypatch):
+        """train-vse opens no word-vector table and builds no relationship row."""
+        def refuse(*args):
+            raise AssertionError(f"train-vse read {args}")
+
+        monkeypatch.setattr(cli, "load_word_vectors", refuse)
+        monkeypatch.setattr(cli, "load_bundle", refuse)
+        ck, log = tmp_path / "v.sgck", tmp_path / "v.jsonl"
+        rc, _ = run(capsys, "train-vse", "--config", world["cfg"], "--dataset", world["dataset"],
+                    "--out", ck, "--log", log)
+        assert rc == 0
+        assert (ck.read_bytes(), log.read_bytes()) == (trained["vse"].read_bytes(), trained["vse_log"].read_bytes())
 
     @pytest.mark.parametrize("setting", ["vse.epochs=0", "vse.batch=0", "vse.lr=-1"])
     def test_bad_loop_setting_exits_1(self, world, tmp_path, capsys, setting):
         rc = main(["train-vse", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),
-                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "v.sgck"),
+                   "--out", str(tmp_path / "v.sgck"),
                    "--set", setting])
         err = capsys.readouterr().err
         assert rc == 1
@@ -584,7 +521,7 @@ class TestTrainVse:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lr_exits_1(self, world, tmp_path, capsys, value):
         rc = main(["train-vse", "--config", str(world["cfg"]), "--dataset", str(world["dataset"]),
-                   "--wordvecs", str(world["wordvecs"]), "--out", str(tmp_path / "v.sgck"),
+                   "--out", str(tmp_path / "v.sgck"),
                    "--set", f"vse.lr={value}"])
         err = capsys.readouterr().err
         assert rc == 1
@@ -661,6 +598,19 @@ class TestTrainXe:
         assert capsys.readouterr().err == f"error: {empty}: empty 0x64 feature matrix\n"
         assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
 
+    def test_non_finite_word_vector_exits_1(self, world, tmp_path, capsys):
+        lines = world["wordvecs"].read_text().splitlines(keepends=True)
+        word, _, rest = lines[2].partition(" ")
+        lines[2] = f"{word} nan {rest.split(' ', 1)[1]}"
+        wordvecs = tmp_path / "nan.txt"
+        wordvecs.write_text("".join(lines))
+        rc = main([str(a) for a in (
+            "train-xe", "--config", world["cfg"], "--dataset", world["dataset"], "--wordvecs", wordvecs,
+            "--out", tmp_path / "x.sgck", "--log", tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert "nan.txt:3: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "x.sgck").exists() and not (tmp_path / "x.jsonl").exists()
+
     def test_seed_flag_overrides_config(self, world, tmp_path, capsys):
         ck = tmp_path / "s.sgck"
         rc, _ = run(capsys, "train-xe", "--config", world["cfg"],
@@ -697,7 +647,7 @@ class TestUncaptionedTraining:
     def test_train_split_without_captions_exits_1(self, world, tmp_path, capsys, command):
         dataset = with_train_captions(world, tmp_path, lambda r: [])
         rc = main([str(a) for a in (command, "--config", world["cfg"], "--dataset", dataset,
-                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck")])
+                                    *word_vectors(world, command), "--out", tmp_path / "o.sgck")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"error: {dataset}: split 'train' has no captions\n"
@@ -780,7 +730,7 @@ class TestOneFeatureWidth:
     def test_image_of_another_width_names_both_files(self, world, tmp_path, capsys, command, split):
         dataset, odd, first = with_feature_matrix(world, tmp_path, split, np.ones((5, 32), dtype=np.float32))
         rc = main([str(a) for a in (command, "--config", world["cfg"], "--dataset", dataset,
-                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "o.sgck",
+                                    *word_vectors(world, command), "--out", tmp_path / "o.sgck",
                                     "--log", tmp_path / "o.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {odd}: feature width 32 does not match {first} (64)\n"
@@ -864,6 +814,21 @@ class TestTrainScst:
                                            "both checkpoints must read one width\n")
         assert not (tmp_path / "o.sgck").exists() and not (tmp_path / "o.jsonl").exists()
 
+    def test_vse_vocabulary_longer_than_its_tables_exits_1(self, world, trained, tmp_path, capsys):
+        _, vocab, seed = load_captioner(trained["xe"])
+        config = dataclasses.replace(load_vse(trained["vse"])[0].config, vocab_size=6)
+        small = VseParams.init(config, np.random.default_rng(0))
+        bad = tmp_path / "vse6.sgck"
+        save_vse(bad, small, vocab, seed)  # the captioner's token list over a 6-row embedding table
+        rc = main([str(a) for a in (
+            "train-scst", "--config", world["cfg"], "--dataset", world["dataset"],
+            "--wordvecs", world["wordvecs"], "--checkpoint", trained["xe"], "--vse", bad,
+            "--out", tmp_path / "o.sgck", "--log", tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {bad}: vocabulary of {len(vocab)} tokens does not fit "
+                                           "config field vocab_size 6\n")
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_training_image_without_references_exits_1(self, world, trained, tmp_path, capsys):
         dataset, image_id = without_references(world, tmp_path, "train")
         rc = main([str(a) for a in (
@@ -944,6 +909,16 @@ class TestCaption:
         assert capsys.readouterr().err == f"error: {bad}: config field {field} must be an integer, got {value!r}\n"
         assert not (tmp_path / "c.jsonl").exists()
 
+    def test_vocabulary_shorter_than_its_tables_exits_1(self, world, trained, tmp_path, capsys):
+        bad = with_header(trained["xe"], tmp_path / "bad.sgck", lambda header: header.update(vocab=header["vocab"][:6]))
+        vocab_size = load_captioner(trained["xe"])[0].config.vocab_size
+        rc = main([str(a) for a in ("caption", "--checkpoint", bad, "--dataset", world["dataset"],
+                                    "--wordvecs", world["wordvecs"], "--out", tmp_path / "c.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {bad}: vocabulary of 6 tokens does not fit "
+                                           f"config field vocab_size {vocab_size}\n")
+        assert sorted(tmp_path.iterdir()) == [bad]
+
     def test_non_finite_weight_exits_1(self, world, trained, tmp_path, capsys):
         bad = tmp_path / "nan.sgck"
         bad.write_bytes(trained["xe"].read_bytes())
@@ -1015,7 +990,7 @@ class TestTokenizedOnce:
         monkeypatch.setattr(cli, "tokenize", tokenize)
         monkeypatch.setattr(features, "tokenize", tokenize)
         rc, _ = run(capsys, command, "--config", world["cfg"], "--dataset", world["dataset"],
-                    "--wordvecs", world["wordvecs"], "--set", "vse.epochs=1", "--set", "phase1.max_epochs=1",
+                    *word_vectors(world, command), "--set", "vse.epochs=1", "--set", "phase1.max_epochs=1",
                     "--out", tmp_path / "m.sgck")
         assert rc == 0
         captions = collections.Counter(c for r in load_dataset(world["dataset"]).records if r.split in splits
@@ -1172,7 +1147,7 @@ class TestRunLogs:
             ck, log = tmp_path / run_dir / "out.sgck", tmp_path / run_dir / "log.jsonl"
             for _ in range(runs):
                 rc, _ = run(capsys, command, "--config", world["cfg"], "--dataset", world["dataset"],
-                            "--wordvecs", world["wordvecs"], *extra, "--out", ck, "--log", log)
+                            *word_vectors(world, command), *extra, "--out", ck, "--log", log)
                 assert rc == 0
             outs.append((ck.read_bytes(), log.read_bytes()))
         assert outs[0] == outs[1]
@@ -1297,16 +1272,15 @@ class _Corpus:
                                       for r in self.records))
         out = self.root / "out"
         data = ["--dataset", dataset]
-        corpus = ["--config", cfg, *data, "--wordvecs", wordvecs, "--set", "vse.epochs=1",
-                  "--set", "phase1.max_epochs=1", "--set", "phase2.max_steps=1"]
+        settings = ["--config", cfg, *data, "--set", "vse.epochs=1",
+                    "--set", "phase1.max_epochs=1", "--set", "phase2.max_steps=1"]
+        corpus = [*settings, "--wordvecs", wordvecs]
         trainer = ["--out", out, "--log", self.root / "log.jsonl"]
         self.files = [dataset, wordvecs, candidates, cfg, self.xe, self.vse,
                       *(r["feature_file"] for r in self.records if isinstance(r.get("feature_file"), str))]
         return [
-            ["build-vocab", "--config", cfg, *data, "--out", out],
             ["coverage-stats", *data],
-            ["featurize", *corpus, "--out-dir", self.root / "rel"],
-            ["train-vse", *corpus, *trainer],
+            ["train-vse", *settings, *trainer],
             ["train-xe", *corpus, *trainer],
             ["train-scst", *corpus, "--checkpoint", self.xe, "--reward", "cider", *trainer],
             ["train-scst", *corpus, "--checkpoint", self.xe, "--vse", self.vse, *trainer],

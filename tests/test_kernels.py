@@ -22,12 +22,12 @@ import pytest
 
 import sgcap.decoder
 from oracles import (
-    composite_aoa, composite_attention, composite_decoder_context, composite_lstm_step, gated_context,
+    composite_aoa, composite_attention, composite_decoder_context, composite_lstm_step, gated_context, gather_rows,
     lstm_gates, lstm_hidden, lstm_memory, ref_attention_per_head, ref_decoder_cell, zero_state,
 )
 from sgcap.attention import AoAParams, MultiHeadParams, multi_head_attention
 from sgcap.autodiff import (
-    DimensionError, Tape, Tensor, _emit_many, add, aoa, attention, concat, constant, decoder_cell, gather_rows,
+    DimensionError, Tape, Tensor, _emit_many, add, aoa, attention, concat, constant, decoder_cell,
     grad_check, key_values, linear, linear_each, log_prob, lstm_cell, lstm_sequences, mul, parameter, reshape, scale,
     softmax, sum_all, tanh,
 )
